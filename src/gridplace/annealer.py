@@ -119,20 +119,23 @@ class _MacroState:
         self.movable_names = [n.name for n in macros if n.movable]
         self.movable_idx = np.array([self.index[nm] for nm in self.movable_names], dtype=np.intp)
 
-    def legal_at(self, i: int) -> bool:
-        """Current coordinates of macro i are in-canvas and overlap-free."""
-        cx, cy = self.x[i], self.y[i]
+    def legal_centers(self, i: int, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        """For each candidate center (cx[k], cy[k]) of macro i, whether it is
+        in-canvas and overlap-free against the other macros where they are."""
         hw, hh = self.hw[i], self.hh[i]
         t = self.tol
-        if not (cx - hw >= -t and cx + hw <= self.canvas.width + t
-                and cy - hh >= -t and cy + hh <= self.canvas.height + t):
-            return False
+        ok = ((cx - hw >= -t) & (cx + hw <= self.canvas.width + t)
+              & (cy - hh >= -t) & (cy + hh <= self.canvas.height + t))
         # NaN coordinates (unplaced) compare False and drop out naturally.
-        ox = (self.hw + hw) - np.abs(self.x - cx)
-        oy = (self.hh + hh) - np.abs(self.y - cy)
+        ox = (self.hw + hw) - np.abs(self.x - cx[:, None])
+        oy = (self.hh + hh) - np.abs(self.y - cy[:, None])
         hit = (ox > t) & (oy > t)
-        hit[i] = False
-        return not bool(hit.any())
+        hit[:, i] = False
+        return ok & ~hit.any(axis=1)
+
+    def legal_at(self, i: int) -> bool:
+        """Current coordinates of macro i are in-canvas and overlap-free."""
+        return bool(self.legal_centers(i, self.x[i:i + 1], self.y[i:i + 1])[0])
 
     def try_moves(self, moves) -> bool:
         """Tentatively apply [(i, x, y)]; revert and return False if illegal."""
@@ -180,14 +183,24 @@ def spiral_cells(n_cols: int, n_rows: int) -> list:
     return out
 
 
+_SCAN_BLOCK = 64
+
+
 def _place_macros(netlist: Netlist, grid: Grid, fixed: Placement, order, cells) -> Placement:
+    """Put each macro of `order` at the center of the first cell of `cells`
+    where it is legal, checking the cells a block at a time."""
     st = _MacroState(netlist, grid, fixed)
+    centers = [grid.cell_center(col, row) for col, row in cells]
+    xs = np.array([c[0] for c in centers])
+    ys = np.array([c[1] for c in centers])
     placed: Placement = {}
     for node in order:
         i = st.index[node.name]
-        for (col, row) in cells:
-            cx, cy = grid.cell_center(col, row)
-            if st.try_moves([(i, cx, cy)]):
+        for start in range(0, len(centers), _SCAN_BLOCK):
+            ok = st.legal_centers(i, xs[start:start + _SCAN_BLOCK], ys[start:start + _SCAN_BLOCK])
+            if ok.any():
+                cx, cy = centers[start + int(np.argmax(ok))]
+                st.x[i], st.y[i] = cx, cy
                 placed[node.name] = Pose(cx, cy, Orientation.N)
                 break
         else:

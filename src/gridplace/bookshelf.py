@@ -31,6 +31,7 @@ from .netlist import (
     Pin,
     Placement,
     Pose,
+    finite_float,
     validate_nets,
 )
 
@@ -98,7 +99,7 @@ def parse_nodes(path: Path, row_height: float | None) -> list[Node]:
             raise MalformedLine(path, lineno, f"expected 'name width height [terminal]', got {line!r}")
         name = tok[0]
         try:
-            w, h = float(tok[1]), float(tok[2])
+            w, h = finite_float(tok[1]), finite_float(tok[2])
         except ValueError as exc:
             raise MalformedLine(path, lineno, f"bad node size in {line!r}") from exc
         if w < 0 or h < 0:
@@ -162,8 +163,11 @@ def parse_nets(path: Path, nodes: dict[str, Node]) -> list[Net]:
         node_name, direction = m.group(1), m.group(2)
         if node_name not in nodes:
             raise MalformedLine(path, lineno, f"pin references unknown node {node_name!r}")
-        dx = float(m.group(3)) if m.group(3) is not None else 0.0
-        dy = float(m.group(4)) if m.group(4) is not None else 0.0
+        try:
+            dx = finite_float(m.group(3)) if m.group(3) is not None else 0.0
+            dy = finite_float(m.group(4)) if m.group(4) is not None else 0.0
+        except ValueError as exc:
+            raise MalformedLine(path, lineno, f"bad pin offset in {line!r}") from exc
         node = nodes[node_name]
         hw, hh = node.width / 2.0, node.height / 2.0
         cx = min(max(dx, -hw), hw)
@@ -214,7 +218,10 @@ def parse_scl(path: Path) -> tuple[float, float, float, float, float]:
             raise MalformedLine(path, lineno, f"unexpected line outside CoreRow: {line!r}")
         # Key : value pairs, possibly several per line (SubrowOrigin : 0 NumSites : 128)
         for m in re.finditer(r"(\w+)\s*:\s*([-+0-9.eE]+)", line):
-            key, val = m.group(1).lower(), float(m.group(2))
+            try:
+                key, val = m.group(1).lower(), finite_float(m.group(2))
+            except ValueError as exc:
+                raise MalformedLine(path, lineno, f"bad number in {line!r}") from exc
             if key == "coordinate":
                 coord = val
             elif key == "height":
@@ -285,8 +292,11 @@ def _read_pl_corners(path: Path) -> dict[str, tuple[float, float, str]]:
         m = _PL_RE.match(line)
         if not m:
             raise MalformedLine(path, lineno, f"bad placement line {line!r}")
-        orient = m.group(4) or "N"
-        out[m.group(1)] = (float(m.group(2)), float(m.group(3)), orient)
+        try:
+            x, y = finite_float(m.group(2)), finite_float(m.group(3))
+        except ValueError as exc:
+            raise MalformedLine(path, lineno, f"bad coordinate in {line!r}") from exc
+        out[m.group(1)] = (x, y, m.group(4) or "N")
     return out
 
 

@@ -23,6 +23,7 @@ from pathlib import Path
 from . import __version__
 from .annealer import (
     SAConfig,
+    _action_probs,
     anneal,
     run_parallel,
     shuffle_same_size,
@@ -177,9 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path) -> dict:
+def _read_config_file(path, known: dict) -> dict:
     """key = value lines; '#' starts a comment; values are coerced to
-    int/float/bool when they look like one."""
+    int/float/bool when they look like one. `known` maps each accepted key to
+    its argparse destination; any other key is an error."""
     p = Path(path)
     if not p.exists():
         raise MissingFile(str(p))
@@ -192,6 +194,9 @@ def _read_config_file(path) -> dict:
             raise GridPlaceError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
+        if key not in known:
+            raise GridPlaceError(f"{path}:{lineno}: unknown config key {key!r}")
+        key = known[key]
         if re.fullmatch(r"[-+]?\d+", val):
             out[key] = int(val)
         elif re.fullmatch(r"[-+]?(\d+\.\d*|\.\d+|\d+)([eE][-+]?\d+)?", val):
@@ -398,14 +403,23 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _parse_action_weights(text: str) -> dict:
+    """'swap=0.2,move=0.8' -> {'swap': 0.2, 'move': 0.8}, validated."""
+    weights = {}
+    try:
+        for part in text.split(","):
+            name, value = part.split("=")
+            weights[name.strip()] = float(value)
+        _action_probs(weights)
+    except ValueError as exc:
+        raise GridPlaceError(f"bad --action-weights {text!r} ({exc}); "
+                             "expected action=weight pairs such as swap=0.2,move=0.8") from exc
+    return weights
+
+
 def _sa_config(args) -> SAConfig:
     t_init = None if str(args.t_init) == "auto" else float(args.t_init)
-    action_weights = None
-    if args.action_weights:
-        action_weights = {}
-        for part in args.action_weights.split(","):
-            k, v = part.split("=")
-            action_weights[k.strip()] = float(v)
+    action_weights = _parse_action_weights(args.action_weights) if args.action_weights else None
     return SAConfig(
         seed=args.seed,
         max_steps=args.steps,
@@ -597,13 +611,42 @@ COMMANDS = {
 }
 
 
+def _config_keys(parsers) -> dict:
+    """Config key -> argparse destination: every long flag name (dashes as
+    underscores) and every destination name of the given parsers."""
+    keys = {}
+    for p in parsers:
+        for action in p._actions:
+            if action.dest in ("help", "version", "config", "command"):
+                continue
+            keys[action.dest] = action.dest
+            for opt in action.option_strings:
+                if opt.startswith("--"):
+                    keys[opt[2:].replace("-", "_")] = action.dest
+    return keys
+
+
+def _apply_config_file(parser: argparse.ArgumentParser, argv) -> None:
+    """Load --config FILE (or --config=FILE) as defaults that explicit flags
+    override, on the top-level parser and every subcommand parser."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = [parser] + [p for a in subs for p in a.choices.values()]
+    defaults = _read_config_file(path, _config_keys(parsers))
+    for p in parsers:
+        p.set_defaults(**defaults)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         # Config file defaults lose to explicit flags: load them before parsing.
-        if "--config" in argv and argv.index("--config") + 1 < len(argv):
-            parser.set_defaults(**_read_config_file(argv[argv.index("--config") + 1]))
+        _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         logging.basicConfig(
             level=logging.DEBUG if args.verbose else logging.INFO,

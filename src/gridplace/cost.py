@@ -18,6 +18,14 @@ Routing patterns by the number of distinct pin cells k:
   k=3 a shared straight segment plus a branched L when two cells share a row
   or column, else a star; k>3 a star of k-1 L routes from the source cell.
 
+`Evaluator` routes all nets of a placement in whole-array numpy, with no
+Python loop over nets: the distinct (net, cell) keys come from one sort, the
+three-cell patterns are selected in closed form for all such nets at once,
+and every segment end is scattered into difference arrays by one
+`np.bincount` per direction, in a fixed per-cell order, so its grids equal
+those of routing net by net in that order. `route_net` is the scalar router
+for one net.
+
 Grids are numpy arrays indexed [col, row]; cell (0, 0) is lower-left.
 """
 
@@ -171,6 +179,55 @@ def _three_cell_segments(cells: list[tuple[int, int]]):
         h_segs += h
         v_segs += v
     return h_segs, v_segs
+
+
+# Endpoints of the two L routes a three-cell net decomposes into, by the first
+# pair sharing a row or column: (0,1), (0,2), (1,2), and 3 for none. The first
+# L runs FIRST -> SECOND (one straight arm when the pair shares a line), the
+# second from one of those to THIRD. With no shared line both leave the source.
+_FIRST = np.array([0, 0, 1, 0])
+_SECOND = np.array([1, 2, 2, 1])
+_THIRD = np.array([2, 1, 0, 2])
+
+
+def _three_cell_entries(cells: np.ndarray, weight: np.ndarray, n_rows: int):
+    """Difference-array entries of many three-cell routes at once.
+
+    `cells` is an (m, 3) array of flat cell ids (col * n_rows + row), the
+    source first and the two sinks in (col, row) order; `weight` has length m.
+    Each row is routed as `_three_cell_segments` routes it: the straight
+    segment of the first pair sharing a row (tested before a shared column),
+    then an L to the third cell from the nearer end of that segment (ties to
+    its first cell), or a source star when no pair shares a line. Returns
+    ((h_idx, h_w), (v_idx, v_w)): flat indices into the (n_cols + 1, n_rows)
+    and (n_cols, n_rows + 1) difference arrays with their +w/-w values, net by
+    net, each net's segments in routing order as +w at the low end then -w at
+    the high end. Zero-length arms are dropped.
+    """
+    col, row = np.divmod(cells, n_rows)
+    line = [(row[:, i] == row[:, j]) | (col[:, i] == col[:, j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    pick = np.argmax(np.stack(line + [np.ones(len(cells), dtype=bool)], axis=1), axis=1)
+
+    def at(a, k):
+        return np.take_along_axis(a, k[:, None], axis=1)[:, 0]
+
+    a, b, t = _FIRST[pick], _SECOND[pick], _THIRD[pick]
+    ca, ra, cb, rb, ct, rt = at(col, a), at(row, a), at(col, b), at(row, b), at(col, t), at(row, t)
+    near_a = (np.abs(ct - ca) + np.abs(rt - ra) <= np.abs(ct - cb) + np.abs(rt - rb)) | (pick == 3)
+    # Two L routes per net, (m, 2): horizontal arm in the start row, then the
+    # vertical arm in the end column.
+    c0 = np.stack([ca, np.where(near_a, ca, cb)], axis=1)
+    r0 = np.stack([ra, np.where(near_a, ra, rb)], axis=1)
+    c1 = np.stack([cb, ct], axis=1)
+    r1 = np.stack([rb, rt], axis=1)
+    signed = np.stack([weight, -weight], axis=1)[:, None, :]     # (m, 1, 2)
+    h_idx = np.stack([np.minimum(c0, c1), np.maximum(c0, c1)], axis=2) * n_rows + r0[:, :, None]
+    v_idx = c1[:, :, None] * (n_rows + 1) + np.stack([np.minimum(r0, r1), np.maximum(r0, r1)], axis=2)
+    h_on = np.broadcast_to((c0 != c1)[:, :, None], h_idx.shape)
+    v_on = np.broadcast_to((r0 != r1)[:, :, None], v_idx.shape)
+    h_w = np.broadcast_to(signed, h_idx.shape)
+    v_w = np.broadcast_to(signed, v_idx.shape)
+    return (h_idx[h_on], h_w[h_on]), (v_idx[v_on], v_w[v_on])
 
 
 def net_route_segments(source_cell: tuple[int, int], sink_cells, weight_unused=None):
@@ -348,7 +405,20 @@ class Evaluator:
         return h, v
 
     def net_congestion_from_arrays(self, x, y, sx, sy):
-        """Unsmoothed net routing demand / capacity."""
+        """Unsmoothed net routing demand / capacity.
+
+        Every net is routed at once on whole arrays. Each boundary-crossing
+        segment adds +w at its low end and -w at its high end of a difference
+        array (`hdiff` along columns, `vdiff` along rows), and a cumulative sum
+        turns the differences into per-boundary demand. Both difference
+        arrays are filled by one `np.bincount` whose per-cell summation order
+        is fixed: the low ends of all source-anchored L routes in (net, cell)
+        order, then their high ends, then the segments of the three-cell nets
+        in net order, each as +w then -w. That is the order in which entries
+        were added one at a time when the three-cell nets were routed net by
+        net, so the grids are bit-identical to it, even for non-integer
+        weights.
+        """
         g = self.grid
         h = np.zeros((g.n_cols, g.n_rows))
         v = np.zeros((g.n_cols, g.n_rows))
@@ -358,8 +428,14 @@ class Evaluator:
         pc = np.clip(np.floor(px / g.cell_w).astype(np.intp), 0, g.n_cols - 1)
         pr = np.clip(np.floor(py / g.cell_h).astype(np.intp), 0, g.n_rows - 1)
         cell = pc * g.n_rows + pr
-        keys = self._pin_net * g.n_cells + cell
-        uniq = np.unique(keys)
+        # Distinct (net, cell) keys in sorted order, as np.unique would give
+        # them; a sort plus an adjacent-difference mask is several times
+        # faster than numpy's hash-based unique.
+        keys = np.sort(self._pin_net * g.n_cells + cell)
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        uniq = keys[first]
         unet = uniq // g.n_cells
         ucell = uniq % g.n_cells
         # Distinct-cell count per net, aligned to unique order.
@@ -367,44 +443,25 @@ class Evaluator:
         src_cell = cell[self._src_pin]
         k_of = counts[unet]
         src_of = src_cell[unet]
+        w_of = self._net_weight[unet]
         # k == 2 and k > 3 decompose into source-anchored L pairs.
         lmask = (ucell != src_of) & ((k_of == 2) | (k_of >= 4))
-        w_of = self._net_weight[unet]
-        hdiff = np.zeros((g.n_cols + 1, g.n_rows))
-        vdiff = np.zeros((g.n_cols, g.n_rows + 1))
-        if lmask.any():
-            cs = src_of[lmask] // g.n_rows
-            rs = src_of[lmask] % g.n_rows
-            ct = ucell[lmask] // g.n_rows
-            rt = ucell[lmask] % g.n_rows
-            w = w_of[lmask]
-            lo_c = np.minimum(cs, ct)
-            hi_c = np.maximum(cs, ct)
-            np.add.at(hdiff, (lo_c, rs), w)
-            np.add.at(hdiff, (hi_c, rs), -w)
-            lo_r = np.minimum(rs, rt)
-            hi_r = np.maximum(rs, rt)
-            np.add.at(vdiff, (ct, lo_r), w)
-            np.add.at(vdiff, (ct, hi_r), -w)
-        # Three-cell nets keep their special pattern; handled per net.
-        tri_nets = np.nonzero(counts == 3)[0]
-        if tri_nets.size:
-            order = np.argsort(unet, kind="stable")
-            starts = np.searchsorted(unet[order], tri_nets)
-            for net_i, s in zip(tri_nets, starts):
-                cells_flat = ucell[order[s:s + 3]]
-                src = int(src_cell[net_i])
-                cells = [(int(c) // g.n_rows, int(c) % g.n_rows) for c in cells_flat]
-                src_cr = (src // g.n_rows, src % g.n_rows)
-                sinks = [c for c in cells if c != src_cr]
-                h_segs, v_segs = _three_cell_segments([src_cr] + sinks)
-                wt = float(self._net_weight[net_i])
-                for row, lo, hi in h_segs:
-                    hdiff[lo, row] += wt
-                    hdiff[hi, row] -= wt
-                for col, lo, hi in v_segs:
-                    vdiff[col, lo] += wt
-                    vdiff[col, hi] -= wt
+        cs, rs = np.divmod(src_of[lmask], g.n_rows)
+        ct, rt = np.divmod(ucell[lmask], g.n_rows)
+        w = w_of[lmask]
+        # Three-cell nets: their three distinct cells are adjacent in unique
+        # order, sorted by (col, row); the source goes first.
+        tri = k_of == 3
+        cells3 = ucell[tri].reshape(-1, 3)
+        src3 = src_of[tri][::3, None]
+        ordered = np.concatenate([src3, cells3[cells3 != src3].reshape(-1, 2)], axis=1)
+        (h3, h3_w), (v3, v3_w) = _three_cell_entries(ordered, w_of[tri][::3], g.n_rows)
+        h_idx = [np.minimum(cs, ct) * g.n_rows + rs, np.maximum(cs, ct) * g.n_rows + rs, h3]
+        v_idx = [ct * (g.n_rows + 1) + np.minimum(rs, rt), ct * (g.n_rows + 1) + np.maximum(rs, rt), v3]
+        hdiff = np.bincount(np.concatenate(h_idx), np.concatenate([w, -w, h3_w]),
+                            minlength=(g.n_cols + 1) * g.n_rows).reshape(g.n_cols + 1, g.n_rows)
+        vdiff = np.bincount(np.concatenate(v_idx), np.concatenate([w, -w, v3_w]),
+                            minlength=g.n_cols * (g.n_rows + 1)).reshape(g.n_cols, g.n_rows + 1)
         h = np.cumsum(hdiff, axis=0)[:g.n_cols]
         v = np.cumsum(vdiff, axis=1)[:, :g.n_rows]
         return h / g.h_capacity, v / g.v_capacity

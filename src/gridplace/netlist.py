@@ -17,6 +17,7 @@ Native text format, one record per line (see README for the grammar):
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -178,6 +179,14 @@ class Netlist:
         return [n for n in self.nodes if n.kind == NodeKind.MACRO and n.movable]
 
 
+def finite_float(text: str) -> float:
+    """float(text), raising ValueError for text that is not a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def validate_nets(nets: Iterable[Net], where: str = "netlist") -> list[Net]:
     """Drop nets with fewer than two pins and demote extra source pins.
 
@@ -240,11 +249,11 @@ def read_netlist(path) -> Netlist:
             if kind == "canvas":
                 if len(tok) != 3:
                     raise ValueError("expected: canvas WIDTH HEIGHT")
-                canvas = Canvas(float(tok[1]), float(tok[2]))
+                canvas = Canvas(finite_float(tok[1]), finite_float(tok[2]))
             elif kind == "node":
                 if len(tok) != 6:
                     raise ValueError("expected: node ID KIND WIDTH HEIGHT MOVABLE")
-                name, nk, w, h, mv = tok[1], tok[2], float(tok[3]), float(tok[4]), tok[5]
+                name, nk, w, h, mv = tok[1], tok[2], finite_float(tok[3]), finite_float(tok[4]), tok[5]
                 if mv not in ("0", "1"):
                     raise ValueError(f"MOVABLE must be 0 or 1, got {mv!r}")
                 node_kind = NodeKind(nk)
@@ -259,7 +268,7 @@ def read_netlist(path) -> Netlist:
             elif kind == "net":
                 if len(tok) not in (2, 3):
                     raise ValueError("expected: net ID [WEIGHT]")
-                weight = float(tok[2]) if len(tok) == 3 else 1.0
+                weight = finite_float(tok[2]) if len(tok) == 3 else 1.0
                 if tok[1] in nets:
                     raise ValueError(f"duplicate net id {tok[1]!r}")
                 nets[tok[1]] = Net(tok[1], [], weight)
@@ -273,7 +282,7 @@ def read_netlist(path) -> Netlist:
                 owner = node_by_name.get(tok[2])
                 if owner is None:
                     raise DanglingPinReference(f"pin references unknown node {tok[2]!r}")
-                dx, dy = float(tok[3]), float(tok[4])
+                dx, dy = finite_float(tok[3]), finite_float(tok[4])
                 # Pin offsets must stay within the owner's half-extents.
                 cdx = min(max(dx, -owner.width / 2), owner.width / 2)
                 cdy = min(max(dy, -owner.height / 2), owner.height / 2)

@@ -179,3 +179,71 @@ def shuffle_instance(seed):
             for t, n in enumerate(nodes[: min(4, len(nodes))])]
     netlist = Netlist(nodes=nodes, nets=[Net("net0", pins)], canvas=canvas)
     return netlist, placement, grid
+
+
+THREE_CELL_SHAPES = ("row", "col", "row+col", "tie-row", "tie-col", "star", "any")
+
+
+def _three_cells(rng, shape, n_cols, n_rows):
+    """Three distinct cells of the requested shape (see three_cell_instance)."""
+    c = rng.sample(range(n_cols), 3)
+    r = rng.sample(range(n_rows), 3)
+    if shape == "row":
+        return [(c[0], r[0]), (c[1], r[0]), (c[2], rng.randrange(n_rows))]
+    if shape == "col":
+        return [(c[0], r[0]), (c[0], r[1]), (rng.randrange(n_cols), r[2])]
+    if shape == "row+col":
+        return [(c[0], r[0]), (c[1], r[0]), (c[0], r[1])]
+    if shape == "tie-row":
+        # The third cell sits the same Manhattan distance from both ends of a
+        # row segment.
+        d = rng.randint(1, (n_cols - 1) // 2)
+        c0 = rng.randrange(n_cols - 2 * d)
+        return [(c0, r[0]), (c0 + 2 * d, r[0]), (c0 + d, r[1])]
+    if shape == "tie-col":
+        d = rng.randint(1, (n_rows - 1) // 2)
+        r0 = rng.randrange(n_rows - 2 * d)
+        return [(c[0], r0), (c[0], r0 + 2 * d), (c[1], r0 + d)]
+    if shape == "star":
+        return [(c[0], r[0]), (c[1], r[1]), (c[2], r[2])]
+    cells = [(col, row) for col in range(n_cols) for row in range(n_rows)]
+    return rng.sample(cells, 3)
+
+
+def three_cell_instance(seed, n_nets=140, n_cols=6, n_rows=5, real_weights=False):
+    """Nets whose pins fall into exactly three distinct grid cells, mixed
+    with some 2-cell and 4-to-5-cell nets.
+
+    One zero-size port sits at the center of every cell and each pin is a port
+    pin, so the pin cells are chosen directly. The three-cell nets cycle
+    through THREE_CELL_SHAPES (a shared row, a shared column, both, Manhattan
+    ties between the ends of a shared segment, no shared line) with the
+    source drawn from the three cells, so it takes every sort position, and
+    with duplicate pins in some cells. Weights are small integers, or real
+    numbers with real_weights=True. Returns (netlist, placement, grid).
+    """
+    rng = random.Random(seed)
+    canvas = Canvas(n_cols * 10.0, n_rows * 7.0)
+    grid = build_grid(canvas, n_cols, n_rows)
+    nodes = []
+    placement = {}
+    for col in range(n_cols):
+        for row in range(n_rows):
+            name = f"p{col}_{row}"
+            nodes.append(Node(name, NodeKind.PORT, 0.0, 0.0, movable=False))
+            placement[name] = Pose(*grid.cell_center(col, row))
+    all_cells = [(col, row) for col in range(n_cols) for row in range(n_rows)]
+    nets = []
+    for j in range(n_nets):
+        if j % 5 == 4:
+            cells = rng.sample(all_cells, rng.choice((2, 4, 5)))
+        else:
+            cells = _three_cells(rng, THREE_CELL_SHAPES[j % len(THREE_CELL_SHAPES)], n_cols, n_rows)
+        src = rng.choice(cells)
+        members = cells + [rng.choice(cells) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(members)
+        pins = [Pin(f"p{col}_{row}") for col, row in members]
+        pins[members.index(src)].is_source = True
+        weight = rng.uniform(0.1, 3.0) if real_weights else float(rng.randint(1, 3))
+        nets.append(Net(f"net{j}", pins, weight=weight))
+    return Netlist(nodes=nodes, nets=nets, canvas=canvas), placement, grid

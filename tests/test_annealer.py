@@ -3,9 +3,11 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import gridplace.annealer as annealer
+from gen import small_instance
 from gridplace.annealer import (
     ParallelResult,
     SAConfig,
@@ -18,6 +20,7 @@ from gridplace.annealer import (
     spiral_cells,
     write_trace_csv,
 )
+from gridplace.bookshelf import parse_aux, parse_bookshelf, read_placement
 from gridplace.clustering import cluster_by_grid
 from gridplace.errors import InitFailed, OutOfRange, Unplaceable
 from gridplace.fd import FDParams
@@ -76,6 +79,72 @@ def test_init_unplaceable():
     grid = build_grid(netlist.canvas, 3, 3)
     with pytest.raises(Unplaceable):
         init_spiral(netlist, grid, {})
+
+
+def _scan_one_cell_at_a_time(netlist, grid, fixed, order, cells):
+    """Reference initializer: test the cells one by one, in order, with the
+    scalar in-canvas and overlap comparisons."""
+    macros = [n for n in netlist.nodes if n.kind == NodeKind.MACRO]
+    index = {n.name: i for i, n in enumerate(macros)}
+    hw = np.array([n.width / 2.0 for n in macros])
+    hh = np.array([n.height / 2.0 for n in macros])
+    x = np.array([fixed[n.name].x if n.name in fixed else np.nan for n in macros])
+    y = np.array([fixed[n.name].y if n.name in fixed else np.nan for n in macros])
+    cv, t = netlist.canvas, grid.tol
+    placed = {}
+    for node in order:
+        i = index[node.name]
+        for col, row in cells:
+            cx, cy = grid.cell_center(col, row)
+            if not (cx - hw[i] >= -t and cx + hw[i] <= cv.width + t
+                    and cy - hh[i] >= -t and cy + hh[i] <= cv.height + t):
+                continue
+            hit = ((hw + hw[i]) - np.abs(x - cx) > t) & ((hh + hh[i]) - np.abs(y - cy) > t)
+            hit[i] = False
+            if not hit.any():
+                x[i], y[i] = cx, cy
+                placed[node.name] = Pose(cx, cy, Orientation.N)
+                break
+        else:
+            raise Unplaceable(node.name)
+    return placed
+
+
+def _initializers_match_reference(netlist, grid, fixed) -> bool:
+    """Both initializers against the reference scan; True when they place."""
+    movable = [n for n in netlist.nodes if n.kind == NodeKind.MACRO and n.movable]
+    by_area = sorted(movable, key=lambda n: (-n.area, movable.index(n)))
+    row_major = [(c, r) for r in range(grid.n_rows) for c in range(grid.n_cols)]
+    placed_any = False
+    for init, order, cells in ((init_spiral, movable, spiral_cells(grid.n_cols, grid.n_rows)),
+                               (init_greedy_pack, by_area, row_major)):
+        try:
+            want = _scan_one_cell_at_a_time(netlist, grid, fixed, order, cells)
+        except Unplaceable as exc:
+            with pytest.raises(Unplaceable) as got:
+                init(netlist, grid, fixed)
+            assert got.value.macro_id == exc.macro_id
+            continue
+        assert init(netlist, grid, fixed) == want
+        placed_any = True
+    return placed_any
+
+
+def test_initializers_match_cell_by_cell_scan(synth_aux):
+    netlist = parse_bookshelf(synth_aux)
+    initial = read_placement(parse_aux(synth_aux)["pl"], netlist)
+    fixed = {n.name: initial[n.name] for n in netlist.nodes if not n.movable}
+    assert _initializers_match_reference(netlist, build_grid(netlist.canvas, 32, 32), fixed)
+
+
+def test_initializers_match_cell_by_cell_scan_small_instances():
+    placed = 0
+    for seed in range(60):
+        netlist, pl, grid = small_instance(seed, max_nodes=14)
+        fixed = {n.name: pl[n.name] for n in netlist.nodes if not n.movable}
+        if any(n.kind == NodeKind.MACRO and n.movable for n in netlist.nodes):
+            placed += _initializers_match_reference(netlist, grid, fixed)
+    assert placed >= 10
 
 
 def test_config_validation():

@@ -149,6 +149,54 @@ def test_config_file_defaults_and_override(design, tmp_path, capsys):
     assert kv["gamma"] == "0.75"
 
 
+def test_config_equals_form_and_flag_names(design, tmp_path, capsys):
+    net, pl, tmp = design
+    cfg = tmp_path / "run.cfg"
+    # Keys are flag names: --lambda and the sa-only --steps / --budget-seconds.
+    cfg.write_text("gamma = 0.25\nlambda = 0.125\nsteps = 3\nbudget-seconds = 50\n")
+    assert main([
+        "evaluate", "--netlist", str(net), "--initial", str(pl),
+        f"--config={cfg}", "--out-dir", str(tmp),
+    ]) == 0
+    kv, _ = _kv(capsys)
+    assert kv["gamma"] == "0.25" and kv["lambda"] == "0.125"
+    assert main([
+        "sa", "--netlist", str(net), "--initial", str(pl), "--grid-cols", "3",
+        "--grid-rows", "3", "--t-init", "0.1", "--fd-iters", "2", "--sequential",
+        "--config", str(cfg), "--out-dir", str(tmp),
+    ]) == 0
+    manifest = (tmp / "sa.manifest").read_text()
+    assert "max_steps = 3" in manifest and "budget = 50" in manifest
+
+
+def _one_line_error(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    return lines[0]
+
+
+def test_unknown_config_key_is_diagnosed(design, tmp_path, capsys):
+    net, pl, tmp = design
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = 0.25\ngrid_colz = 8\n")
+    for flag in (["--config", str(cfg)], [f"--config={cfg}"]):
+        assert main(["evaluate", "--netlist", str(net), "--initial", str(pl),
+                     *flag, "--out-dir", str(tmp)]) == 2
+        assert "grid_colz" in _one_line_error(capsys)
+
+
+def test_bad_action_weights_are_diagnosed(design, capsys):
+    net, pl, tmp = design
+    for bad in ("bogus", "swap=x", "teleport=1", "swap=0", "swap=1,,move=1"):
+        assert main([
+            "sa", "--netlist", str(net), "--initial", str(pl), "--steps", "2",
+            "--sequential", "--action-weights", bad, "--out-dir", str(tmp),
+        ]) == 2
+        assert "--action-weights" in _one_line_error(capsys)
+
+
 def test_cluster_outputs(design, capsys):
     net, pl, tmp = design
     cout = tmp / "clustered.txt"

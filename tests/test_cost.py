@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gen import small_instance
+from gen import small_instance, three_cell_instance
 from gridplace.cost import (
     CongestionGrids,
     CostConfig,
@@ -283,6 +283,61 @@ def test_route_matches_oracle_walker():
         oracles.route_demand(ho, vo, 1.0, cells[0], sorted(cells[1:]))
         assert np.array_equal(h, np.array(ho))
         assert np.array_equal(v, np.array(vo))
+
+
+def _three_cell_case(src, sinks):
+    """(first pair sharing a line or 'star', 'row'/'col', tie, source sort position)."""
+    ordered = [src] + sorted(sinks)
+    rank = sorted(ordered).index(src)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        a, b = ordered[i], ordered[j]
+        t = ordered[3 - i - j]
+        if a[1] == b[1] or a[0] == b[0]:
+            tie = abs(t[0] - a[0]) + abs(t[1] - a[1]) == abs(t[0] - b[0]) + abs(t[1] - b[1])
+            return (i, j), "row" if a[1] == b[1] else "col", tie, rank
+    return "star", None, False, rank
+
+
+def _net_cells(pl, grid, net):
+    cells = [grid.cell_of_point(pl[p.node].x, pl[p.node].y) for p in net.pins]
+    src = cells[net.source_index()]
+    return src, sorted(set(cells) - {src})
+
+
+@pytest.mark.parametrize("real_weights", [False, True])
+def test_evaluator_three_cell_routes_match_route_net(real_weights):
+    cases = set()
+    for seed in range(6):
+        nl, pl, grid = three_cell_instance(seed, real_weights=real_weights)
+        ev = Evaluator(nl, grid)
+        h, v = ev.net_congestion_from_arrays(*ev.node_arrays(pl))
+        hs = np.zeros_like(h)
+        vs = np.zeros_like(v)
+        for net in nl.nets:
+            src, sinks = _net_cells(pl, grid, net)
+            if len(sinks) == 2:
+                cases.add(_three_cell_case(src, sinks))
+            dh, dv = route_net(src, sinks, net.weight, grid)
+            hs += dh
+            vs += dv
+        hs /= grid.h_capacity
+        vs /= grid.v_capacity
+        if real_weights:
+            # The running sum over +w/-w differences leaves rounding residue
+            # where demand cancels to zero, so the bound scales with the grid.
+            assert np.allclose(h, hs, rtol=1e-12, atol=1e-12 * np.abs(hs).max())
+            assert np.allclose(v, vs, rtol=1e-12, atol=1e-12 * np.abs(vs).max())
+        else:
+            assert np.array_equal(h, hs) and np.array_equal(v, vs)
+        got = ev.components(pl)[2]
+        assert got == pytest.approx(oracles.components(nl, pl, grid)[2], rel=1e-9)
+    # The instances reach every branch of the three-cell router.
+    assert {c[0] for c in cases} == {(0, 1), (0, 2), (1, 2), "star"}
+    assert {(c[0], c[1]) for c in cases} >= {((0, 1), "row"), ((0, 1), "col"),
+                                             ((0, 2), "row"), ((0, 2), "col"),
+                                             ((1, 2), "row"), ((1, 2), "col")}
+    assert any(c[2] and c[1] == "row" for c in cases) and any(c[2] and c[1] == "col" for c in cases)
+    assert {c[3] for c in cases} == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,23 @@ def test_native_malformed_lines_carry_numbers(tmp_path):
         assert frag in str(err.value)
 
 
+def test_native_rejects_non_finite_numbers(tmp_path):
+    cases = [
+        ("canvas 100 nan\n", 1),
+        ("canvas 100 100\nnode a macro nan 5 1\n", 2),
+        ("canvas 100 100\nnode a macro 5 inf 1\n", 2),
+        ("canvas 100 100\nnet n inf\n", 2),
+        ("canvas 100 100\nnode a macro 5 5 1\nnet n\npin n a nan 0 s\n", 4),
+    ]
+    for text, lineno in cases:
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(MalformedLine) as err:
+            read_netlist(path)
+        assert err.value.lineno == lineno
+        assert "finite" in str(err.value)
+
+
 def test_native_missing_canvas(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text("node a macro 2 2 1\n")
@@ -292,6 +309,33 @@ def test_bookshelf_short_net_section(tmp_path):
         "NetDegree : 3 n0\n  a O : 0 0\n  b I : 0 0\n")
     with pytest.raises(MalformedLine):
         parse_bookshelf(aux)
+
+
+def test_bookshelf_rejects_non_finite_numbers(tmp_path):
+    for size in ("nan 4", "4 inf", "1e999 4"):
+        aux = _write_bookshelf(tmp_path, nodes_extra=f"  c {size}\n", num_nodes=5)
+        with pytest.raises(MalformedLine) as err:
+            parse_bookshelf(aux)
+        assert err.value.lineno == 9
+    aux = _write_bookshelf(tmp_path)
+    nets = tmp_path / "d.nets"
+    nets.write_text(nets.read_text().replace("a I : 0.0 0.0", "a I : 1e999 0.0"))
+    with pytest.raises(MalformedLine):
+        parse_bookshelf(aux)
+    aux = _write_bookshelf(tmp_path)
+    scl = tmp_path / "d.scl"
+    scl.write_text(scl.read_text().replace("Coordinate : 32", "Coordinate : 1e999"))
+    with pytest.raises(MalformedLine):
+        parse_bookshelf(aux)
+
+
+def test_read_placement_rejects_non_finite_coordinates(tmp_path):
+    nl = parse_bookshelf(_write_bookshelf(tmp_path))
+    for line in ("a 1e999 10 : N\n", "b 3 -1e999 : N\n", "a 1e 10 : N\n"):
+        (tmp_path / "bad.pl").write_text("UCLA pl 1.0\n\n" + line)
+        with pytest.raises(MalformedLine) as err:
+            read_placement(tmp_path / "bad.pl", nl)
+        assert err.value.lineno == 3
 
 
 def test_bookshelf_aux_requires_nodes_and_nets(tmp_path):
