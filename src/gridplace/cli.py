@@ -229,7 +229,8 @@ def _initial_placement(args, netlist, netlist_path):
     if args.vacuous:
         # Overrides movable poses only; fixed nodes keep their file locations.
         if args.vacuous.startswith("point:"):
-            x, y = (float(v) for v in args.vacuous[len("point:"):].split(","))
+            x, y = _parse_flag("--vacuous", args.vacuous,
+                               lambda t: _numbers(t[len("point:"):], float, 2), "point:X,Y")
             base.update(apply_vacuous_placement(netlist, "point", (x, y)))
         else:
             base.update(apply_vacuous_placement(netlist, args.vacuous))
@@ -403,23 +404,38 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _parse_action_weights(text: str) -> dict:
+def _parse_flag(flag: str, text: str, parse, expected: str):
+    """parse(text), with a ValueError turned into a one-line user error."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise GridPlaceError(f"bad {flag} {text!r} ({exc}); expected {expected}") from exc
+
+
+def _numbers(text: str, kind, count: int | None = None) -> tuple:
+    """'0.5,1' -> (0.5, 1.0) for kind=float; ValueError on a bad item or count."""
+    values = tuple(kind(v) for v in text.split(","))
+    if count is not None and len(values) != count:
+        raise ValueError(f"{len(values)} value(s) where {count} are needed")
+    return values
+
+
+def _action_weights(text: str) -> dict:
     """'swap=0.2,move=0.8' -> {'swap': 0.2, 'move': 0.8}, validated."""
     weights = {}
-    try:
-        for part in text.split(","):
-            name, value = part.split("=")
-            weights[name.strip()] = float(value)
-        _action_probs(weights)
-    except ValueError as exc:
-        raise GridPlaceError(f"bad --action-weights {text!r} ({exc}); "
-                             "expected action=weight pairs such as swap=0.2,move=0.8") from exc
+    for part in text.split(","):
+        name, value = part.split("=")
+        weights[name.strip()] = float(value)
+    _action_probs(weights)
     return weights
 
 
 def _sa_config(args) -> SAConfig:
     t_init = None if str(args.t_init) == "auto" else float(args.t_init)
-    action_weights = _parse_action_weights(args.action_weights) if args.action_weights else None
+    action_weights = None
+    if args.action_weights:
+        action_weights = _parse_flag("--action-weights", args.action_weights, _action_weights,
+                                     "action=weight pairs such as swap=0.2,move=0.8")
     return SAConfig(
         seed=args.seed,
         max_steps=args.steps,
@@ -484,16 +500,13 @@ def cmd_sa(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    pairs = _parse_flag("--seed-pairs", args.seed_pairs,
+                        lambda t: [_numbers(part, int) for part in t.split(";")],
+                        "semicolon-separated groups of integer seeds such as 0,1;2,3")
     netlist, netlist_path = _load_netlist(args)
     initial = _initial_placement(args, netlist, netlist_path)
     grid = _grid(args, netlist)
     cnl = _clustered(args, netlist, initial, grid)
-    pairs = []
-    for part in args.seed_pairs.split(";"):
-        seeds = tuple(int(s) for s in part.split(","))
-        if not seeds:
-            continue
-        pairs.append(seeds)
     ns = argparse.Namespace(**vars(args))
     ns.action_weights = None
     ns.fd_every = None
@@ -525,15 +538,14 @@ def cmd_stability(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    combos = _parse_flag("--combos", args.combos,
+                         lambda t: [_numbers(part, float, 2) for part in t.split(";")],
+                         "gamma,lambda pairs such as 0.5,0.5;1,0.5")
     netlist, netlist_path = _load_netlist(args)
     initial = _initial_placement(args, netlist, netlist_path)
     grid = _grid(args, netlist)
     cnl = _clustered(args, netlist, initial, grid)
     placement = _full_placement(args, cnl, initial, fd_requested=args.fd, fd_iters=args.fd_iters)
-    combos = []
-    for part in args.combos.split(";"):
-        g, l = (float(v) for v in part.split(","))
-        combos.append((g, l))
     ev = Evaluator(cnl.netlist, grid, _cost_config(args))
     rows = weight_sweep(ev, placement, combos)
     print("gamma    lambda   wirelength     density        congestion     total")
@@ -571,14 +583,21 @@ def cmd_shuffle(args) -> int:
 
 
 def cmd_kendall(args) -> int:
+    if not Path(args.csv).is_file():
+        raise MissingFile(args.csv)
     xs = []
     ys = []
     with open(args.csv, newline="") as fh:
-        for rec in csv.DictReader(fh):
+        rows = csv.DictReader(fh)
+        for rec in rows:
             if args.x not in rec or args.y not in rec:
                 raise GridPlaceError(f"CSV lacks column {args.x!r} or {args.y!r}")
-            xs.append(float(rec[args.x]))
-            ys.append(float(rec[args.y]))
+            try:
+                xs.append(float(rec[args.x]))
+                ys.append(float(rec[args.y]))
+            except (TypeError, ValueError) as exc:   # TypeError: a short row
+                raise GridPlaceError(f"{args.csv}:{rows.line_num}: no number in column "
+                                     f"{args.x!r} or {args.y!r}") from exc
     tau = kendall_tau(xs, ys)
     _print_kv([("n", len(xs)), ("tau", tau)])
     return 0

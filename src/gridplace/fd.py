@@ -14,6 +14,13 @@ Per-axis forces are normalized by the maximum absolute component over ALL
 nodes and scaled to max_move_distance = max(canvas_w, canvas_h) / num_iters,
 which is also f_r_max. A move that would push a cluster outside the canvas is
 canceled whole. Clusters always start at the canvas center.
+
+Overlapping pairs are found by a sort-and-sweep on the x extents (the
+sweep-and-prune of I-COLLIDE, Cohen et al. 1995), with the intervals widened
+by a tiny slack so that no pair is missed, and then filtered by the same float
+predicate as the dense all-pairs definition. Every force sum keeps the dense
+definition's operands and summation order, so results are bit-identical to
+`fd_place_dense` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -103,33 +110,65 @@ def _star_pairs(netlist: Netlist, placement: Placement, node_idx: dict[str, int]
     """Star decomposition of all nets into (driver pin, other pin) pairs.
 
     Offsets are pre-rotated by the owner's orientation (orientations do not
-    change during FD). Returns index arrays plus per-pair attraction scale.
+    change during FD). Returns index arrays plus per-pair attraction scale,
+    net by net and pin by pin, as decompose_star orders them.
     """
-    a_idx, b_idx, a_off, b_off, scale = [], [], [], [], []
-    kinds = [n.kind for n in netlist.nodes]
-    for net in netlist.nets:
-        pins = net.pins
-        ci = net.source_index()
-        center = pins[ci]
-        c_node = node_idx[center.node]
-        c_orient = placement[center.node][2] if center.node in placement else Orientation.N
-        csx, csy = ORIENT_SIGNS[c_orient]
-        for j, other in enumerate(pins):
-            if j == ci:
-                continue
-            o_node = node_idx[other.node]
-            o_orient = placement[other.node][2] if other.node in placement else Orientation.N
-            osx, osy = ORIENT_SIGNS[o_orient]
-            a_idx.append(c_node)
-            b_idx.append(o_node)
-            a_off.append((csx * center.dx, csy * center.dy))
-            b_off.append((osx * other.dx, osy * other.dy))
-            is_io = kinds[c_node] == NodeKind.PORT or kinds[o_node] == NodeKind.PORT
-            scale.append(io_factor if is_io else 1.0)
-    return (np.array(a_idx, dtype=np.intp), np.array(b_idx, dtype=np.intp),
-            np.array(a_off or np.empty((0, 2))).reshape(-1, 2),
-            np.array(b_off or np.empty((0, 2))).reshape(-1, 2),
-            np.array(scale))
+    nodes = netlist.nodes
+    nets = netlist.nets
+    pins = [p for net in nets for p in net.pins]
+    if not pins:
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty, np.empty((0, 2)), np.empty((0, 2)), np.empty(0)
+    owner = np.array([node_idx[p.node] for p in pins], dtype=np.intp)
+    off = np.column_stack((np.array([p.dx for p in pins], dtype=float),
+                           np.array([p.dy for p in pins], dtype=float)))
+    is_src = np.array([p.is_source for p in pins], dtype=bool)
+    sizes = np.array([len(net.pins) for net in nets], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    # Driver: the first marked source pin of each net, else its first pin.
+    n_pins = owner.size
+    pos = np.arange(n_pins, dtype=np.intp)
+    first_src = np.minimum.reduceat(np.where(is_src, pos, n_pins), starts)
+    driver = np.where(first_src < n_pins, first_src, starts)
+    other = np.ones(n_pins, dtype=bool)
+    other[driver] = False
+    a_pin = np.repeat(driver, sizes)[other]
+    b_pin = pos[other]
+
+    signs = np.array([ORIENT_SIGNS[placement[nd.name][2]] if nd.name in placement
+                      else ORIENT_SIGNS[Orientation.N] for nd in nodes])
+    is_port = np.array([nd.kind == NodeKind.PORT for nd in nodes], dtype=bool)
+    a_idx = owner[a_pin]
+    b_idx = owner[b_pin]
+    scale = np.where(is_port[a_idx] | is_port[b_idx], io_factor, 1.0)
+    return a_idx, b_idx, signs[a_idx] * off[a_pin], signs[b_idx] * off[b_pin], scale
+
+
+def _overlap_pairs(x, y, hw, hh, slack):
+    """Node pairs (i, j), i < j, whose outlines overlap with positive area.
+
+    Candidates come from a sweep over the x extents widened by `slack`, which
+    must exceed the rounding error of the extents; each candidate is then
+    kept only if it passes the dense definition's float predicate on both
+    axes, so the kept set is exactly the dense one.
+    """
+    n = x.size
+    lo = (x - hw) - slack
+    order = np.argsort(lo, kind="stable")
+    lo, xs, ys, hws, hhs = lo[order], x[order], y[order], hw[order], hh[order]
+    # Sorted position k meets every later position m with lo[m] <= hi[k]
+    # (at least itself, since lo[k] <= hi[k]).
+    end = np.searchsorted(lo, (xs + hws) + slack, side="right")
+    after = np.arange(1, n + 1)
+    count = end - after
+    k = np.repeat(np.arange(n), count)
+    m = np.arange(k.size) + np.repeat(after - (np.cumsum(count) - count), count)
+    # Both operand orders give the same float: + commutes and |a-b| = |b-a|.
+    keep = (hhs[k] + hhs[m]) - np.abs(ys[m] - ys[k]) > 0.0
+    k, m = k[keep], m[keep]
+    keep = (hws[k] + hws[m]) - np.abs(xs[m] - xs[k]) > 0.0
+    a, b = order[k[keep]], order[m[keep]]
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def fd_place(
@@ -176,50 +215,70 @@ def fd_place(
     hh = np.array([nd.height / 2.0 for nd in nodes])
     a_idx, b_idx, a_off, b_off, scale = _star_pairs(netlist, placement, node_idx, params.io_factor)
     have_pairs = a_idx.size > 0
+    ab_idx = np.concatenate((a_idx, b_idx))
 
     mmd = max(cv.width, cv.height) / params.num_iters
     f_r_max = mmd
     rng = np.random.Generator(np.random.PCG64(params.seed))
+    # Movers start at the center and only take moves that keep them on the
+    # canvas, and fixed nodes never move, so this bounds every x extent;
+    # 1e-9 of it dwarfs the extents' rounding error.
+    slack = 1e-9 * max(cv.width, cv.height, float(np.max(np.abs(x) + hw)))
+    node_ids = np.arange(n, dtype=np.intp)
+    if params.k_repel > 0:
+        # Per-node repulsion terms laid out as the dense (n, n) matrix rows:
+        # each row sums the same values in the same positions, and the
+        # zeros elsewhere leave any nonzero partial sum unchanged.
+        rep_x = np.zeros((n, n))
+        rep_y = np.zeros((n, n))
+        flat_x = rep_x.reshape(-1)
+        flat_y = rep_y.reshape(-1)
 
     for it in range(params.num_iters):
-        fx = np.zeros(n)
-        fy = np.zeros(n)
         if have_pairs and params.k_attract > 0:
             pax = x[a_idx] + a_off[:, 0]
             pay = y[a_idx] + a_off[:, 1]
             pbx = x[b_idx] + b_off[:, 0]
             pby = y[b_idx] + b_off[:, 1]
             k = params.k_attract * scale
-            np.add.at(fx, a_idx, k * (pbx - pax))
-            np.add.at(fy, a_idx, k * (pby - pay))
-            np.add.at(fx, b_idx, k * (pax - pbx))
-            np.add.at(fy, b_idx, k * (pay - pby))
+            # bincount adds in input order, as sequential np.add.at calls do.
+            fx = np.bincount(ab_idx, np.concatenate((k * (pbx - pax), k * (pax - pbx))), n)
+            fy = np.bincount(ab_idx, np.concatenate((k * (pby - pay), k * (pay - pby))), n)
+        else:
+            fx = np.zeros(n)
+            fy = np.zeros(n)
         if params.k_repel > 0:
-            dx = x[None, :] - x[:, None]   # dx[i, j] points i -> j
-            dy = y[None, :] - y[:, None]
-            ox = (hw[:, None] + hw[None, :]) - np.abs(dx)
-            oy = (hh[:, None] + hh[None, :]) - np.abs(dy)
-            overlap = (ox > 0.0) & (oy > 0.0)
-            np.fill_diagonal(overlap, False)
-            if overlap.any():
-                dist = np.sqrt(dx * dx + dy * dy)
-                apart = overlap & (dist > 0.0)
-                if apart.any():
-                    mag = params.k_repel * f_r_max
-                    inv = np.where(apart, 1.0 / np.where(dist == 0.0, 1.0, dist), 0.0)
-                    fx -= mag * (dx * inv).sum(axis=1)
-                    fy -= mag * (dy * inv).sum(axis=1)
-                coincident = overlap & (dist == 0.0)
-                if coincident.any():
-                    ii, jj = np.nonzero(np.triu(coincident, k=1))
-                    theta = rng.uniform(0.0, 2.0 * np.pi, size=ii.size)
-                    mag = params.k_repel * f_r_max
-                    px = mag * np.cos(theta)
-                    py = mag * np.sin(theta)
-                    np.add.at(fx, ii, px)
-                    np.add.at(fy, ii, py)
-                    np.add.at(fx, jj, -px)
-                    np.add.at(fy, jj, -py)
+            ii, jj = _overlap_pairs(x, y, hw, hh, slack)
+            dx = x[jj] - x[ii]   # points i -> j
+            dy = y[jj] - y[ii]
+            dist = np.sqrt(dx * dx + dy * dy)
+            apart = dist > 0.0
+            mag = params.k_repel * f_r_max
+            if apart.any():
+                ia, ja = ii[apart], jj[apart]
+                inv = 1.0 / dist[apart]
+                ux = dx[apart] * inv
+                uy = dy[apart] * inv
+                # Cells (i, j), then (j, i): -(dx * inv) == (-dx) * inv exactly.
+                cells = np.concatenate((ia * n + ja, ja * n + ia))
+                flat_x[cells] = np.concatenate((ux, -ux))
+                flat_y[cells] = np.concatenate((uy, -uy))
+                fx -= mag * rep_x.sum(axis=1)
+                fy -= mag * rep_y.sum(axis=1)
+                flat_x[cells] = 0.0
+                flat_y[cells] = 0.0
+            if not apart.all():
+                # Coincident centers draw their directions pair by pair in
+                # row-major (i, j) order.
+                ic, jc = ii[~apart], jj[~apart]
+                order = np.argsort(ic * n + jc)
+                ic, jc = ic[order], jc[order]
+                theta = rng.uniform(0.0, 2.0 * np.pi, size=ic.size)
+                px = mag * np.cos(theta)
+                py = mag * np.sin(theta)
+                idx = np.concatenate((node_ids, ic, jc))
+                fx = np.bincount(idx, np.concatenate((fx, px, -px)), n)
+                fy = np.bincount(idx, np.concatenate((fy, py, -py)), n)
 
         max_fx = np.max(np.abs(fx))
         max_fy = np.max(np.abs(fy))

@@ -25,6 +25,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import (
     DanglingPinReference,
+    DegenerateNet,
     EmptyNetlist,
     InvalidDimension,
     IoFailure,
@@ -160,6 +161,9 @@ class Netlist:
                 raise InvalidDimension(f"duplicate node id {n.name!r}")
             self._index[n.name] = n
         for net in self.nets:
+            if not net.pins:
+                # No driver: Net.source_index() would still answer pin 0.
+                raise DegenerateNet(f"net {net.name!r} has no pins")
             for pin in net.pins:
                 if pin.node not in self._index:
                     raise DanglingPinReference(f"net {net.name!r} pin references unknown node {pin.node!r}")

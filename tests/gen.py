@@ -114,6 +114,69 @@ def stacked_pair(seed):
     return netlist, placement
 
 
+def fd_contact_instance(seed):
+    """100-300 clusters in a few repeated sizes plus fixed ports and macros,
+    built so that the FD repulsion meets its boundary cases.
+
+    Clusters start coincident at the canvas center, where zero-size ports sit
+    (one exactly at the center), so the first iterations draw random
+    directions for cluster-cluster and cluster-port pairs. Dimensions are
+    small integers on an even canvas, so every sum below is exact: fixed
+    macros come in side-by-side pairs whose edges touch (x overlap exactly
+    0, positive y overlap), and one macro touches the starting cluster stack.
+    Macros carry pin offsets under random orientations.
+    """
+    rng = random.Random(seed)
+    width = float(2 * rng.randint(150, 250))
+    height = float(2 * rng.randint(150, 250))
+    cx, cy = width / 2, height / 2
+    sides = rng.sample((4.0, 6.0, 8.0, 10.0, 12.0), 3)
+    nodes = []
+    placement = {}
+    for i in range(rng.randint(100, 300)):
+        side = rng.choice(sides)
+        nodes.append(Node(f"g{i}", NodeKind.CLUSTER, side, side, movable=True))
+    reach = min(sides) / 2 - 1.0
+    for i in range(rng.randint(2, 6)):
+        nodes.append(Node(f"p{i}", NodeKind.PORT, 0.0, 0.0, movable=False))
+        if i == 0:
+            placement["p0"] = Pose(cx, cy)
+        else:
+            placement[f"p{i}"] = Pose(cx + rng.randint(-2, 2) * reach / 2,
+                                      cy + rng.randint(-2, 2) * reach / 2)
+
+    def macro(name, w, h, x, y):
+        nodes.append(Node(name, NodeKind.MACRO, w, h, movable=False))
+        placement[name] = Pose(x, y, rng.choice(ORIENTS))
+
+    # Touches the right edge of every cluster of size sides[0] at the start.
+    side, w, h = sides[0], float(rng.randint(4, 12)), float(rng.randint(4, 12))
+    macro("m_stack", w, h, cx + side / 2 + w / 2, cy + rng.randint(-1, 1))
+    for i in range(rng.randint(2, 5)):
+        aw, ah = float(rng.randint(6, 30)), float(rng.randint(6, 30))
+        bw, bh = float(rng.randint(6, 30)), float(rng.randint(6, 30))
+        ax = float(rng.randint(20, int(width) // 3))
+        ay = float(rng.randint(20, int(height) - 60))
+        macro(f"m{i}a", aw, ah, ax, ay)
+        macro(f"m{i}b", bw, bh, ax + aw / 2 + bw / 2, ay + rng.randint(-3, 3))
+    names = [n.name for n in nodes]
+    nets = []
+    for j in range(rng.randint(len(names) // 2, len(names))):
+        members = rng.sample(names, rng.randint(2, 5))
+        src = rng.randrange(-1, len(members))   # -1: no marked source
+        pins = []
+        for t, m in enumerate(members):
+            node = nodes[names.index(m)]
+            dx = dy = 0.0
+            if node.kind == NodeKind.MACRO:
+                dx = rng.uniform(-node.width / 2, node.width / 2)
+                dy = rng.uniform(-node.height / 2, node.height / 2)
+            pins.append(Pin(m, dx, dy, is_source=t == src))
+        nets.append(Net(f"net{j}", pins, weight=rng.choice((0.5, 1.0, 2.0))))
+    netlist = Netlist(nodes=nodes, nets=nets, canvas=Canvas(width, height))
+    return netlist, placement
+
+
 def enumerable_instance(seed):
     """3 movable macros on a 3x3 grid whose cost ignores orientation.
 

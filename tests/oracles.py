@@ -1,10 +1,12 @@
 """Brute-force reference implementations used to freeze expected test values.
 
-Every quantity is recomputed here with plain Python loops and stdlib math so
-that agreement with the package's vectorized evaluator is evidence rather
-than tautology. Only data containers (netlist nodes/nets, grids, poses) are
-shared with the package; nothing is imported from its cost, force, or
-annealing modules.
+Every cost quantity is recomputed here with plain Python loops and stdlib
+math so that agreement with the package's vectorized evaluator is evidence
+rather than tautology. Only data containers (netlist nodes/nets, grids,
+poses, and FD's parameter and per-iteration snapshot records) are shared with
+the package; nothing is imported from its cost, force, or annealing code.
+The force-directed reference, `fd_place_dense`, is the dense O(n^2) numpy
+definition: every node pair is tested for overlap in (n, n) arrays.
 
 Grids are nested lists indexed [col][row]; cell (0, 0) is the lower-left
 cell; h[c][r] is demand on the right boundary of cell (c, r), v[c][r] on the
@@ -13,9 +15,16 @@ top boundary.
 
 from __future__ import annotations
 
+import logging
 import math
 
-from gridplace.netlist import NodeKind
+import numpy as np
+
+from gridplace.errors import MissingLocation, OutOfRange
+from gridplace.fd import FDIterationInfo, FDParams
+from gridplace.netlist import ORIENT_SIGNS, NodeKind, Orientation, Pose
+
+log = logging.getLogger(__name__)
 
 # Orientation value -> (sign_x, sign_y) applied to pin offsets.
 SIGNS = {"N": (1, 1), "FN": (-1, 1), "S": (-1, -1), "FS": (1, -1)}
@@ -321,3 +330,159 @@ def kendall(xs, ys):
             elif dx * dy < 0:
                 nd += 1
     return (nc - nd) / math.sqrt((n0 - n1) * (n0 - n2))
+
+
+# ---------------------------------------------------------------------------
+# Force-directed placement: the dense definition. Every iteration tests all
+# node pairs for overlap in (n, n) arrays and accumulates forces with
+# np.add.at; gridplace.fd.fd_place must reproduce it bit for bit.
+
+
+def star_pairs(netlist, placement, node_idx, io_factor):
+    """Star decomposition of all nets into (driver pin, other pin) pairs.
+
+    Offsets are pre-rotated by the owner's orientation (orientations do not
+    change during FD). Returns index arrays plus per-pair attraction scale.
+    """
+    a_idx, b_idx, a_off, b_off, scale = [], [], [], [], []
+    kinds = [n.kind for n in netlist.nodes]
+    for net in netlist.nets:
+        pins = net.pins
+        ci = net.source_index()
+        center = pins[ci]
+        c_node = node_idx[center.node]
+        c_orient = placement[center.node][2] if center.node in placement else Orientation.N
+        csx, csy = ORIENT_SIGNS[c_orient]
+        for j, other in enumerate(pins):
+            if j == ci:
+                continue
+            o_node = node_idx[other.node]
+            o_orient = placement[other.node][2] if other.node in placement else Orientation.N
+            osx, osy = ORIENT_SIGNS[o_orient]
+            a_idx.append(c_node)
+            b_idx.append(o_node)
+            a_off.append((csx * center.dx, csy * center.dy))
+            b_off.append((osx * other.dx, osy * other.dy))
+            is_io = kinds[c_node] == NodeKind.PORT or kinds[o_node] == NodeKind.PORT
+            scale.append(io_factor if is_io else 1.0)
+    return (np.array(a_idx, dtype=np.intp), np.array(b_idx, dtype=np.intp),
+            np.array(a_off or np.empty((0, 2))).reshape(-1, 2),
+            np.array(b_off or np.empty((0, 2))).reshape(-1, 2),
+            np.array(scale))
+
+
+def fd_place_dense(netlist, placement, params=None, observer=None):
+    """Run the force-directed schedule; returns a full placement.
+
+    `placement` must locate every non-cluster node (macros and ports); cluster
+    entries are ignored because clusters restart from the canvas center. With
+    no movable clusters the input is returned unchanged (with a warning).
+    """
+    params = params or FDParams()
+    if params.num_iters < 1:
+        raise OutOfRange(f"num_iters must be >= 1, got {params.num_iters}")
+    if params.k_attract < 0 or params.k_repel < 0 or params.io_factor < 0:
+        raise OutOfRange("force factors must be nonnegative")
+
+    nodes = netlist.nodes
+    node_idx = {n.name: i for i, n in enumerate(nodes)}
+    mover = np.array([n.kind == NodeKind.CLUSTER and n.movable for n in nodes])
+    if not mover.any():
+        log.warning("no movable clusters; force-directed pass is a no-op")
+        return dict(placement)
+
+    cv = netlist.canvas
+    n = len(nodes)
+    x = np.empty(n)
+    y = np.empty(n)
+    for i, node in enumerate(nodes):
+        if mover[i]:
+            x[i] = cv.width / 2.0
+            y[i] = cv.height / 2.0
+        else:
+            pose = placement.get(node.name)
+            if pose is None:
+                raise MissingLocation(f"fixed node {node.name!r} has no location for FD")
+            x[i] = pose[0]
+            y[i] = pose[1]
+
+    hw = np.array([nd.width / 2.0 for nd in nodes])
+    hh = np.array([nd.height / 2.0 for nd in nodes])
+    a_idx, b_idx, a_off, b_off, scale = star_pairs(netlist, placement, node_idx, params.io_factor)
+    have_pairs = a_idx.size > 0
+
+    mmd = max(cv.width, cv.height) / params.num_iters
+    f_r_max = mmd
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+
+    for it in range(params.num_iters):
+        fx = np.zeros(n)
+        fy = np.zeros(n)
+        if have_pairs and params.k_attract > 0:
+            pax = x[a_idx] + a_off[:, 0]
+            pay = y[a_idx] + a_off[:, 1]
+            pbx = x[b_idx] + b_off[:, 0]
+            pby = y[b_idx] + b_off[:, 1]
+            k = params.k_attract * scale
+            np.add.at(fx, a_idx, k * (pbx - pax))
+            np.add.at(fy, a_idx, k * (pby - pay))
+            np.add.at(fx, b_idx, k * (pax - pbx))
+            np.add.at(fy, b_idx, k * (pay - pby))
+        if params.k_repel > 0:
+            dx = x[None, :] - x[:, None]   # dx[i, j] points i -> j
+            dy = y[None, :] - y[:, None]
+            ox = (hw[:, None] + hw[None, :]) - np.abs(dx)
+            oy = (hh[:, None] + hh[None, :]) - np.abs(dy)
+            overlap = (ox > 0.0) & (oy > 0.0)
+            np.fill_diagonal(overlap, False)
+            if overlap.any():
+                dist = np.sqrt(dx * dx + dy * dy)
+                apart = overlap & (dist > 0.0)
+                if apart.any():
+                    mag = params.k_repel * f_r_max
+                    inv = np.where(apart, 1.0 / np.where(dist == 0.0, 1.0, dist), 0.0)
+                    fx -= mag * (dx * inv).sum(axis=1)
+                    fy -= mag * (dy * inv).sum(axis=1)
+                coincident = overlap & (dist == 0.0)
+                if coincident.any():
+                    ii, jj = np.nonzero(np.triu(coincident, k=1))
+                    theta = rng.uniform(0.0, 2.0 * np.pi, size=ii.size)
+                    mag = params.k_repel * f_r_max
+                    px = mag * np.cos(theta)
+                    py = mag * np.sin(theta)
+                    np.add.at(fx, ii, px)
+                    np.add.at(fy, ii, py)
+                    np.add.at(fx, jj, -px)
+                    np.add.at(fy, jj, -py)
+
+        max_fx = np.max(np.abs(fx))
+        max_fy = np.max(np.abs(fy))
+        move_x = fx / max_fx * mmd if max_fx > 0 else np.zeros(n)
+        move_y = fy / max_fy * mmd if max_fy > 0 else np.zeros(n)
+
+        cand_x = x + move_x
+        cand_y = y + move_y
+        ok = (
+            (cand_x - hw >= 0.0) & (cand_x + hw <= cv.width)
+            & (cand_y - hh >= 0.0) & (cand_y + hh <= cv.height)
+        )
+        apply = mover & ok
+        applied_dx = np.where(apply, move_x, 0.0)
+        applied_dy = np.where(apply, move_y, 0.0)
+        x = x + applied_dx
+        y = y + applied_dy
+
+        if observer is not None:
+            observer(FDIterationInfo(
+                iteration=it,
+                norm_fx=move_x.copy(), norm_fy=move_y.copy(),
+                x=x.copy(), y=y.copy(),
+                applied_dx=applied_dx, applied_dy=applied_dy,
+                max_move_distance=mmd,
+            ))
+
+    out = dict(placement)
+    for i, node in enumerate(nodes):
+        if mover[i]:
+            out[node.name] = Pose(float(x[i]), float(y[i]), Orientation.N)
+    return out

@@ -197,6 +197,44 @@ def test_bad_action_weights_are_diagnosed(design, capsys):
         assert "--action-weights" in _one_line_error(capsys)
 
 
+def test_missing_kendall_csv_is_diagnosed(capsys):
+    assert main(["kendall", "--csv", "/nonexistent.csv", "--x", "a", "--y", "b"]) == 2
+    assert "/nonexistent.csv" in _one_line_error(capsys)
+
+
+def test_non_numeric_kendall_csv_is_diagnosed(tmp_path, capsys):
+    csv_path = tmp_path / "ranks.csv"
+    for body in ("x,y\n1,2\nfoo,3\n", "x,y\n1,2\n3\n"):
+        csv_path.write_text(body)
+        assert main(["kendall", "--csv", str(csv_path), "--x", "x", "--y", "y"]) == 2
+        assert "ranks.csv:3" in _one_line_error(capsys)
+
+
+def test_bad_combos_are_diagnosed(design, capsys):
+    net, pl, tmp = design
+    for bad in ("1;x,2", "0.5", "0.5,0.5;1,x", "1,2,3", ""):
+        assert main(["sweep", "--netlist", str(net), "--initial", str(pl),
+                     "--combos", bad, "--out-dir", str(tmp)]) == 2
+        assert "--combos" in _one_line_error(capsys)
+
+
+def test_bad_seed_pairs_are_diagnosed(design, capsys):
+    net, pl, tmp = design
+    for bad in ("0,a", "0,1;", "0;1.5"):
+        assert main(["stability", "--netlist", str(net), "--initial", str(pl),
+                     "--seed-pairs", bad, "--steps", "2", "--sequential",
+                     "--out-dir", str(tmp)]) == 2
+        assert "--seed-pairs" in _one_line_error(capsys)
+
+
+def test_bad_vacuous_point_is_diagnosed(design, capsys):
+    net, pl, tmp = design
+    for bad in ("point:1", "point:a,b", "point:1,2,3", "point:"):
+        assert main(["evaluate", "--netlist", str(net), "--initial", str(pl),
+                     "--vacuous", bad, "--out-dir", str(tmp)]) == 2
+        assert "--vacuous" in _one_line_error(capsys)
+
+
 def test_cluster_outputs(design, capsys):
     net, pl, tmp = design
     cout = tmp / "clustered.txt"

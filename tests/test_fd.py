@@ -1,21 +1,25 @@
 """Force-directed cluster placement."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from gridplace.bookshelf import parse_aux, parse_bookshelf, read_placement
+from gridplace.clustering import cluster_by_grid
 from gridplace.errors import DegenerateNet, MissingLocation, OutOfRange
 from gridplace.fd import (
+    FDIterationInfo,
     FDParams,
+    _star_pairs,
     attractive_force,
     decompose_star,
     fd_place,
     fd_repulsive_only,
     repulsive_force,
 )
-from gridplace.geometry import node_bbox, overlap_area
+from gridplace.geometry import build_grid, node_bbox, overlap_area
 from gridplace.netlist import (
     Canvas,
     Net,
@@ -27,7 +31,8 @@ from gridplace.netlist import (
     Pose,
 )
 
-from gen import fd_instance, stacked_pair
+import oracles
+from gen import fd_contact_instance, fd_instance, stacked_pair
 
 
 def test_decompose_star_pairs():
@@ -202,3 +207,108 @@ def test_repulsion_separates_stacked_clusters():
         after = overlap_area(node_bbox(g0, out["g0"]), node_bbox(g1, out["g1"]))
         assert before > 0.0
         assert after < before
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity with the dense all-pairs definition in tests/oracles.py
+
+
+def _assert_matches_dense(netlist, placement, params):
+    """fd_place and oracles.fd_place_dense agree exactly: the returned
+    placements and every field of every iteration snapshot."""
+    got, want = [], []
+    out = fd_place(netlist, placement, params, observer=got.append)
+    ref = oracles.fd_place_dense(netlist, placement, params, observer=want.append)
+    assert out == ref
+    assert len(got) == len(want) == params.num_iters
+    for a, b in zip(got, want):
+        for f in fields(FDIterationInfo):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (a.iteration, f.name)
+    return got
+
+
+def _contact_counts(netlist, placement, infos):
+    """Per iteration, the dense predicate's coincident overlapping pairs and
+    exact edge touches (overlap 0 on one axis, positive on the other), over
+    the centers each iteration starts from."""
+    cv = netlist.canvas
+    mover = np.array([n.kind == NodeKind.CLUSTER for n in netlist.nodes])
+    hw = np.array([n.width / 2 for n in netlist.nodes])
+    hh = np.array([n.height / 2 for n in netlist.nodes])
+    x = np.array([cv.width / 2 if m else placement[n.name].x
+                  for n, m in zip(netlist.nodes, mover)])
+    y = np.array([cv.height / 2 if m else placement[n.name].y
+                  for n, m in zip(netlist.nodes, mover)])
+    port = np.array([n.kind == NodeKind.PORT for n in netlist.nodes])
+    counts = []
+    for info in infos:
+        dx = x[None, :] - x[:, None]
+        dy = y[None, :] - y[:, None]
+        ox = (hw[:, None] + hw[None, :]) - np.abs(dx)
+        oy = (hh[:, None] + hh[None, :]) - np.abs(dy)
+        upper = np.triu(np.ones(ox.shape, dtype=bool), k=1)
+        coincident = upper & (ox > 0) & (oy > 0) & (dx == 0) & (dy == 0)
+        touch = upper & (((ox == 0) & (oy > 0)) | ((oy == 0) & (ox > 0)))
+        with_port = coincident & (port[:, None] | port[None, :])
+        counts.append((int(coincident.sum()), int(with_port.sum()), int(touch.sum())))
+        x, y = info.x, info.y
+    return counts
+
+
+def test_star_pairs_match_per_pin_loop():
+    cases = [fd_contact_instance(s) for s in range(3)] + [fd_instance(s) for s in range(20)]
+    cases.append(stacked_pair(0))
+    for netlist, placement in cases:
+        node_idx = {n.name: i for i, n in enumerate(netlist.nodes)}
+        for io_factor in (1.0, 0.25):
+            got = _star_pairs(netlist, placement, node_idx, io_factor)
+            want = oracles.star_pairs(netlist, placement, node_idx, io_factor)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b)
+    # No nets: float offsets and scales, so the attraction sums stay float.
+    _, _, a_off, b_off, scale = _star_pairs(*stacked_pair(0), {"g0": 0, "g1": 1}, 1.0)
+    assert a_off.dtype == b_off.dtype == scale.dtype == np.float64
+
+
+def test_fd_matches_dense_on_contact_instances():
+    touched = drawn = drawn_with_port = 0
+    for seed in range(4):
+        netlist, placement = fd_contact_instance(seed)
+        assert 100 <= sum(n.kind == NodeKind.CLUSTER for n in netlist.nodes) <= 300
+        params = FDParams(num_iters=40, seed=seed)
+        infos = _assert_matches_dense(netlist, placement, params)
+        counts = _contact_counts(netlist, placement, infos)
+        drawn += sum(c[0] for c in counts)
+        drawn_with_port += sum(c[1] for c in counts)
+        touched += sum(c[2] for c in counts)
+        # Zeroed forces on one side, and no nets at all.
+        for p in (replace(params, k_attract=0.0), replace(params, k_repel=0.0)):
+            _assert_matches_dense(netlist, placement, replace(p, num_iters=15))
+        no_nets = Netlist(nodes=netlist.nodes, nets=[], canvas=netlist.canvas)
+        _assert_matches_dense(no_nets, placement, replace(params, num_iters=15))
+    # The instances exercise the boundary cases: random draws for coincident
+    # centers (also against ports) and outlines that touch exactly.
+    assert drawn > 0 and drawn_with_port > 0 and touched > 0
+
+
+def test_fd_matches_dense_on_random_instances():
+    for seed in range(100):
+        netlist, placement = fd_instance(seed)
+        params = FDParams(num_iters=25, seed=seed)
+        _assert_matches_dense(netlist, placement, params)
+        if seed < 20:
+            _assert_matches_dense(netlist, placement, replace(params, k_attract=0.0))
+            _assert_matches_dense(netlist, placement, replace(params, k_repel=0.0))
+    for seed in range(50):
+        _assert_matches_dense(*stacked_pair(seed), FDParams(num_iters=20, seed=seed))
+
+
+def test_fd_matches_dense_at_full_scale(synth_aux):
+    # The ibm01-scale design: about 1,500 nodes, 1,024 clusters stacked at
+    # the center, so the first iterations draw for about half a million pairs.
+    netlist = parse_bookshelf(synth_aux)
+    initial = read_placement(parse_aux(synth_aux)["pl"], netlist)
+    cnl = cluster_by_grid(netlist, initial, build_grid(netlist.canvas, 32, 32))
+    _assert_matches_dense(cnl.netlist, cnl.seed_placement(initial), FDParams(num_iters=6, seed=7))
+

@@ -12,6 +12,7 @@ from gridplace.bookshelf import (
 )
 from gridplace.errors import (
     DanglingPinReference,
+    DegenerateNet,
     IncompletePlacement,
     InvalidDimension,
     IoFailure,
@@ -182,6 +183,27 @@ def test_netlist_dangling_net_rejected():
     nets = [Net("n", [Pin("a", is_source=True), Pin("ghost")])]
     with pytest.raises(DanglingPinReference):
         Netlist(nodes=nodes, nets=nets, canvas=Canvas(10.0, 10.0))
+
+
+def test_netlist_zero_pin_net_rejected():
+    # A net without pins has no driver; built directly it must not reach the
+    # evaluator or FD, which would borrow the next net's first pin.
+    nodes = [Node("a", NodeKind.MACRO, 1.0, 1.0, movable=True),
+             Node("b", NodeKind.MACRO, 1.0, 1.0, movable=True)]
+    nets = [Net("empty", []), Net("n", [Pin("a", is_source=True), Pin("b")])]
+    with pytest.raises(DegenerateNet, match="empty"):
+        Netlist(nodes=nodes, nets=nets, canvas=Canvas(10.0, 10.0))
+
+
+def test_readers_drop_empty_nets(tmp_path):
+    path = tmp_path / "design.txt"
+    path.write_text("canvas 10 10\nnode a macro 2 2 1\nnode b macro 2 2 1\n"
+                    "net empty\nnet n\npin n a 0 0 s\npin n b 0 0\n")
+    assert [net.name for net in read_netlist(path).nets] == ["n"]
+    aux = _write_bookshelf(tmp_path, num_nets=3)
+    nets_path = tmp_path / "d.nets"
+    nets_path.write_text(nets_path.read_text() + "NetDegree : 0 empty\n")
+    assert [net.name for net in parse_bookshelf(aux).nets] == ["n0", "n1"]
 
 
 # ---------------------------------------------------------------------------
