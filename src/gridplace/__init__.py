@@ -24,39 +24,15 @@ from .clustering import (
     no_clustering,
 )
 from .cost import (
-    CongestionGrids,
     CostConfig,
     Evaluator,
     ProxyBreakdown,
     ProxyWeights,
-    congestion_cost,
-    density_cost,
-    density_grid,
-    macro_congestion,
-    net_congestion,
-    proxy_cost,
-    route_net,
     smooth_grid,
     top_fraction_mean,
-    wirelength_cost,
 )
-from .fd import (
-    FDIterationInfo,
-    FDParams,
-    attractive_force,
-    decompose_star,
-    fd_place,
-    fd_repulsive_only,
-    repulsive_force,
-)
-from .geometry import (
-    Grid,
-    build_grid,
-    is_legal_macro_location,
-    node_bbox,
-    overlap_area,
-    placement_is_legal,
-)
+from .fd import FDIterationInfo, FDParams, fd_place
+from .geometry import Grid, build_grid, node_bbox, placement_is_legal
 from .netlist import (
     Canvas,
     Net,
@@ -82,21 +58,16 @@ from .stats import (
 from .svgplot import write_svg
 
 __all__ = [
-    "ACTIONS", "Canvas", "ClusteredNetlist", "CongestionGrids", "CostConfig",
-    "Evaluator", "FDIterationInfo", "FDParams", "Grid", "Net", "Netlist",
-    "Node", "NodeKind", "Orientation", "ParallelResult", "Pin", "Placement",
-    "Pose", "ProxyBreakdown", "ProxyWeights", "SAConfig", "SAResult",
+    "ACTIONS", "Canvas", "ClusteredNetlist", "CostConfig", "Evaluator",
+    "FDIterationInfo", "FDParams", "Grid", "Net", "Netlist", "Node",
+    "NodeKind", "Orientation", "ParallelResult", "Pin", "Placement", "Pose",
+    "ProxyBreakdown", "ProxyWeights", "SAConfig", "SAResult",
     "StabilityReport", "anneal", "apply_vacuous_placement", "build_grid",
-    "attractive_force", "cluster_by_grid", "congestion_cost", "decompose_star",
-    "density_cost", "density_grid", "fd_place", "fd_repulsive_only",
-    "init_greedy_pack", "init_spiral", "is_legal_macro_location",
-    "kendall_tau", "macro_congestion", "mirror_orientation", "net_congestion",
-    "no_clustering", "node_bbox", "overlap_area", "parse_aux",
-    "parse_bookshelf", "placement_is_legal", "proxy_cost", "read_netlist",
-    "read_placement", "repulsive_force", "route_net", "run_parallel",
-    "shuffle_same_size",
-    "smooth_grid", "spiral_cells", "stability_study", "summarize_groups",
+    "cluster_by_grid", "fd_place", "init_greedy_pack", "init_spiral",
+    "kendall_tau", "mirror_orientation", "no_clustering", "node_bbox",
+    "parse_aux", "parse_bookshelf", "placement_is_legal", "read_netlist",
+    "read_placement", "run_parallel", "shuffle_same_size", "smooth_grid",
+    "spiral_cells", "stability_study", "summarize_groups",
     "top_fraction_mean", "transform_pin_offset", "weight_sweep",
-    "wirelength_cost", "write_netlist", "write_placement", "write_svg",
-    "write_trace_csv",
+    "write_netlist", "write_placement", "write_svg", "write_trace_csv",
 ]

@@ -30,7 +30,7 @@ from .clustering import ClusteredNetlist
 from .cost import CostConfig, Evaluator, ProxyBreakdown, ProxyWeights
 from .errors import InitFailed, MissingLocation, OutOfRange, Unplaceable
 from .fd import FDParams, fd_place
-from .geometry import Grid
+from .geometry import Grid, MacroState
 from .netlist import Netlist, NodeKind, Orientation, Placement, Pose, mirror_orientation
 
 log = logging.getLogger(__name__)
@@ -92,72 +92,6 @@ class ParallelResult:
 
 
 # ---------------------------------------------------------------------------
-# Legality bookkeeping over the macro set
-
-
-class _MacroState:
-    """Array-backed overlap/canvas checks for all macros (fixed included)."""
-
-    def __init__(self, netlist: Netlist, grid: Grid, base: Placement, require_fixed=True):
-        macros = [n for n in netlist.nodes if n.kind == NodeKind.MACRO]
-        self.names = [n.name for n in macros]
-        self.index = {n.name: i for i, n in enumerate(macros)}
-        self.hw = np.array([n.width / 2.0 for n in macros])
-        self.hh = np.array([n.height / 2.0 for n in macros])
-        self.movable = np.array([n.movable for n in macros])
-        self.x = np.full(len(macros), np.nan)
-        self.y = np.full(len(macros), np.nan)
-        self.canvas = netlist.canvas
-        self.tol = grid.tol
-        for i, node in enumerate(macros):
-            pose = base.get(node.name)
-            if pose is not None:
-                self.x[i] = pose[0]
-                self.y[i] = pose[1]
-            elif not node.movable and require_fixed:
-                raise MissingLocation(f"fixed macro {node.name!r} has no location")
-        self.movable_names = [n.name for n in macros if n.movable]
-        self.movable_idx = np.array([self.index[nm] for nm in self.movable_names], dtype=np.intp)
-
-    def legal_centers(self, i: int, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        """For each candidate center (cx[k], cy[k]) of macro i, whether it is
-        in-canvas and overlap-free against the other macros where they are."""
-        hw, hh = self.hw[i], self.hh[i]
-        t = self.tol
-        ok = ((cx - hw >= -t) & (cx + hw <= self.canvas.width + t)
-              & (cy - hh >= -t) & (cy + hh <= self.canvas.height + t))
-        # NaN coordinates (unplaced) compare False and drop out naturally.
-        ox = (self.hw + hw) - np.abs(self.x - cx[:, None])
-        oy = (self.hh + hh) - np.abs(self.y - cy[:, None])
-        hit = (ox > t) & (oy > t)
-        hit[:, i] = False
-        return ok & ~hit.any(axis=1)
-
-    def legal_at(self, i: int) -> bool:
-        """Current coordinates of macro i are in-canvas and overlap-free."""
-        return bool(self.legal_centers(i, self.x[i:i + 1], self.y[i:i + 1])[0])
-
-    def try_moves(self, moves) -> bool:
-        """Tentatively apply [(i, x, y)]; revert and return False if illegal."""
-        olds = [(i, self.x[i], self.y[i]) for i, _, _ in moves]
-        for i, nx, ny in moves:
-            self.x[i] = nx
-            self.y[i] = ny
-        for i, _, _ in moves:
-            if not self.legal_at(i):
-                for j, ox, oy in olds:
-                    self.x[j] = ox
-                    self.y[j] = oy
-                return False
-        return True
-
-    def revert(self, olds) -> None:
-        for i, ox, oy in olds:
-            self.x[i] = ox
-            self.y[i] = oy
-
-
-# ---------------------------------------------------------------------------
 # Initial placements
 
 
@@ -189,7 +123,7 @@ _SCAN_BLOCK = 64
 def _place_macros(netlist: Netlist, grid: Grid, fixed: Placement, order, cells) -> Placement:
     """Put each macro of `order` at the center of the first cell of `cells`
     where it is legal, checking the cells a block at a time."""
-    st = _MacroState(netlist, grid, fixed)
+    st = MacroState(netlist, grid, fixed)
     centers = [grid.cell_center(col, row) for col, row in cells]
     xs = np.array([c[0] for c in centers])
     ys = np.array([c[1] for c in centers])
@@ -211,14 +145,14 @@ def _place_macros(netlist: Netlist, grid: Grid, fixed: Placement, order, cells) 
 def init_spiral(netlist: Netlist, grid: Grid, fixed: Placement) -> Placement:
     """Each movable macro (input order) takes the first legal cell along a
     counterclockwise inward spiral from the lower-left cell."""
-    order = [n for n in netlist.nodes if n.kind == NodeKind.MACRO and n.movable]
-    return _place_macros(netlist, grid, fixed, order, spiral_cells(grid.n_cols, grid.n_rows))
+    return _place_macros(netlist, grid, fixed, netlist.movable_macros,
+                         spiral_cells(grid.n_cols, grid.n_rows))
 
 
 def init_greedy_pack(netlist: Netlist, grid: Grid, fixed: Placement) -> Placement:
     """Macros in descending area order take the first legal cell scanning
     row-major from the lower-left corner."""
-    movable = [n for n in netlist.nodes if n.kind == NodeKind.MACRO and n.movable]
+    movable = netlist.movable_macros
     order = sorted(range(len(movable)), key=lambda i: (-movable[i].area, i))
     cells = [(c, r) for r in range(grid.n_rows) for c in range(grid.n_cols)]
     return _place_macros(netlist, grid, fixed, [movable[i] for i in order], cells)
@@ -250,7 +184,7 @@ class _Annealer:
         self.netlist = cnl.netlist
         self.grid = cnl.grid
         self.config = config
-        self.movable = [n for n in self.netlist.nodes if n.kind == NodeKind.MACRO and n.movable]
+        self.movable = self.netlist.movable_macros
         if not self.movable:
             raise InitFailed("no movable macros to anneal")
         base: Placement = {}
@@ -271,7 +205,7 @@ class _Annealer:
         if self.has_clusters:
             self.placement = fd_place(self.netlist, self.placement, config.fd_params)
         self.evaluator = Evaluator(self.netlist, self.grid, config.cost_config)
-        self.state = _MacroState(self.netlist, self.grid, self.placement)
+        self.state = MacroState(self.netlist, self.grid, self.placement)
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
         self.probs = _action_probs(config.action_weights)
         n = len(self.movable)

@@ -503,6 +503,8 @@ def cmd_stability(args) -> int:
     pairs = _parse_flag("--seed-pairs", args.seed_pairs,
                         lambda t: [_numbers(part, int) for part in t.split(";")],
                         "semicolon-separated groups of integer seeds such as 0,1;2,3")
+    if args.external_metrics and not Path(args.external_metrics).is_file():
+        raise MissingFile(args.external_metrics)
     netlist, netlist_path = _load_netlist(args)
     initial = _initial_placement(args, netlist, netlist_path)
     grid = _grid(args, netlist)

@@ -16,7 +16,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .errors import MissingInitialLocation, PointOutsideCanvas
+from .errors import MissingLocation, PointOutsideCanvas
 from .geometry import Grid
 from .netlist import Net, Netlist, Node, NodeKind, Orientation, Pin, Placement, Pose
 
@@ -101,7 +101,7 @@ def cluster_by_grid(netlist: Netlist, initial: Placement, grid: Grid) -> Cluster
             continue
         pose = initial.get(node.name)
         if pose is None:
-            raise MissingInitialLocation(f"standard cell {node.name!r} has no initial location")
+            raise MissingLocation(f"standard cell {node.name!r} has no initial location")
         cell = grid.cell_of_point(pose.x, pose.y)
         buckets.setdefault(cell, []).append(node)
 
@@ -150,7 +150,7 @@ def no_clustering(netlist: Netlist, initial: Placement, grid: Grid) -> Clustered
             continue
         pose = initial.get(node.name)
         if pose is None:
-            raise MissingInitialLocation(f"standard cell {node.name!r} has no initial location")
+            raise MissingLocation(f"standard cell {node.name!r} has no initial location")
         side = math.sqrt(node.area)
         new_nodes.append(Node(node.name, NodeKind.CLUSTER, side, side, movable=True))
         cluster_of[node.name] = node.name

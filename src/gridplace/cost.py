@@ -18,13 +18,14 @@ Routing patterns by the number of distinct pin cells k:
   k=3 a shared straight segment plus a branched L when two cells share a row
   or column, else a star; k>3 a star of k-1 L routes from the source cell.
 
-`Evaluator` routes all nets of a placement in whole-array numpy, with no
-Python loop over nets: the distinct (net, cell) keys come from one sort, the
-three-cell patterns are selected in closed form for all such nets at once,
-and every segment end is scattered into difference arrays by one
-`np.bincount` per direction, in a fixed per-cell order, so its grids equal
-those of routing net by net in that order. `route_net` is the scalar router
-for one net.
+`Evaluator` is the one implementation of these definitions. It routes all
+nets of a placement in whole-array numpy, with no Python loop over nets: the
+distinct (net, cell) keys come from one sort, the three-cell patterns are
+selected in closed form for all such nets at once, and every segment end is
+scattered into difference arrays by one `np.bincount` per direction, in a
+fixed per-cell order, so its grids equal those of routing net by net in that
+order. The per-net cell walker `route_demand` in tests/oracles.py is the
+reference it is tested against.
 
 Grids are numpy arrays indexed [col, row]; cell (0, 0) is lower-left.
 """
@@ -36,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCellSet, EmptyNetlist, MissingLocation, OutOfRange
+from .errors import EmptyCellSet, MissingLocation, OutOfRange
 from .geometry import Grid
-from .netlist import ORIENT_SIGNS, Netlist, NodeKind, Placement
+from .netlist import ORIENT_SIGNS, Netlist, Placement
 
 DEFAULT_GAMMA = 0.5
 DEFAULT_LAMBDA = 0.5
@@ -73,21 +74,6 @@ class ProxyBreakdown:
     def combine(wirelength: float, density: float, congestion: float, weights: ProxyWeights) -> "ProxyBreakdown":
         total = wirelength + weights.gamma * density + weights.lam * congestion
         return ProxyBreakdown(wirelength, density, congestion, total)
-
-
-@dataclass(frozen=True)
-class CongestionGrids:
-    """Demand/capacity ratios per cell boundary, net demand unsmoothed."""
-
-    h_macro: np.ndarray
-    v_macro: np.ndarray
-    h_net: np.ndarray
-    v_net: np.ndarray
-
-    def combined(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
-        h = self.h_macro + smooth_grid(self.h_net, radius, axis=0)
-        v = self.v_macro + smooth_grid(self.v_net, radius, axis=1)
-        return h, v
 
 
 def top_fraction_mean(values: np.ndarray, fraction: float) -> float:
@@ -131,56 +117,6 @@ def smooth_grid(values: np.ndarray, radius: int, axis: int) -> np.ndarray:
 # Routing patterns
 
 
-def _l_route_segments(src: tuple[int, int], dst: tuple[int, int]):
-    """Segments of an L route, horizontal arm first from the source cell.
-
-    Returns (h_segs, v_segs); an h_seg (row, lo, hi) crosses the right
-    boundaries of columns lo..hi-1 in that row, a v_seg (col, lo, hi) the top
-    boundaries of rows lo..hi-1 in that column.
-    """
-    (c1, r1), (c2, r2) = src, dst
-    h_segs = []
-    v_segs = []
-    if c1 != c2:
-        h_segs.append((r1, min(c1, c2), max(c1, c2)))
-    if r1 != r2:
-        v_segs.append((c2, min(r1, r2), max(r1, r2)))
-    return h_segs, v_segs
-
-
-def _three_cell_segments(cells: list[tuple[int, int]]):
-    """Route three distinct cells; cells[0] is the source.
-
-    If two cells share a row or column, that straight segment is routed once
-    and an L branches to the third cell from the nearer endpoint (Manhattan
-    distance, ties to the first endpoint). Otherwise a source-anchored star.
-    """
-    ordered = [cells[0]] + sorted(cells[1:])
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        a, b = ordered[i], ordered[j]
-        third = ordered[3 - i - j]
-        if a[1] == b[1]:  # shared row
-            h_segs = [(a[1], min(a[0], b[0]), max(a[0], b[0]))]
-            v_segs = []
-        elif a[0] == b[0]:  # shared column
-            h_segs = []
-            v_segs = [(a[0], min(a[1], b[1]), max(a[1], b[1]))]
-        else:
-            continue
-        da = abs(third[0] - a[0]) + abs(third[1] - a[1])
-        db = abs(third[0] - b[0]) + abs(third[1] - b[1])
-        branch = a if da <= db else b
-        h2, v2 = _l_route_segments(branch, third)
-        return h_segs + h2, v_segs + v2
-    h_segs = []
-    v_segs = []
-    for sink in ordered[1:]:
-        h, v = _l_route_segments(ordered[0], sink)
-        h_segs += h
-        v_segs += v
-    return h_segs, v_segs
-
-
 # Endpoints of the two L routes a three-cell net decomposes into, by the first
 # pair sharing a row or column: (0,1), (0,2), (1,2), and 3 for none. The first
 # L runs FIRST -> SECOND (one straight arm when the pair shares a line), the
@@ -195,11 +131,13 @@ def _three_cell_entries(cells: np.ndarray, weight: np.ndarray, n_rows: int):
 
     `cells` is an (m, 3) array of flat cell ids (col * n_rows + row), the
     source first and the two sinks in (col, row) order; `weight` has length m.
-    Each row is routed as `_three_cell_segments` routes it: the straight
-    segment of the first pair sharing a row (tested before a shared column),
-    then an L to the third cell from the nearer end of that segment (ties to
-    its first cell), or a source star when no pair shares a line. Returns
-    ((h_idx, h_w), (v_idx, v_w)): flat indices into the (n_cols + 1, n_rows)
+    Each row takes the three-cell pattern of the module docstring, its pairs
+    tested in the order (0, 1), (0, 2), (1, 2): the straight segment of the
+    first pair sharing a row (tested before a shared column), then an L to
+    the third cell from the nearer end of that segment (ties to its first
+    cell), or a source star when no pair shares a line.
+
+    Returns ((h_idx, h_w), (v_idx, v_w)): flat indices into the (n_cols + 1, n_rows)
     and (n_cols, n_rows + 1) difference arrays with their +w/-w values, net by
     net, each net's segments in routing order as +w at the low end then -w at
     the high end. Zero-length arms are dropped.
@@ -230,49 +168,6 @@ def _three_cell_entries(cells: np.ndarray, weight: np.ndarray, n_rows: int):
     return (h_idx[h_on], h_w[h_on]), (v_idx[v_on], v_w[v_on])
 
 
-def net_route_segments(source_cell: tuple[int, int], sink_cells, weight_unused=None):
-    """All boundary-crossing segments for one net's distinct cells."""
-    sinks = []
-    seen = {tuple(source_cell)}
-    for c in sink_cells:
-        c = tuple(c)
-        if c not in seen:
-            seen.add(c)
-            sinks.append(c)
-    if not sinks:
-        return [], []
-    if len(sinks) == 1:
-        return _l_route_segments(tuple(source_cell), sinks[0])
-    if len(sinks) == 2:
-        return _three_cell_segments([tuple(source_cell)] + sinks)
-    h_segs = []
-    v_segs = []
-    for sink in sinks:
-        h, v = _l_route_segments(tuple(source_cell), sink)
-        h_segs += h
-        v_segs += v
-    return h_segs, v_segs
-
-
-def route_net(source_cell, sink_cells, weight: float, grid: Grid):
-    """Raw routing demand of one net as (H, V) arrays, [col, row] indexed.
-
-    H[c, r] counts weight-scaled crossings of the right boundary of cell
-    (c, r); V likewise for top boundaries. Capacity is not applied here.
-    """
-    for c in [tuple(source_cell)] + [tuple(c) for c in sink_cells]:
-        if not (0 <= c[0] < grid.n_cols and 0 <= c[1] < grid.n_rows):
-            raise OutOfRange(f"cell {c} outside {grid.n_cols} x {grid.n_rows} grid")
-    h = np.zeros((grid.n_cols, grid.n_rows))
-    v = np.zeros((grid.n_cols, grid.n_rows))
-    h_segs, v_segs = net_route_segments(source_cell, sink_cells)
-    for row, lo, hi in h_segs:
-        h[lo:hi, row] += weight
-    for col, lo, hi in v_segs:
-        v[col, lo:hi] += weight
-    return h, v
-
-
 # ---------------------------------------------------------------------------
 # Evaluator: build static arrays once, evaluate placements many times
 
@@ -284,55 +179,24 @@ class Evaluator:
         self.netlist = netlist
         self.grid = grid
         self.config = config or CostConfig()
-        self._node_names = [n.name for n in netlist.nodes]
-        self._node_idx = {n.name: i for i, n in enumerate(netlist.nodes)}
-        n = len(netlist.nodes)
-        self._half_w = np.array([nd.width / 2.0 for nd in netlist.nodes])
-        self._half_h = np.array([nd.height / 2.0 for nd in netlist.nodes])
-        kinds = [nd.kind for nd in netlist.nodes]
-        self._density_mask = np.array([k in (NodeKind.MACRO, NodeKind.CLUSTER) for k in kinds])
-        self._macro_mask = np.array([k == NodeKind.MACRO for k in kinds])
-
-        pin_owner = []
-        pin_dx = []
-        pin_dy = []
-        net_sizes = []
-        src_pin = []
-        weights = []
-        for net in netlist.nets:
-            si = net.source_index()
-            src_pin.append(len(pin_owner) + si)
-            net_sizes.append(len(net.pins))
-            weights.append(net.weight)
-            for p in net.pins:
-                pin_owner.append(self._node_idx[p.node])
-                pin_dx.append(p.dx)
-                pin_dy.append(p.dy)
-        self._pin_owner = np.array(pin_owner, dtype=np.intp)
-        self._pin_dx = np.array(pin_dx)
-        self._pin_dy = np.array(pin_dy)
-        self._net_weight = np.array(weights)
-        self._src_pin = np.array(src_pin, dtype=np.intp)
-        sizes = np.array(net_sizes, dtype=np.intp)
-        self._net_start = np.concatenate(([0], np.cumsum(sizes)))  # len n_nets + 1
-        self._pin_net = np.repeat(np.arange(len(net_sizes), dtype=np.intp), sizes)
-        self._n_nets = len(net_sizes)
+        a = self._arrays = netlist.arrays
+        self._density_mask = a.is_macro | a.is_cluster
+        self._n_nets = a.net_weight.size
+        self._pin_net = np.repeat(np.arange(self._n_nets, dtype=np.intp), np.diff(a.net_start))
         # Column/row edge coordinates for separable overlap accumulation.
-        g = grid
-        self._col_edges = np.arange(g.n_cols + 1) * g.cell_w
-        self._row_edges = np.arange(g.n_rows + 1) * g.cell_h
-        self._n = n
+        self._col_edges = np.arange(grid.n_cols + 1) * grid.cell_w
+        self._row_edges = np.arange(grid.n_rows + 1) * grid.cell_h
 
     # -- placement decoding
 
     def node_arrays(self, placement: Placement):
         """(x, y, sx, sy) arrays in node order; every node must be placed."""
-        n = self._n
+        n = len(self._arrays.names)
         x = np.empty(n)
         y = np.empty(n)
         sx = np.empty(n)
         sy = np.empty(n)
-        for i, name in enumerate(self._node_names):
+        for i, name in enumerate(self._arrays.names):
             pose = placement.get(name)
             if pose is None:
                 raise MissingLocation(f"node {name!r} has no location")
@@ -344,9 +208,10 @@ class Evaluator:
         return x, y, sx, sy
 
     def _pin_xy(self, x, y, sx, sy):
-        o = self._pin_owner
-        px = x[o] + sx[o] * self._pin_dx
-        py = y[o] + sy[o] * self._pin_dy
+        a = self._arrays
+        o = a.pin_owner
+        px = x[o] + sx[o] * a.pin_dx
+        py = y[o] + sy[o] * a.pin_dy
         return px, py
 
     # -- components
@@ -355,21 +220,22 @@ class Evaluator:
         if self._n_nets == 0:
             return 0.0
         px, py = self._pin_xy(x, y, sx, sy)
-        starts = self._net_start[:-1]
+        starts = self._arrays.net_start[:-1]
         hp = (np.maximum.reduceat(px, starts) - np.minimum.reduceat(px, starts)
               + np.maximum.reduceat(py, starts) - np.minimum.reduceat(py, starts))
         norm = self.netlist.canvas.width + self.netlist.canvas.height
-        return float(np.dot(self._net_weight, hp) / norm / self._n_nets)
+        return float(np.dot(self._arrays.net_weight, hp) / norm / self._n_nets)
 
     def density_grid_from_arrays(self, x, y) -> np.ndarray:
         g = self.grid
         m = self._density_mask
         if not m.any():
             return np.zeros((g.n_cols, g.n_rows))
-        x1 = (x - self._half_w)[m]
-        x2 = (x + self._half_w)[m]
-        y1 = (y - self._half_h)[m]
-        y2 = (y + self._half_h)[m]
+        a = self._arrays
+        x1 = (x - a.half_w)[m]
+        x2 = (x + a.half_w)[m]
+        y1 = (y - a.half_h)[m]
+        y2 = (y + a.half_h)[m]
         # Overlap of [x1, x2] with column i is the difference of the clamped
         # cumulative coverage at consecutive column edges (separable in x/y).
         cx = np.clip(self._col_edges[None, :], x1[:, None], x2[:, None])
@@ -380,15 +246,16 @@ class Evaluator:
 
     def macro_congestion_from_arrays(self, x, y):
         g = self.grid
-        m = self._macro_mask
+        m = self._arrays.is_macro
         h = np.zeros((g.n_cols, g.n_rows))
         v = np.zeros((g.n_cols, g.n_rows))
         if not m.any():
             return h, v
-        x1 = (x - self._half_w)[m]
-        x2 = (x + self._half_w)[m]
-        y1 = (y - self._half_h)[m]
-        y2 = (y + self._half_h)[m]
+        a = self._arrays
+        x1 = (x - a.half_w)[m]
+        x2 = (x + a.half_w)[m]
+        y1 = (y - a.half_h)[m]
+        y2 = (y + a.half_h)[m]
         # Right boundaries sit at the interior + far column edges.
         bx = self._col_edges[1:]
         cross_h = (x1[:, None] < bx[None, :]) & (bx[None, :] < x2[:, None])
@@ -440,10 +307,10 @@ class Evaluator:
         ucell = uniq % g.n_cells
         # Distinct-cell count per net, aligned to unique order.
         counts = np.bincount(unet, minlength=self._n_nets)
-        src_cell = cell[self._src_pin]
+        src_cell = cell[self._arrays.driver]
         k_of = counts[unet]
         src_of = src_cell[unet]
-        w_of = self._net_weight[unet]
+        w_of = self._arrays.net_weight[unet]
         # k == 2 and k > 3 decompose into source-anchored L pairs.
         lmask = (ucell != src_of) & ((k_of == 2) | (k_of >= 4))
         cs, rs = np.divmod(src_of[lmask], g.n_rows)
@@ -466,75 +333,24 @@ class Evaluator:
         v = np.cumsum(vdiff, axis=1)[:, :g.n_rows]
         return h / g.h_capacity, v / g.v_capacity
 
-    # -- public API
-
-    def congestion_grids(self, placement: Placement) -> CongestionGrids:
-        x, y, sx, sy = self.node_arrays(placement)
+    def congestion_surfaces_from_arrays(self, x, y, sx, sy):
+        """(hc, vc): macro demand plus net demand smoothed along its routing
+        direction, per boundary, both as demand / capacity."""
         hm, vm = self.macro_congestion_from_arrays(x, y)
         hn, vn = self.net_congestion_from_arrays(x, y, sx, sy)
-        return CongestionGrids(hm, vm, hn, vn)
+        r = self.config.smooth_radius
+        return hm + smooth_grid(hn, r, axis=0), vm + smooth_grid(vn, r, axis=1)
+
+    # -- public API
 
     def components(self, placement: Placement) -> tuple[float, float, float]:
         x, y, sx, sy = self.node_arrays(placement)
         wl = self.wirelength_from_arrays(x, y, sx, sy)
         dens = top_fraction_mean(self.density_grid_from_arrays(x, y), 0.10)
-        hm, vm = self.macro_congestion_from_arrays(x, y)
-        hn, vn = self.net_congestion_from_arrays(x, y, sx, sy)
-        r = self.config.smooth_radius
-        hc = hm + smooth_grid(hn, r, axis=0)
-        vc = vm + smooth_grid(vn, r, axis=1)
+        hc, vc = self.congestion_surfaces_from_arrays(x, y, sx, sy)
         cong = top_fraction_mean(np.concatenate([hc.ravel(), vc.ravel()]), 0.05)
         return wl, dens, cong
 
     def breakdown(self, placement: Placement, weights: ProxyWeights | None = None) -> ProxyBreakdown:
         wl, dens, cong = self.components(placement)
         return ProxyBreakdown.combine(wl, dens, cong, weights or ProxyWeights())
-
-
-# ---------------------------------------------------------------------------
-# One-shot convenience wrappers
-
-
-def wirelength_cost(netlist: Netlist, placement: Placement, grid: Grid) -> float:
-    if not netlist.nets:
-        raise EmptyNetlist("wirelength over zero nets")
-    ev = Evaluator(netlist, grid)
-    return ev.wirelength_from_arrays(*ev.node_arrays(placement))
-
-
-def density_cost(netlist: Netlist, placement: Placement, grid: Grid) -> float:
-    ev = Evaluator(netlist, grid)
-    x, y, _, _ = ev.node_arrays(placement)
-    return top_fraction_mean(ev.density_grid_from_arrays(x, y), 0.10)
-
-
-def density_grid(netlist: Netlist, placement: Placement, grid: Grid) -> np.ndarray:
-    ev = Evaluator(netlist, grid)
-    x, y, _, _ = ev.node_arrays(placement)
-    return ev.density_grid_from_arrays(x, y)
-
-
-def macro_congestion(netlist: Netlist, placement: Placement, grid: Grid,
-                     config: CostConfig | None = None):
-    ev = Evaluator(netlist, grid, config)
-    x, y, _, _ = ev.node_arrays(placement)
-    return ev.macro_congestion_from_arrays(x, y)
-
-
-def net_congestion(netlist: Netlist, placement: Placement, grid: Grid):
-    ev = Evaluator(netlist, grid)
-    return ev.net_congestion_from_arrays(*ev.node_arrays(placement))
-
-
-def congestion_cost(netlist: Netlist, placement: Placement, grid: Grid,
-                    config: CostConfig | None = None) -> float:
-    ev = Evaluator(netlist, grid, config)
-    grids = ev.congestion_grids(placement)
-    hc, vc = grids.combined(ev.config.smooth_radius)
-    return top_fraction_mean(np.concatenate([hc.ravel(), vc.ravel()]), 0.05)
-
-
-def proxy_cost(netlist: Netlist, placement: Placement, grid: Grid,
-               weights: ProxyWeights | None = None,
-               config: CostConfig | None = None) -> ProxyBreakdown:
-    return Evaluator(netlist, grid, config).breakdown(placement, weights)

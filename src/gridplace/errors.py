@@ -34,10 +34,6 @@ class DanglingPinReference(GridPlaceError):
     """A pin names a node that was never declared."""
 
 
-class UnknownNode(GridPlaceError):
-    """An operation referenced a node id absent from the netlist."""
-
-
 class InvalidDimension(GridPlaceError):
     """Nonpositive canvas size or grid dimensions."""
 
@@ -48,10 +44,6 @@ class OutOfRange(GridPlaceError):
 
 class MissingLocation(GridPlaceError):
     """A node that must be placed has no location in the given placement."""
-
-
-# Alias kept so clustering call sites read naturally.
-MissingInitialLocation = MissingLocation
 
 
 class PointOutsideCanvas(GridPlaceError):

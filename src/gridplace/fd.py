@@ -21,6 +21,9 @@ by a tiny slack so that no pair is missed, and then filtered by the same float
 predicate as the dense all-pairs definition. Every force sum keeps the dense
 definition's operands and summation order, so results are bit-identical to
 `fd_place_dense` in tests/oracles.py.
+
+Node sizes, kinds and pins come from `Netlist.arrays`, built once per
+netlist; each call reads only the locations and orientations it is given.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateNet, MissingLocation, OutOfRange
-from .netlist import ORIENT_SIGNS, Net, Netlist, NodeKind, Orientation, Pin, Placement, Pose
+from .errors import MissingLocation, OutOfRange
+from .netlist import ORIENT_SIGNS, Netlist, Orientation, Placement, Pose
 
 log = logging.getLogger(__name__)
 
@@ -60,87 +63,27 @@ class FDIterationInfo:
     max_move_distance: float
 
 
-def decompose_star(net: Net) -> list[tuple[Pin, Pin]]:
-    """Star model: a k-pin net becomes k-1 (center, other) pin pairs.
-
-    The center is the marked source pin, else the first pin.
-    """
-    if len(net.pins) < 2:
-        raise DegenerateNet(f"net {net.name!r} has {len(net.pins)} pin(s)")
-    ci = net.source_index()
-    center = net.pins[ci]
-    return [(center, p) for j, p in enumerate(net.pins) if j != ci]
-
-
-def attractive_force(p1, p2, k_attract: float, io_scale: float = 1.0) -> tuple[float, float]:
-    """Per-axis magnitudes k_a * io_scale * |delta| for one pin pair.
-
-    The magnitudes act on both endpoints, each directed toward the other.
-    """
-    return (k_attract * io_scale * abs(p1[0] - p2[0]),
-            k_attract * io_scale * abs(p1[1] - p2[1]))
-
-
-def repulsive_force(c1, half1, c2, half2, k_repel: float, f_r_max: float,
-                    rng=None) -> tuple[float, float]:
-    """Per-axis magnitudes for one node pair, directed apart.
-
-    Zero unless the outlines overlap with positive area. The combined
-    magnitude is k_r * f_r_max along the center line; coincident centers take
-    a direction from `rng` (an np.random.Generator).
-    """
-    ox = (half1[0] + half2[0]) - abs(c1[0] - c2[0])
-    oy = (half1[1] + half2[1]) - abs(c1[1] - c2[1])
-    if ox <= 0.0 or oy <= 0.0:
-        return 0.0, 0.0
-    dx = c1[0] - c2[0]
-    dy = c1[1] - c2[1]
-    dist = np.hypot(dx, dy)
-    mag = k_repel * f_r_max
-    if dist == 0.0:
-        if rng is None:
-            raise ValueError("coincident centers need an rng for the direction")
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        return abs(mag * np.cos(theta)), abs(mag * np.sin(theta))
-    return mag * abs(dx) / dist, mag * abs(dy) / dist
-
-
-def _star_pairs(netlist: Netlist, placement: Placement, node_idx: dict[str, int],
-                io_factor: float):
+def _star_pairs(netlist: Netlist, placement: Placement, io_factor: float):
     """Star decomposition of all nets into (driver pin, other pin) pairs.
 
-    Offsets are pre-rotated by the owner's orientation (orientations do not
-    change during FD). Returns index arrays plus per-pair attraction scale,
-    net by net and pin by pin, as decompose_star orders them.
+    A k-pin net gives k - 1 pairs, from its driver (first marked source, else
+    first pin) to each other pin. Offsets are pre-rotated by the owner's
+    orientation (orientations do not change during FD). Returns index arrays
+    plus per-pair attraction scale, net by net and pin by pin.
     """
-    nodes = netlist.nodes
-    nets = netlist.nets
-    pins = [p for net in nets for p in net.pins]
-    if not pins:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty, np.empty((0, 2)), np.empty((0, 2)), np.empty(0)
-    owner = np.array([node_idx[p.node] for p in pins], dtype=np.intp)
-    off = np.column_stack((np.array([p.dx for p in pins], dtype=float),
-                           np.array([p.dy for p in pins], dtype=float)))
-    is_src = np.array([p.is_source for p in pins], dtype=bool)
-    sizes = np.array([len(net.pins) for net in nets], dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    # Driver: the first marked source pin of each net, else its first pin.
-    n_pins = owner.size
-    pos = np.arange(n_pins, dtype=np.intp)
-    first_src = np.minimum.reduceat(np.where(is_src, pos, n_pins), starts)
-    driver = np.where(first_src < n_pins, first_src, starts)
-    other = np.ones(n_pins, dtype=bool)
-    other[driver] = False
-    a_pin = np.repeat(driver, sizes)[other]
-    b_pin = pos[other]
+    arrays = netlist.arrays
+    owner = arrays.pin_owner
+    off = np.column_stack((arrays.pin_dx, arrays.pin_dy))
+    other = np.ones(owner.size, dtype=bool)
+    other[arrays.driver] = False
+    a_pin = np.repeat(arrays.driver, np.diff(arrays.net_start))[other]
+    b_pin = np.flatnonzero(other)
 
-    signs = np.array([ORIENT_SIGNS[placement[nd.name][2]] if nd.name in placement
-                      else ORIENT_SIGNS[Orientation.N] for nd in nodes])
-    is_port = np.array([nd.kind == NodeKind.PORT for nd in nodes], dtype=bool)
+    signs = np.array([ORIENT_SIGNS[placement[name][2]] if name in placement
+                      else ORIENT_SIGNS[Orientation.N] for name in arrays.names])
     a_idx = owner[a_pin]
     b_idx = owner[b_pin]
-    scale = np.where(is_port[a_idx] | is_port[b_idx], io_factor, 1.0)
+    scale = np.where(arrays.is_port[a_idx] | arrays.is_port[b_idx], io_factor, 1.0)
     return a_idx, b_idx, signs[a_idx] * off[a_pin], signs[b_idx] * off[b_pin], scale
 
 
@@ -189,31 +132,29 @@ def fd_place(
     if params.k_attract < 0 or params.k_repel < 0 or params.io_factor < 0:
         raise OutOfRange("force factors must be nonnegative")
 
-    nodes = netlist.nodes
-    node_idx = {n.name: i for i, n in enumerate(nodes)}
-    mover = np.array([n.kind == NodeKind.CLUSTER and n.movable for n in nodes])
+    arrays = netlist.arrays
+    mover = arrays.is_cluster & arrays.movable
     if not mover.any():
         log.warning("no movable clusters; force-directed pass is a no-op")
         return dict(placement)
 
     cv = netlist.canvas
-    n = len(nodes)
+    n = len(arrays.names)
     x = np.empty(n)
     y = np.empty(n)
-    for i, node in enumerate(nodes):
+    for i, name in enumerate(arrays.names):
         if mover[i]:
             x[i] = cv.width / 2.0
             y[i] = cv.height / 2.0
         else:
-            pose = placement.get(node.name)
+            pose = placement.get(name)
             if pose is None:
-                raise MissingLocation(f"fixed node {node.name!r} has no location for FD")
+                raise MissingLocation(f"fixed node {name!r} has no location for FD")
             x[i] = pose[0]
             y[i] = pose[1]
 
-    hw = np.array([nd.width / 2.0 for nd in nodes])
-    hh = np.array([nd.height / 2.0 for nd in nodes])
-    a_idx, b_idx, a_off, b_off, scale = _star_pairs(netlist, placement, node_idx, params.io_factor)
+    hw, hh = arrays.half_w, arrays.half_h
+    a_idx, b_idx, a_off, b_off, scale = _star_pairs(netlist, placement, params.io_factor)
     have_pairs = a_idx.size > 0
     ab_idx = np.concatenate((a_idx, b_idx))
 
@@ -307,16 +248,6 @@ def fd_place(
             ))
 
     out = dict(placement)
-    for i, node in enumerate(nodes):
-        if mover[i]:
-            out[node.name] = Pose(float(x[i]), float(y[i]), Orientation.N)
+    for i in np.flatnonzero(mover):
+        out[arrays.names[i]] = Pose(float(x[i]), float(y[i]), Orientation.N)
     return out
-
-
-def fd_repulsive_only(netlist: Netlist, placement: Placement,
-                      params: FDParams | None = None,
-                      observer: Callable[[FDIterationInfo], None] | None = None) -> Placement:
-    """FD with attraction disabled; spreads overlapping clusters apart."""
-    params = params or FDParams()
-    from dataclasses import replace
-    return fd_place(netlist, placement, replace(params, k_attract=0.0), observer)

@@ -5,10 +5,12 @@ lower-left cell; cell centers are ((col + 0.5) * cell_w, (row + 0.5) * cell_h).
 Each cell owns two routing boundaries: its right edge (horizontal routing,
 capacity h_capacity tracks) and its top edge (vertical routing, v_capacity).
 
-Legality: a node's bounding box must lie inside the canvas and may touch, but
-not positively overlap, other nodes' boxes. Comparisons use a relative epsilon
-of 1e-9 of the canvas extent so that cell-aligned placements are not rejected
-over last-ulp noise.
+Legality: a macro's bounding box must lie inside the canvas and may touch,
+but not positively overlap, other macros' boxes. Comparisons use a relative
+epsilon of 1e-9 of the canvas extent so that cell-aligned placements are not
+rejected over last-ulp noise. `MacroState` is the one implementation of this
+predicate; the initializers, the annealer and `placement_is_legal` all use
+it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidDimension, OutOfRange, UnknownNode
-from .netlist import Canvas, Netlist, Node, NodeKind, Orientation, Placement, Pose
+import numpy as np
+
+from .errors import InvalidDimension, MissingLocation, OutOfRange
+from .netlist import Canvas, Netlist, Node, Placement, Pose
 
 EPS_FRAC = 1e-9
 
@@ -98,71 +102,71 @@ def bbox_inside_canvas(bbox, canvas: Canvas, tol: float = 0.0) -> bool:
     return x1 >= -tol and y1 >= -tol and x2 <= canvas.width + tol and y2 <= canvas.height + tol
 
 
-def overlap_area(a, b) -> float:
-    """Positive-area intersection of two bboxes; 0.0 when they only touch."""
-    w = min(a[2], b[2]) - max(a[0], b[0])
-    h = min(a[3], b[3]) - max(a[1], b[1])
-    if w <= 0.0 or h <= 0.0:
-        return 0.0
-    return w * h
+class MacroState:
+    """Macro centers as arrays (fixed macros included) and the legality
+    predicate over them.
 
-
-def boxes_overlap(a, b, tol: float = 0.0) -> bool:
-    """True when the boxes share positive area beyond tol in both axes."""
-    return (min(a[2], b[2]) - max(a[0], b[0]) > tol) and (min(a[3], b[3]) - max(a[1], b[1]) > tol)
-
-
-def is_legal_macro_location(
-    netlist: Netlist,
-    placement: Placement,
-    macro_id: str,
-    cell: tuple[int, int],
-    orient: Orientation,
-    grid: Grid,
-) -> bool:
-    """Whether a macro may sit at the given cell center with this orientation.
-
-    Legal means the bounding box stays inside the canvas and shares no
-    positive area with any other placed macro; touching edges is allowed. The
-    orientation cannot change the outline (mirrors preserve extents) but is
-    part of the location contract.
+    An unplaced macro has NaN coordinates. NaN fails every comparison, so an
+    unplaced macro blocks nothing and is never legal itself.
     """
-    if not netlist.has_node(macro_id):
-        raise UnknownNode(f"no node {macro_id!r} in netlist")
-    node = netlist.node(macro_id)
-    cx, cy = grid.cell_center(*cell)
-    box = node_bbox(node, Pose(cx, cy, orient))
-    tol = grid.tol
-    if not bbox_inside_canvas(box, netlist.canvas, tol):
-        return False
-    for other in netlist.nodes:
-        if other.kind != NodeKind.MACRO or other.name == macro_id:
-            continue
-        pose = placement.get(other.name)
-        if pose is not None and boxes_overlap(box, node_bbox(other, pose), tol):
-            return False
-    return True
+
+    def __init__(self, netlist: Netlist, grid: Grid, base: Placement, require_fixed=True):
+        a = netlist.arrays
+        idx = np.flatnonzero(a.is_macro)
+        self.names = [a.names[i] for i in idx]
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self.hw = a.half_w[idx]
+        self.hh = a.half_h[idx]
+        self.x = np.full(idx.size, np.nan)
+        self.y = np.full(idx.size, np.nan)
+        self.canvas = netlist.canvas
+        self.tol = grid.tol
+        for i, name in enumerate(self.names):
+            pose = base.get(name)
+            if pose is not None:
+                self.x[i] = pose[0]
+                self.y[i] = pose[1]
+            elif not a.movable[idx[i]] and require_fixed:
+                raise MissingLocation(f"fixed macro {name!r} has no location")
+        self.movable_idx = np.flatnonzero(a.movable[idx])
+
+    def legal_centers(self, i: int, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        """For each candidate center (cx[k], cy[k]) of macro i, whether it is
+        in-canvas and overlap-free against the other macros where they are."""
+        hw, hh = self.hw[i], self.hh[i]
+        t = self.tol
+        ok = ((cx - hw >= -t) & (cx + hw <= self.canvas.width + t)
+              & (cy - hh >= -t) & (cy + hh <= self.canvas.height + t))
+        ox = (self.hw + hw) - np.abs(self.x - cx[:, None])
+        oy = (self.hh + hh) - np.abs(self.y - cy[:, None])
+        hit = (ox > t) & (oy > t)
+        hit[:, i] = False
+        return ok & ~hit.any(axis=1)
+
+    def legal_at(self, i: int) -> bool:
+        """Current coordinates of macro i are in-canvas and overlap-free."""
+        return bool(self.legal_centers(i, self.x[i:i + 1], self.y[i:i + 1])[0])
+
+    def try_moves(self, moves) -> bool:
+        """Tentatively apply [(i, x, y)]; revert and return False if illegal."""
+        olds = [(i, self.x[i], self.y[i]) for i, _, _ in moves]
+        for i, nx, ny in moves:
+            self.x[i] = nx
+            self.y[i] = ny
+        for i, _, _ in moves:
+            if not self.legal_at(i):
+                self.revert(olds)
+                return False
+        return True
+
+    def revert(self, olds) -> None:
+        for i, ox, oy in olds:
+            self.x[i] = ox
+            self.y[i] = oy
 
 
 def placement_is_legal(netlist: Netlist, placement: Placement, grid: Grid) -> bool:
-    """Every movable macro in-canvas and overlap-free against all other macros."""
-    tol = grid.tol
-    macros = [n for n in netlist.nodes if n.kind == NodeKind.MACRO]
-    boxes = {}
-    for n in macros:
-        if n.name in placement:
-            boxes[n.name] = node_bbox(n, placement[n.name])
-    for n in macros:
-        if not n.movable:
-            continue
-        if n.name not in placement:
-            return False
-        box = boxes[n.name]
-        if not bbox_inside_canvas(box, netlist.canvas, tol):
-            return False
-        for other in macros:
-            if other.name == n.name or other.name not in boxes:
-                continue
-            if boxes_overlap(box, boxes[other.name], tol):
-                return False
-    return True
+    """Every movable macro is placed, in-canvas and overlap-free against all
+    other placed macros."""
+    st = MacroState(netlist, grid, placement, require_fixed=False)
+    return all(st.legal_at(i) for i in st.movable_idx)

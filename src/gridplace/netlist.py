@@ -20,8 +20,11 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import (
     DanglingPinReference,
@@ -145,8 +148,42 @@ class Canvas:
         return 0.0 <= x <= self.width and 0.0 <= y <= self.height
 
 
+@dataclass(frozen=True)
+class NetlistArrays:
+    """The netlist as flat arrays, nodes in netlist order and pins net by net.
+
+    Node arrays have one entry per node. `pin_owner`, `pin_dx` and `pin_dy`
+    hold every pin, the pins of net k at `net_start[k]:net_start[k + 1]`
+    (`net_start` has one more entry than there are nets). `driver` is the flat
+    index of each net's driving pin: its first marked source, else its first
+    pin, as `Net.source_index()` answers.
+    """
+
+    names: list[str]
+    index: dict[str, int]
+    half_w: np.ndarray
+    half_h: np.ndarray
+    is_macro: np.ndarray
+    is_cluster: np.ndarray
+    is_port: np.ndarray
+    movable: np.ndarray
+    pin_owner: np.ndarray
+    pin_dx: np.ndarray
+    pin_dy: np.ndarray
+    net_start: np.ndarray
+    net_weight: np.ndarray
+    driver: np.ndarray
+
+
 @dataclass
 class Netlist:
+    """Nodes, nets and canvas, checked once at construction.
+
+    No code changes a netlist after construction: readers and clustering
+    finish editing pins (`validate_nets`, rewiring) before they build one.
+    `arrays` relies on this; it is built on first use and kept.
+    """
+
     nodes: list[Node]
     nets: list[Net]
     canvas: Canvas
@@ -174,13 +211,40 @@ class Netlist:
     def has_node(self, name: str) -> bool:
         return name in self._index
 
-    def nodes_of_kind(self, *kinds: NodeKind) -> list[Node]:
-        want = set(kinds)
-        return [n for n in self.nodes if n.kind in want]
-
     @property
     def movable_macros(self) -> list[Node]:
         return [n for n in self.nodes if n.kind == NodeKind.MACRO and n.movable]
+
+    @cached_property
+    def arrays(self) -> NetlistArrays:
+        """The netlist as flat arrays, built on first use."""
+        nodes = self.nodes
+        index = {n.name: i for i, n in enumerate(nodes)}
+        kinds = [n.kind for n in nodes]
+        pins = [p for net in self.nets for p in net.pins]
+        sizes = np.array([len(net.pins) for net in self.nets], dtype=np.intp)
+        net_start = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
+        is_src = np.array([p.is_source for p in pins], dtype=bool)
+        n_pins = len(pins)
+        pos = np.arange(n_pins, dtype=np.intp)
+        first_src = np.minimum.reduceat(np.where(is_src, pos, n_pins), net_start[:-1])
+        driver = np.where(first_src < n_pins, first_src, net_start[:-1])
+        return NetlistArrays(
+            names=[n.name for n in nodes],
+            index=index,
+            half_w=np.array([n.width for n in nodes], dtype=float) / 2.0,
+            half_h=np.array([n.height for n in nodes], dtype=float) / 2.0,
+            is_macro=np.array([k == NodeKind.MACRO for k in kinds], dtype=bool),
+            is_cluster=np.array([k == NodeKind.CLUSTER for k in kinds], dtype=bool),
+            is_port=np.array([k == NodeKind.PORT for k in kinds], dtype=bool),
+            movable=np.array([n.movable for n in nodes], dtype=bool),
+            pin_owner=np.array([index[p.node] for p in pins], dtype=np.intp),
+            pin_dx=np.array([p.dx for p in pins], dtype=float),
+            pin_dy=np.array([p.dy for p in pins], dtype=float),
+            net_start=net_start,
+            net_weight=np.array([net.weight for net in self.nets], dtype=float),
+            driver=driver,
+        )
 
 
 def finite_float(text: str) -> float:

@@ -310,3 +310,47 @@ def three_cell_instance(seed, n_nets=140, n_cols=6, n_rows=5, real_weights=False
         weight = rng.uniform(0.1, 3.0) if real_weights else float(rng.randint(1, 3))
         nets.append(Net(f"net{j}", pins, weight=weight))
     return Netlist(nodes=nodes, nets=nets, canvas=canvas), placement, grid
+
+
+def one_net_instance(cells, weight, grid):
+    """One net with a pin at the center of each listed (col, row) cell, the
+    first pin its source; every pin is on its own zero-size port, so routing
+    demand is the only cost the placement carries. Returns (netlist,
+    placement)."""
+    nodes = [Node(f"p{i}", NodeKind.PORT, 0.0, 0.0, movable=False) for i in range(len(cells))]
+    pins = [Pin(f"p{i}", is_source=i == 0) for i in range(len(cells))]
+    placement = {f"p{i}": Pose(*grid.cell_center(*cell)) for i, cell in enumerate(cells)}
+    netlist = Netlist(nodes=nodes, nets=[Net("n", pins, weight=weight)], canvas=grid.canvas)
+    return netlist, placement
+
+
+def legality_instance(seed, n_cols=10, n_rows=8):
+    """2-6 macros on a grid of 10 x 10 cells for legality checks.
+
+    Sizes are one or two cells per side, a fifth of them scaled off the cell
+    size. Centers sit at cell centers, a fifth of them moved off-grid, so
+    outlines touch exactly, overlap or leave the canvas. One macro in ten,
+    fixed or movable, is left out of the placement. A port is always placed.
+    Returns (netlist, placement, grid).
+    """
+    rng = random.Random(seed)
+    canvas = Canvas(n_cols * 10.0, n_rows * 10.0)
+    grid = build_grid(canvas, n_cols, n_rows)
+    nodes = [Node("p", NodeKind.PORT, 0.0, 0.0, movable=False)]
+    placement = {"p": Pose(0.0, canvas.height / 2)}
+    for i in range(rng.randint(2, 6)):
+        w = grid.cell_w * rng.choice((1, 1, 2))
+        h = grid.cell_h * rng.choice((1, 1, 2))
+        if rng.random() < 0.2:
+            w *= rng.uniform(0.5, 1.5)
+            h *= rng.uniform(0.5, 1.5)
+        name = f"m{i}"
+        nodes.append(Node(name, NodeKind.MACRO, w, h, movable=rng.random() < 0.7))
+        if rng.random() < 0.1:
+            continue
+        x, y = grid.cell_center(rng.randrange(n_cols), rng.randrange(n_rows))
+        if rng.random() < 0.2:
+            x += rng.uniform(-5.0, 5.0)
+            y += rng.uniform(-5.0, 5.0)
+        placement[name] = Pose(x, y, rng.choice(ORIENTS))
+    return Netlist(nodes=nodes, nets=[], canvas=canvas), placement, grid

@@ -1,10 +1,11 @@
 """Brute-force reference implementations used to freeze expected test values.
 
-Every cost quantity is recomputed here with plain Python loops and stdlib
-math so that agreement with the package's vectorized evaluator is evidence
-rather than tautology. Only data containers (netlist nodes/nets, grids,
-poses, and FD's parameter and per-iteration snapshot records) are shared with
-the package; nothing is imported from its cost, force, or annealing code.
+Every cost quantity, and macro legality, is recomputed here with plain
+Python loops and stdlib math so that agreement with the package's vectorized
+code is evidence rather than tautology. Only data containers (netlist
+nodes/nets, grids, poses, and FD's parameter and per-iteration snapshot
+records) are shared with the package; nothing is imported from its cost,
+force, legality or annealing code.
 The force-directed reference, `fd_place_dense`, is the dense O(n^2) numpy
 definition: every node pair is tested for overlap in (n, n) arrays.
 
@@ -59,6 +60,33 @@ def rect_overlap(a, b):
     if w > 0.0 and h > 0.0:
         return w * h
     return 0.0
+
+
+def placement_is_legal(netlist, placement, grid):
+    """Every movable macro is placed, inside the canvas and overlaps no other
+    placed macro; extents and overlaps are compared against grid.tol, an
+    overlap being the min/max interval intersection on both axes."""
+    tol = grid.tol
+    cv = netlist.canvas
+    boxes = {}
+    for node in netlist.nodes:
+        if node.kind is NodeKind.MACRO and node.name in placement:
+            pose = placement[node.name]
+            boxes[node.name] = (pose.x - node.width / 2.0, pose.y - node.height / 2.0,
+                                pose.x + node.width / 2.0, pose.y + node.height / 2.0)
+    for node in netlist.nodes:
+        if node.kind is not NodeKind.MACRO or not node.movable:
+            continue
+        if node.name not in boxes:
+            return False
+        x1, y1, x2, y2 = boxes[node.name]
+        if x1 < -tol or y1 < -tol or x2 > cv.width + tol or y2 > cv.height + tol:
+            return False
+        for other, b in boxes.items():
+            if (other != node.name and min(x2, b[2]) - max(x1, b[0]) > tol
+                    and min(y2, b[3]) - max(y1, b[1]) > tol):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

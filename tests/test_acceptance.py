@@ -17,9 +17,9 @@ import numpy as np
 from gridplace.annealer import SAConfig, anneal, run_parallel, shuffle_same_size, write_trace_csv
 from gridplace.bookshelf import parse_aux, parse_bookshelf, read_placement
 from gridplace.clustering import cluster_by_grid
-from gridplace.cost import CostConfig, Evaluator, ProxyWeights, net_congestion, route_net, smooth_grid
-from gridplace.fd import FDParams, fd_place, fd_repulsive_only
-from gridplace.geometry import build_grid, node_bbox, overlap_area, placement_is_legal
+from gridplace.cost import CostConfig, Evaluator, ProxyWeights, smooth_grid
+from gridplace.fd import FDParams, fd_place
+from gridplace.geometry import build_grid, node_bbox, placement_is_legal
 from gridplace.netlist import (
     Canvas,
     Net,
@@ -33,7 +33,14 @@ from gridplace.netlist import (
 from gridplace.stats import kendall_tau, weight_sweep
 
 import oracles
-from gen import enumerable_instance, fd_instance, shuffle_instance, small_instance, stacked_pair
+from gen import (
+    enumerable_instance,
+    fd_instance,
+    one_net_instance,
+    shuffle_instance,
+    small_instance,
+    stacked_pair,
+)
 
 
 def _close(got, want, rel):
@@ -109,10 +116,10 @@ def test_criterion_04():
     for seed in range(50):
         netlist, placement = stacked_pair(seed)
         g0, g1 = netlist.nodes
-        before = overlap_area(node_bbox(g0, placement["g0"]), node_bbox(g1, placement["g1"]))
+        before = oracles.rect_overlap(node_bbox(g0, placement["g0"]), node_bbox(g1, placement["g1"]))
         assert before > 0.0
-        out = fd_repulsive_only(netlist, placement, FDParams(num_iters=40, seed=seed))
-        after = overlap_area(node_bbox(g0, out["g0"]), node_bbox(g1, out["g1"]))
+        out = fd_place(netlist, placement, FDParams(num_iters=40, seed=seed, k_attract=0.0))
+        after = oracles.rect_overlap(node_bbox(g0, out["g0"]), node_bbox(g1, out["g1"]))
         assert after < before, f"seed {seed}: {after} !< {before}"
     assert time.monotonic() - t0 < 10.0
 
@@ -210,32 +217,63 @@ def test_criterion_07():
     netlist = Netlist(nodes=nodes, nets=nets, canvas=Canvas(40.0, 40.0))
     placement = {"a": Pose(10.0, 10.0, Orientation.N), "b": Pose(30.0, 30.0, Orientation.N)}
     one = build_grid(netlist.canvas, 1, 1)
-    hn, vn = net_congestion(netlist, placement, one)
+    ev = Evaluator(netlist, one)
+    hn, vn = ev.net_congestion_from_arrays(*ev.node_arrays(placement))
     assert not hn.any() and not vn.any()
 
-    # Star decomposition for nets on more than three cells.
-    grid = build_grid(Canvas(80.0, 80.0), 8, 8)
+    # Star decomposition for nets on more than three cells, in the reference
+    # router and in the Evaluator (one net, pins at cell centers, unit
+    # capacities). The Evaluator's running sums over +w/-w differences may
+    # round a real weight's total differently in the last place.
+    grid = build_grid(Canvas(80.0, 80.0), 8, 8, h_capacity=1.0, v_capacity=1.0)
     src = (1, 1)
     sinks = [(6, 2), (3, 5), (0, 7), (6, 6)]
-    hk, vk = route_net(src, sinks, 1.7, grid)
+
+    def oracle_demand(sinks):
+        h, v = oracles.zeros(8, 8), oracles.zeros(8, 8)
+        oracles.route_demand(h, v, 1.7, src, sorted(sinks))
+        return np.array(h), np.array(v)
+
+    def evaluator_demand(sinks, weight):
+        nl, pl = one_net_instance([src] + sinks, weight, grid)
+        ev = Evaluator(nl, grid)
+        return ev.net_congestion_from_arrays(*ev.node_arrays(pl))
+
+    hk, vk = oracle_demand(sinks)
     hs = np.zeros_like(hk)
     vs = np.zeros_like(vk)
     for sink in sinks:
-        h2, v2 = route_net(src, [sink], 1.7, grid)
+        h2, v2 = oracle_demand([sink])
         hs += h2
         vs += v2
     assert np.array_equal(hk, hs) and np.array_equal(vk, vs)
+    for weight in (1.0, 1.7):
+        hk, vk = evaluator_demand(sinks, weight)
+        hs = np.zeros_like(hk)
+        vs = np.zeros_like(vk)
+        for sink in sinks:
+            h2, v2 = evaluator_demand([sink], weight)
+            hs += h2
+            vs += v2
+        if weight == 1.0:
+            assert np.array_equal(hk, hs) and np.array_equal(vk, vs)
+        else:
+            assert np.allclose(hk, hs, rtol=1e-12, atol=1e-12 * np.abs(hs).max())
+            assert np.allclose(vk, vs, rtol=1e-12, atol=1e-12 * np.abs(vs).max())
 
     # Combined surface = macro surface + smoothed net surface, checked by
     # zeroing one source at a time through the public configuration.
+    def surfaces(nl, g, config, pl):
+        ev = Evaluator(nl, g, config)
+        return ev.congestion_surfaces_from_arrays(*ev.node_arrays(pl))
+
     for seed in range(10):
         nl, pl, g = small_instance(2000 + seed)
-        r = CostConfig().smooth_radius
-        full_h, full_v = Evaluator(nl, g, CostConfig()).congestion_grids(pl).combined(r)
+        full_h, full_v = surfaces(nl, g, CostConfig(), pl)
         no_nets = Netlist(nodes=nl.nodes, nets=[], canvas=nl.canvas)
-        macro_h, macro_v = Evaluator(no_nets, g, CostConfig()).congestion_grids(pl).combined(r)
+        macro_h, macro_v = surfaces(no_nets, g, CostConfig(), pl)
         zero_usage = CostConfig(macro_h_usage=0.0, macro_v_usage=0.0)
-        net_h, net_v = Evaluator(nl, g, zero_usage).congestion_grids(pl).combined(r)
+        net_h, net_v = surfaces(nl, g, zero_usage, pl)
         assert np.array_equal(full_h, macro_h + net_h)
         assert np.array_equal(full_v, macro_v + net_v)
 

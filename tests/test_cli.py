@@ -202,6 +202,18 @@ def test_missing_kendall_csv_is_diagnosed(capsys):
     assert "/nonexistent.csv" in _one_line_error(capsys)
 
 
+def test_missing_external_metrics_is_diagnosed(design, capsys):
+    # Checked before the design loads, so no anneal runs first.
+    net, pl, tmp = design
+    assert main([
+        "stability", "--netlist", str(net), "--initial", str(pl),
+        "--seed-pairs", "0;1", "--workers", "1", "--steps", "30", "--sequential",
+        "--external-metrics", "/nonexistent.csv", "--out-dir", str(tmp),
+    ]) == 2
+    assert "/nonexistent.csv" in _one_line_error(capsys)
+    assert not (tmp / "stability.csv").exists()
+
+
 def test_non_numeric_kendall_csv_is_diagnosed(tmp_path, capsys):
     csv_path = tmp_path / "ranks.csv"
     for body in ("x,y\n1,2\nfoo,3\n", "x,y\n1,2\n3\n"):

@@ -9,7 +9,7 @@ from gridplace.clustering import (
     cluster_by_grid,
     no_clustering,
 )
-from gridplace.errors import MissingInitialLocation, PointOutsideCanvas
+from gridplace.errors import MissingLocation, PointOutsideCanvas
 from gridplace.geometry import build_grid
 from gridplace.netlist import (
     Canvas,
@@ -111,9 +111,9 @@ def test_cluster_name_collision_appends_underscore():
 def test_missing_initial_location():
     netlist, initial, grid = _fixture()
     partial = {k: v for k, v in initial.items() if k != "s1"}
-    with pytest.raises(MissingInitialLocation):
+    with pytest.raises(MissingLocation):
         cluster_by_grid(netlist, partial, grid)
-    with pytest.raises(MissingInitialLocation):
+    with pytest.raises(MissingLocation):
         no_clustering(netlist, partial, grid)
 
 

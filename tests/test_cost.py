@@ -6,26 +6,16 @@ import numpy as np
 import pytest
 
 import oracles
-from gen import small_instance, three_cell_instance
+from gen import one_net_instance, small_instance, three_cell_instance
 from gridplace.cost import (
-    CongestionGrids,
     CostConfig,
     Evaluator,
     ProxyBreakdown,
     ProxyWeights,
-    congestion_cost,
-    density_cost,
-    density_grid,
-    macro_congestion,
-    net_congestion,
-    net_route_segments,
-    proxy_cost,
-    route_net,
     smooth_grid,
     top_fraction_mean,
-    wirelength_cost,
 )
-from gridplace.errors import EmptyCellSet, EmptyNetlist, OutOfRange
+from gridplace.errors import EmptyCellSet, OutOfRange
 from gridplace.geometry import build_grid
 from gridplace.netlist import (
     Canvas,
@@ -47,6 +37,25 @@ def _netlist(nodes, nets, w=100.0, h=100.0):
     return Netlist(nodes=nodes, nets=nets, canvas=Canvas(w, h))
 
 
+def _wirelength(nl, pl, grid):
+    return Evaluator(nl, grid).components(pl)[0]
+
+
+def _density_grid(nl, pl, grid):
+    ev = Evaluator(nl, grid)
+    return ev.density_grid_from_arrays(*ev.node_arrays(pl)[:2])
+
+
+def _macro_congestion(nl, pl, grid, config=None):
+    ev = Evaluator(nl, grid, config)
+    return ev.macro_congestion_from_arrays(*ev.node_arrays(pl)[:2])
+
+
+def _net_congestion(nl, pl, grid):
+    ev = Evaluator(nl, grid)
+    return ev.net_congestion_from_arrays(*ev.node_arrays(pl))
+
+
 # ---------------------------------------------------------------------------
 # Wirelength
 
@@ -58,7 +67,7 @@ def test_wirelength_two_pin_hand_value():
          Node("b", NodeKind.MACRO, 4.0, 4.0, movable=True)],
         [Net("n", [Pin("a", 0.0, 0.0, is_source=True), Pin("b", 0.0, 0.0)])])
     pl = {"a": Pose(10.0, 10.0), "b": Pose(30.0, 40.0)}
-    assert wirelength_cost(nl, pl, _grid()) == pytest.approx(0.25, rel=1e-12)
+    assert _wirelength(nl, pl, _grid()) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_wirelength_weight_and_mean_over_nets():
@@ -70,7 +79,7 @@ def test_wirelength_weight_and_mean_over_nets():
          Net("n2", [Pin("a", is_source=True), Pin("b")], weight=1.0)])
     pl = {"a": Pose(10.0, 10.0), "b": Pose(30.0, 40.0)}
     # (2 * 50 + 1 * 50) / 200 / 2 nets
-    assert wirelength_cost(nl, pl, _grid()) == pytest.approx(0.375, rel=1e-12)
+    assert _wirelength(nl, pl, _grid()) == pytest.approx(0.375, rel=1e-12)
 
 
 def test_wirelength_orientation_moves_pins():
@@ -82,21 +91,28 @@ def test_wirelength_orientation_moves_pins():
         [Net("n", [Pin("a", 5.0, 0.0, is_source=True), Pin("b", 5.0, 0.0)])])
     mixed = {"a": Pose(10.0, 10.0), "b": Pose(30.0, 10.0, Orientation.FN)}
     both_n = {"a": Pose(10.0, 10.0), "b": Pose(30.0, 10.0)}
-    assert wirelength_cost(nl, mixed, _grid()) == pytest.approx(10.0 / 200.0, rel=1e-12)
-    assert wirelength_cost(nl, both_n, _grid()) == pytest.approx(20.0 / 200.0, rel=1e-12)
+    assert _wirelength(nl, mixed, _grid()) == pytest.approx(10.0 / 200.0, rel=1e-12)
+    assert _wirelength(nl, both_n, _grid()) == pytest.approx(20.0 / 200.0, rel=1e-12)
 
 
 def test_wirelength_translation_invariant():
     nl, pl, grid = small_instance(3)
-    base = wirelength_cost(nl, pl, grid)
+    base = _wirelength(nl, pl, grid)
     shifted = {k: Pose(p.x + 5.0, p.y + 7.0, p.orient) for k, p in pl.items()}
-    assert wirelength_cost(nl, shifted, grid) == pytest.approx(base, rel=1e-9)
+    assert _wirelength(nl, shifted, grid) == pytest.approx(base, rel=1e-9)
 
 
-def test_wirelength_empty_netlist_raises():
+def test_wirelength_zero_nets_is_zero():
+    # With no nets the wirelength term is 0.0; density and congestion still
+    # come from the macro.
     nl = _netlist([Node("a", NodeKind.MACRO, 4.0, 4.0, movable=True)], [])
-    with pytest.raises(EmptyNetlist):
-        wirelength_cost(nl, {"a": Pose(10.0, 10.0)}, _grid())
+    pl = {"a": Pose(10.0, 10.0)}
+    grid = _grid()
+    wl, dens, cong = Evaluator(nl, grid).components(pl)
+    assert wl == 0.0
+    assert dens == pytest.approx(oracles.density(nl, pl, grid), rel=1e-12)
+    assert cong == pytest.approx(oracles.congestion(nl, pl, grid), rel=1e-12)
+    assert dens > 0.0 and cong > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +126,7 @@ def test_density_single_macro_covering_one_cell():
     nl = _netlist([Node("a", NodeKind.MACRO, 10.0, 10.0, movable=True)],
                   [Net("n", [Pin("a", is_source=True), Pin("a")])])
     pl = {"a": Pose(15.0, 15.0)}
-    assert density_cost(nl, pl, grid) == pytest.approx(0.1, rel=1e-12)
+    assert Evaluator(nl, grid).components(pl)[1] == pytest.approx(0.1, rel=1e-12)
 
 
 def test_density_grid_stacked_macros():
@@ -120,7 +136,7 @@ def test_density_grid_stacked_macros():
                    Node("b", NodeKind.MACRO, 10.0, 10.0, movable=True)],
                   [Net("n", [Pin("a", is_source=True), Pin("b")])])
     pl = {"a": Pose(15.0, 15.0), "b": Pose(15.0, 15.0)}
-    dg = density_grid(nl, pl, grid)
+    dg = _density_grid(nl, pl, grid)
     assert dg[1, 1] == pytest.approx(2.0, rel=1e-12)
     assert dg.sum() == pytest.approx(2.0, rel=1e-12)
 
@@ -131,7 +147,7 @@ def test_density_ignores_ports_and_stdcells():
                    Node("p", NodeKind.PORT, 0.0, 0.0, movable=False)],
                   [Net("n", [Pin("a", is_source=True), Pin("p")])])
     pl = {"a": Pose(15.0, 15.0), "p": Pose(0.0, 0.0)}
-    assert density_grid(nl, pl, grid).sum() == 0.0
+    assert _density_grid(nl, pl, grid).sum() == 0.0
 
 
 def test_density_cluster_counts():
@@ -139,7 +155,7 @@ def test_density_cluster_counts():
     nl = _netlist([Node("g", NodeKind.CLUSTER, 10.0, 10.0, movable=True)],
                   [Net("n", [Pin("g", is_source=True), Pin("g")])])
     pl = {"g": Pose(15.0, 15.0)}
-    assert density_grid(nl, pl, grid)[1, 1] == pytest.approx(1.0, rel=1e-12)
+    assert _density_grid(nl, pl, grid)[1, 1] == pytest.approx(1.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -209,41 +225,58 @@ def test_smooth_negative_radius_raises():
 # Routing patterns
 
 
+def _route(src, sinks, weight, grid=None):
+    """Raw demand (H, V) of one net with pins at the centers of the source
+    cell and the sink cells, as the Evaluator routes it. The grid's
+    capacities are 1, so demand / capacity is the demand itself."""
+    grid = grid or build_grid(Canvas(80.0, 80.0), 8, 8, h_capacity=1.0, v_capacity=1.0)
+    nl, pl = one_net_instance([src] + list(sinks), weight, grid)
+    ev = Evaluator(nl, grid)
+    return ev.net_congestion_from_arrays(*ev.node_arrays(pl))
+
+
+def _oracle_route(src, sinks, weight, n_cols=8, n_rows=8):
+    h = oracles.zeros(n_cols, n_rows)
+    v = oracles.zeros(n_cols, n_rows)
+    oracles.route_demand(h, v, weight, src, sorted(sinks))
+    return np.array(h), np.array(v)
+
+
 def test_route_two_cells_same_row():
     # (0,0) -> (2,0): crossings on the right boundaries of (0,0) and (1,0).
-    h, v = route_net((0, 0), [(2, 0)], 1.0, _grid())
+    h, v = _route((0, 0), [(2, 0)], 1.0)
     assert h[0, 0] == 1.0 and h[1, 0] == 1.0
     assert h.sum() == 2.0 and v.sum() == 0.0
 
 
 def test_route_two_cells_l_turn():
     # Horizontal arm on the source row, vertical arm on the sink column.
-    h, v = route_net((0, 0), [(2, 3)], 1.0, _grid())
+    h, v = _route((0, 0), [(2, 3)], 1.0)
     assert {(c, r) for c, r in zip(*np.nonzero(h))} == {(0, 0), (1, 0)}
     assert {(c, r) for c, r in zip(*np.nonzero(v))} == {(2, 0), (2, 1), (2, 2)}
 
 
 def test_route_weight_scales_demand():
-    h1, v1 = route_net((0, 0), [(2, 3)], 1.0, _grid())
-    h2, v2 = route_net((0, 0), [(2, 3)], 2.5, _grid())
+    h1, v1 = _route((0, 0), [(2, 3)], 1.0)
+    h2, v2 = _route((0, 0), [(2, 3)], 2.5)
     assert np.allclose(h2, 2.5 * h1) and np.allclose(v2, 2.5 * v1)
 
 
 def test_route_three_cells_shared_row_and_tie_branch():
     # Source (0,0) and sink (2,0) share a row; third cell (1,2) is equidistant
     # from both ends, so it branches from the earlier one, (0,0).
-    h, v = route_net((0, 0), [(2, 0), (1, 2)], 1.0, _grid())
+    h, v = _route((0, 0), [(2, 0), (1, 2)], 1.0)
     assert h[0, 0] == 2.0 and h[1, 0] == 1.0 and h.sum() == 3.0
     assert v[1, 0] == 1.0 and v[1, 1] == 1.0 and v.sum() == 2.0
 
 
 def test_route_three_cells_no_shared_line_falls_back_to_star():
     cells = [(0, 0), (3, 1), (1, 2)]
-    h, v = route_net(cells[0], cells[1:], 1.0, _grid())
+    h, v = _route(cells[0], cells[1:], 1.0)
     hs = np.zeros_like(h)
     vs = np.zeros_like(v)
     for sink in cells[1:]:
-        dh, dv = route_net(cells[0], [sink], 1.0, _grid())
+        dh, dv = _route(cells[0], [sink], 1.0)
         hs += dh
         vs += dv
     assert np.array_equal(h, hs) and np.array_equal(v, vs)
@@ -254,35 +287,34 @@ def test_route_star_is_sum_of_l_routes():
     # routes.
     src = (1, 1)
     sinks = [(0, 0), (3, 1), (1, 3), (2, 2)]
-    h, v = route_net(src, sinks, 1.5, _grid())
+    h, v = _route(src, sinks, 1.5)
     hs = np.zeros_like(h)
     vs = np.zeros_like(v)
     for sink in sinks:
-        dh, dv = route_net(src, [sink], 1.5, _grid())
+        dh, dv = _route(src, [sink], 1.5)
         hs += dh
         vs += dv
     assert np.array_equal(h, hs) and np.array_equal(v, vs)
 
 
 def test_route_single_cell_no_demand():
-    h, v = route_net((3, 3), [], 1.0, _grid())
+    # Both pins in cell (3, 3): nothing to route.
+    h, v = _route((3, 3), [(3, 3)], 1.0)
     assert h.sum() == 0.0 and v.sum() == 0.0
-    assert net_route_segments((3, 3), []) == ([], [])
+    h, v = _oracle_route((3, 3), [], 1.0)
+    assert h.sum() == 0.0 and v.sum() == 0.0
 
 
 def test_route_matches_oracle_walker():
     import random
     rng = random.Random(5)
-    g = _grid()
     for _ in range(40):
         k = rng.randint(1, 6)
         cells = rng.sample([(c, r) for c in range(8) for r in range(8)], k)
-        h, v = route_net(cells[0], cells[1:], 1.0, g)
-        ho = oracles.zeros(8, 8)
-        vo = oracles.zeros(8, 8)
-        oracles.route_demand(ho, vo, 1.0, cells[0], sorted(cells[1:]))
-        assert np.array_equal(h, np.array(ho))
-        assert np.array_equal(v, np.array(vo))
+        h, v = _route(cells[0], cells[1:], 1.0)
+        ho, vo = _oracle_route(cells[0], cells[1:], 1.0)
+        assert np.array_equal(h, ho)
+        assert np.array_equal(v, vo)
 
 
 def _three_cell_case(src, sinks):
@@ -317,7 +349,7 @@ def test_evaluator_three_cell_routes_match_route_net(real_weights):
             src, sinks = _net_cells(pl, grid, net)
             if len(sinks) == 2:
                 cases.add(_three_cell_case(src, sinks))
-            dh, dv = route_net(src, sinks, net.weight, grid)
+            dh, dv = _oracle_route(src, sinks, net.weight, grid.n_cols, grid.n_rows)
             hs += dh
             vs += dv
         hs /= grid.h_capacity
@@ -353,7 +385,7 @@ def test_macro_congestion_hand_value():
     nl = _netlist([Node("a", NodeKind.MACRO, 25.0, 10.0, movable=True)],
                   [Net("n", [Pin("a", is_source=True), Pin("a")])])
     pl = {"a": Pose(20.0, 15.0)}
-    h, v = macro_congestion(nl, pl, grid)
+    h, v = _macro_congestion(nl, pl, grid)
     assert h[0, 1] == pytest.approx(0.1, rel=1e-12)
     assert h[1, 1] == pytest.approx(0.1, rel=1e-12)
     assert h[2, 1] == pytest.approx(0.1, rel=1e-12)
@@ -367,7 +399,7 @@ def test_macro_congestion_boundary_on_edge_excluded():
     nl = _netlist([Node("a", NodeKind.MACRO, 10.0, 10.0, movable=True)],
                   [Net("n", [Pin("a", is_source=True), Pin("a")])])
     pl = {"a": Pose(15.0, 15.0)}
-    h, v = macro_congestion(nl, pl, grid)
+    h, v = _macro_congestion(nl, pl, grid)
     assert h.sum() == 0.0 and v.sum() == 0.0
 
 
@@ -375,7 +407,7 @@ def test_macro_congestion_ignores_clusters():
     grid = build_grid(Canvas(100.0, 100.0), 10, 10)
     nl = _netlist([Node("g", NodeKind.CLUSTER, 25.0, 10.0, movable=True)],
                   [Net("n", [Pin("g", is_source=True), Pin("g")])])
-    h, v = macro_congestion(nl, {"g": Pose(20.0, 15.0)}, grid)
+    h, v = _macro_congestion(nl, {"g": Pose(20.0, 15.0)}, grid)
     assert h.sum() == 0.0 and v.sum() == 0.0
 
 
@@ -384,8 +416,8 @@ def test_macro_congestion_usage_scales():
     nl = _netlist([Node("a", NodeKind.MACRO, 25.0, 10.0, movable=True)],
                   [Net("n", [Pin("a", is_source=True), Pin("a")])])
     pl = {"a": Pose(20.0, 15.0)}
-    h1, _ = macro_congestion(nl, pl, grid)
-    h2, _ = macro_congestion(nl, pl, grid, config=CostConfig(macro_h_usage=2.0))
+    h1, _ = _macro_congestion(nl, pl, grid)
+    h2, _ = _macro_congestion(nl, pl, grid, config=CostConfig(macro_h_usage=2.0))
     assert np.allclose(h2, 2.0 * h1, rtol=1e-12)
 
 
@@ -396,12 +428,15 @@ def test_macro_congestion_usage_scales():
 def test_congestion_surfaces_sum_entrywise():
     nl, pl, grid = small_instance(9)
     ev = Evaluator(nl, grid)
-    grids = ev.congestion_grids(pl)
-    hc, vc = grids.combined(radius=2)
-    assert np.allclose(
-        hc, grids.h_macro + smooth_grid(grids.h_net, 2, axis=0), rtol=1e-12)
-    assert np.allclose(
-        vc, grids.v_macro + smooth_grid(grids.v_net, 2, axis=1), rtol=1e-12)
+    x, y, sx, sy = ev.node_arrays(pl)
+    hc, vc = ev.congestion_surfaces_from_arrays(x, y, sx, sy)
+    hm, vm = ev.macro_congestion_from_arrays(x, y)
+    hn, vn = ev.net_congestion_from_arrays(x, y, sx, sy)
+    assert np.allclose(hc, hm + smooth_grid(hn, 2, axis=0), rtol=1e-12)
+    assert np.allclose(vc, vm + smooth_grid(vn, 2, axis=1), rtol=1e-12)
+    ho, vo = oracles.congestion_surfaces(nl, pl, grid)
+    assert np.allclose(hc, np.array(ho), rtol=1e-9, atol=1e-15)
+    assert np.allclose(vc, np.array(vo), rtol=1e-9, atol=1e-15)
 
 
 def test_components_match_oracle():
@@ -415,13 +450,13 @@ def test_components_match_oracle():
 
 def test_congestion_cost_matches_oracle():
     nl, pl, grid = small_instance(21)
-    got = congestion_cost(nl, pl, grid)
+    got = Evaluator(nl, grid).components(pl)[2]
     assert got == pytest.approx(oracles.congestion(nl, pl, grid), rel=1e-9)
 
 
 def test_net_congestion_matches_oracle():
     nl, pl, grid = small_instance(22)
-    h, v = net_congestion(nl, pl, grid)
+    h, v = _net_congestion(nl, pl, grid)
     ho, vo = oracles.net_demand(nl, pl, grid)
     assert np.allclose(h, np.array(ho), rtol=1e-9, atol=1e-15)
     assert np.allclose(v, np.array(vo), rtol=1e-9, atol=1e-15)
@@ -437,8 +472,10 @@ def test_breakdown_combination():
 
 
 def test_proxy_cost_wrapper_defaults():
+    # Without weights or a cost configuration, the total weighs density and
+    # congestion by 0.5 each.
     nl, pl, grid = small_instance(8)
-    b = proxy_cost(nl, pl, grid)
+    b = Evaluator(nl, grid).breakdown(pl)
     wl, dens, cong = Evaluator(nl, grid).components(pl)
     assert b.total == wl + 0.5 * dens + 0.5 * cong
 

@@ -9,17 +9,8 @@ import pytest
 from gridplace.bookshelf import parse_aux, parse_bookshelf, read_placement
 from gridplace.clustering import cluster_by_grid
 from gridplace.errors import DegenerateNet, MissingLocation, OutOfRange
-from gridplace.fd import (
-    FDIterationInfo,
-    FDParams,
-    _star_pairs,
-    attractive_force,
-    decompose_star,
-    fd_place,
-    fd_repulsive_only,
-    repulsive_force,
-)
-from gridplace.geometry import build_grid, node_bbox, overlap_area
+from gridplace.fd import FDIterationInfo, FDParams, _star_pairs, fd_place
+from gridplace.geometry import build_grid, node_bbox
 from gridplace.netlist import (
     Canvas,
     Net,
@@ -36,45 +27,103 @@ from gen import fd_contact_instance, fd_instance, stacked_pair
 
 
 def test_decompose_star_pairs():
-    net = Net("n", [Pin("a"), Pin("b"), Pin("c", is_source=True), Pin("d"), Pin("e")])
-    pairs = decompose_star(net)
-    assert len(pairs) == 4
-    assert all(c.node == "c" for c, _ in pairs)
-    assert [o.node for _, o in pairs] == ["a", "b", "d", "e"]
-    # No marked source: the first pin is the center.
-    net2 = Net("n2", [Pin("a"), Pin("b")])
-    assert [(c.node, o.node) for c, o in decompose_star(net2)] == [("a", "b")]
+    # One pair from the driver to each other pin: the marked source, else the
+    # first pin. A one-pin net has no pair.
+    nodes = [Node(name, NodeKind.MACRO, 2.0, 2.0, movable=True) for name in "abcde"]
+    nets = [Net("n", [Pin("a"), Pin("b"), Pin("c", is_source=True), Pin("d"), Pin("e")]),
+            Net("n2", [Pin("d"), Pin("b")]),
+            Net("n3", [Pin("a")])]
+    netlist = Netlist(nodes=nodes, nets=nets, canvas=Canvas(20.0, 20.0))
+    a_idx, b_idx, _, _, _ = _star_pairs(netlist, {}, 1.0)
+    assert a_idx.tolist() == [2, 2, 2, 2, 3]
+    assert b_idx.tolist() == [0, 1, 3, 4, 1]
     with pytest.raises(DegenerateNet):
-        decompose_star(Net("n3", [Pin("a")]))
+        Netlist(nodes=nodes, nets=[Net("n4", [])], canvas=Canvas(20.0, 20.0))
+
+
+# Fixed 10 x 10 macro pairs whose repulsion runs along one axis only: x for
+# rx0/rx1, y for ry0/ry1. They fix the per-axis normalisation of iteration 0
+# at k_repel * f_r_max, so other nodes' normalised forces read as fractions
+# of it.
+_AXIS_PAIRS = [("rx0", NodeKind.MACRO, 10.0, 10.0, 10.0, 90.0),
+               ("rx1", NodeKind.MACRO, 10.0, 10.0, 14.0, 90.0),
+               ("ry0", NodeKind.MACRO, 10.0, 10.0, 90.0, 10.0),
+               ("ry1", NodeKind.MACRO, 10.0, 10.0, 90.0, 14.0)]
+
+
+def _iteration0(fixed, nets=(), **params):
+    """Normalised forces of iteration 0, divided by the step length, by node
+    name. `fixed` lists (name, kind, width, height, x, y) of fixed nodes on a
+    100 x 100 canvas; one 2 x 2 cluster "g" starts at the canvas center."""
+    nodes = [Node("g", NodeKind.CLUSTER, 2.0, 2.0, movable=True)]
+    placement = {}
+    for name, kind, w, h, x, y in fixed:
+        nodes.append(Node(name, kind, w, h, movable=False))
+        placement[name] = Pose(x, y)
+    netlist = Netlist(nodes=nodes, nets=list(nets), canvas=Canvas(100.0, 100.0))
+    infos = []
+    fd_place(netlist, placement, FDParams(num_iters=1, **params), observer=infos.append)
+    mmd = infos[0].max_move_distance
+    return {n.name: (infos[0].norm_fx[i] / mmd, infos[0].norm_fy[i] / mmd)
+            for i, n in enumerate(nodes)}
 
 
 def test_attractive_force_magnitudes():
-    assert attractive_force((0.0, 0.0), (3.0, 4.0), 2.0) == (6.0, 8.0)
-    assert attractive_force((3.0, 4.0), (0.0, 0.0), 2.0) == (6.0, 8.0)
-    assert attractive_force((0.0, 0.0), (3.0, 4.0), 2.0, io_scale=0.5) == (3.0, 4.0)
-    assert attractive_force((1.0, 1.0), (1.0, 5.0), 1.0) == (0.0, 4.0)
+    # Port p sits (30, 40) below-left of the cluster at (50, 50), macro m
+    # (15, 20) above-right. Each pull is k_attract * |delta| per axis toward
+    # the other pin, scaled by io_factor when a port is an endpoint.
+    fixed = [("p", NodeKind.PORT, 0.0, 0.0, 20.0, 10.0),
+             ("m", NodeKind.MACRO, 2.0, 2.0, 65.0, 70.0),
+             ("q", NodeKind.MACRO, 2.0, 2.0, 50.0, 80.0)]
+    nets = [Net("n1", [Pin("g", is_source=True), Pin("p")]),
+            Net("n2", [Pin("g", is_source=True), Pin("m")]),
+            Net("n3", [Pin("g", is_source=True), Pin("q")])]
+    for io_factor in (1.0, 0.5):
+        f = _iteration0(fixed, nets, k_repel=0.0, io_factor=io_factor)
+        assert f["p"][0] / f["m"][0] == pytest.approx(-2.0 * io_factor, rel=1e-12)
+        assert f["p"][1] / f["m"][1] == pytest.approx(-2.0 * io_factor, rel=1e-12)
+        assert f["p"][0] > 0.0 and f["p"][1] > 0.0
+        # Same x as the cluster: no x pull.
+        assert f["q"][0] == 0.0 and f["q"][1] < 0.0
 
 
 def test_repulsive_force_zero_without_positive_overlap():
-    # Disjoint.
-    assert repulsive_force((0, 0), (1, 1), (5, 5), (1, 1), 1.0, 10.0) == (0.0, 0.0)
-    # Touching edges (zero-area overlap) also exert nothing.
-    assert repulsive_force((0, 0), (1, 1), (2, 0), (1, 1), 1.0, 10.0) == (0.0, 0.0)
+    # a and b touch along x = 11; c is apart from both. Only the axis pairs
+    # overlap.
+    fixed = _AXIS_PAIRS + [("a", NodeKind.MACRO, 2.0, 2.0, 10.0, 40.0),
+                           ("b", NodeKind.MACRO, 2.0, 2.0, 12.0, 40.0),
+                           ("c", NodeKind.MACRO, 2.0, 2.0, 30.0, 30.0)]
+    f = _iteration0(fixed, k_attract=0.0)
+    for name in ("a", "b", "c", "g"):
+        assert f[name] == (0.0, 0.0)
+    assert f["rx1"] == (1.0, 0.0) and f["ry1"] == (0.0, 1.0)
 
 
 def test_repulsive_force_along_center_line():
-    fx, fy = repulsive_force((0, 0), (5, 5), (3, 4), (5, 5), 1.0, 10.0)
-    assert fx == pytest.approx(6.0)
-    assert fy == pytest.approx(8.0)
+    # s sits (3, 4) from r: each is pushed along the center line, 3/5 and 4/5
+    # of k_repel * f_r_max on the two axes.
+    fixed = _AXIS_PAIRS + [("r", NodeKind.MACRO, 10.0, 10.0, 30.0, 30.0),
+                           ("s", NodeKind.MACRO, 10.0, 10.0, 33.0, 34.0)]
+    f = _iteration0(fixed, k_attract=0.0)
+    assert f["s"][0] == pytest.approx(0.6, rel=1e-12)
+    assert f["s"][1] == pytest.approx(0.8, rel=1e-12)
+    assert f["r"] == (-f["s"][0], -f["s"][1])
 
 
 def test_repulsive_force_coincident_centers():
-    with pytest.raises(ValueError):
-        repulsive_force((2, 2), (1, 1), (2, 2), (1, 1), 1.0, 10.0)
-    rng = np.random.Generator(np.random.PCG64(7))
-    fx, fy = repulsive_force((2, 2), (1, 1), (2, 2), (1, 1), 0.5, 10.0, rng=rng)
-    assert math.hypot(fx, fy) == pytest.approx(5.0)
-    assert fx >= 0.0 and fy >= 0.0
+    # Coincident centers split along a direction drawn from the seed, one node
+    # each way, with the full magnitude k_repel * f_r_max.
+    fixed = _AXIS_PAIRS + [("u", NodeKind.MACRO, 4.0, 4.0, 30.0, 30.0),
+                           ("w", NodeKind.MACRO, 4.0, 4.0, 30.0, 30.0)]
+    seen = set()
+    for seed in range(4):
+        f = _iteration0(fixed, k_attract=0.0, k_repel=0.5, seed=seed)
+        theta = np.random.Generator(np.random.PCG64(seed)).uniform(0.0, 2.0 * np.pi)
+        assert f["u"][0] == pytest.approx(math.cos(theta), rel=1e-12)
+        assert f["u"][1] == pytest.approx(math.sin(theta), rel=1e-12)
+        assert f["w"] == (-f["u"][0], -f["u"][1])
+        seen.add(f["u"])
+    assert len(seen) == 4
 
 
 def _cancel_fixture():
@@ -186,25 +235,23 @@ def test_determinism_and_seed_sensitivity():
 
 
 def test_repulsive_only_matches_zero_attraction():
+    # With zero attraction the nets exert nothing: the run equals the run on
+    # the same nodes without nets.
     netlist, placement = fd_instance(6)
-    params = FDParams(num_iters=12, seed=6)
-    only = fd_repulsive_only(netlist, placement, params)
-    zeroed = fd_place(netlist, placement, replace(params, k_attract=0.0))
-    assert only == zeroed
+    assert netlist.nets
+    params = FDParams(num_iters=12, seed=6, k_attract=0.0)
+    no_nets = Netlist(nodes=netlist.nodes, nets=[], canvas=netlist.canvas)
+    assert fd_place(netlist, placement, params) == fd_place(no_nets, placement, params)
 
 
 def test_repulsion_separates_stacked_clusters():
     for seed in range(5):
         netlist, placement = stacked_pair(seed)
         g0, g1 = netlist.nodes
-        before = overlap_area(node_bbox(g0, Pose(netlist.canvas.width / 2,
-                                                 netlist.canvas.height / 2,
-                                                 Orientation.N)),
-                              node_bbox(g1, Pose(netlist.canvas.width / 2,
-                                                 netlist.canvas.height / 2,
-                                                 Orientation.N)))
-        out = fd_repulsive_only(netlist, placement, FDParams(num_iters=40, seed=seed))
-        after = overlap_area(node_bbox(g0, out["g0"]), node_bbox(g1, out["g1"]))
+        center = Pose(netlist.canvas.width / 2, netlist.canvas.height / 2, Orientation.N)
+        before = oracles.rect_overlap(node_bbox(g0, center), node_bbox(g1, center))
+        out = fd_place(netlist, placement, FDParams(num_iters=40, seed=seed, k_attract=0.0))
+        after = oracles.rect_overlap(node_bbox(g0, out["g0"]), node_bbox(g1, out["g1"]))
         assert before > 0.0
         assert after < before
 
@@ -261,13 +308,13 @@ def test_star_pairs_match_per_pin_loop():
     for netlist, placement in cases:
         node_idx = {n.name: i for i, n in enumerate(netlist.nodes)}
         for io_factor in (1.0, 0.25):
-            got = _star_pairs(netlist, placement, node_idx, io_factor)
+            got = _star_pairs(netlist, placement, io_factor)
             want = oracles.star_pairs(netlist, placement, node_idx, io_factor)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert np.array_equal(a, b)
     # No nets: float offsets and scales, so the attraction sums stay float.
-    _, _, a_off, b_off, scale = _star_pairs(*stacked_pair(0), {"g0": 0, "g1": 1}, 1.0)
+    _, _, a_off, b_off, scale = _star_pairs(*stacked_pair(0), 1.0)
     assert a_off.dtype == b_off.dtype == scale.dtype == np.float64
 
 

@@ -2,16 +2,10 @@
 
 import pytest
 
-from gridplace.errors import InvalidDimension, OutOfRange, UnknownNode
-from gridplace.geometry import (
-    bbox_inside_canvas,
-    boxes_overlap,
-    build_grid,
-    is_legal_macro_location,
-    node_bbox,
-    overlap_area,
-    placement_is_legal,
-)
+import oracles
+from gen import legality_instance
+from gridplace.errors import InvalidDimension, OutOfRange
+from gridplace.geometry import bbox_inside_canvas, build_grid, node_bbox, placement_is_legal
 from gridplace.netlist import (
     Canvas,
     Net,
@@ -125,18 +119,22 @@ def test_bbox_inside_canvas_edges():
 
 def test_overlap_area_cases():
     a = (0.0, 0.0, 10.0, 10.0)
-    assert overlap_area(a, (10.0, 0.0, 20.0, 10.0)) == 0.0  # touching
-    assert overlap_area(a, (5.0, 5.0, 15.0, 15.0)) == 25.0
-    assert overlap_area(a, (2.0, 2.0, 4.0, 4.0)) == 4.0  # nested
-    assert overlap_area(a, (30.0, 30.0, 40.0, 40.0)) == 0.0
+    assert oracles.rect_overlap(a, (10.0, 0.0, 20.0, 10.0)) == 0.0  # touching
+    assert oracles.rect_overlap(a, (5.0, 5.0, 15.0, 15.0)) == 25.0
+    assert oracles.rect_overlap(a, (2.0, 2.0, 4.0, 4.0)) == 4.0  # nested
+    assert oracles.rect_overlap(a, (30.0, 30.0, 40.0, 40.0)) == 0.0
 
 
 def test_boxes_overlap_tolerance():
-    a = (0.0, 0.0, 10.0, 10.0)
-    b = (9.9, 0.0, 20.0, 10.0)
-    assert boxes_overlap(a, b)
-    assert not boxes_overlap(a, b, tol=0.1)  # strict: overlap must exceed tol
-    assert not boxes_overlap(a, (10.0, 0.0, 20.0, 10.0))
+    # Two 10 x 10 macros side by side; an overlap must exceed grid.tol to
+    # make the placement illegal.
+    nodes = [Node("a", NodeKind.MACRO, 10.0, 10.0, movable=True),
+             Node("b", NodeKind.MACRO, 10.0, 10.0, movable=True)]
+    nl = Netlist(nodes=nodes, nets=[], canvas=Canvas(100.0, 100.0))
+    grid = _grid10()
+    for overlap, legal in ((0.0, True), (0.5 * grid.tol, True), (2.0 * grid.tol, False), (0.1, False)):
+        pl = {"a": Pose(5.0, 5.0), "b": Pose(15.0 - overlap, 5.0)}
+        assert placement_is_legal(nl, pl, grid) is legal, overlap
 
 
 def _legality_fixture():
@@ -166,35 +164,59 @@ def test_placement_is_legal():
     assert not placement_is_legal(nl, out, grid)
 
 
-def test_is_legal_macro_location():
+def _legal_with_m1_at(cell):
     nl, pl, grid = _legality_fixture()
-    # Empty cell: fine. Cell under the fixed macro: not fine.
-    assert is_legal_macro_location(nl, pl, "m1", (2, 2), Orientation.N, grid)
-    assert not is_legal_macro_location(nl, pl, "m1", (0, 0), Orientation.N, grid)
-    assert not is_legal_macro_location(nl, pl, "m1", (4, 0), Orientation.N, grid)
+    return placement_is_legal(nl, dict(pl, m1=Pose(*grid.cell_center(*cell))), grid)
+
+
+def test_is_legal_macro_location():
+    # Empty cell: fine. Cells under m0 and under the fixed macro: not fine.
+    assert _legal_with_m1_at((2, 2))
+    assert not _legal_with_m1_at((0, 0))
+    assert not _legal_with_m1_at((4, 0))
 
 
 def test_is_legal_macro_location_edge_fit():
     # A macro exactly the size of a cell fits an edge cell: touching counts
     # as inside.
-    nl, pl, grid = _legality_fixture()
-    assert is_legal_macro_location(nl, pl, "m1", (9, 9), Orientation.N, grid)
+    assert _legal_with_m1_at((9, 9))
 
 
 def test_is_legal_macro_location_adjacent_touching_ok():
-    nl, pl, grid = _legality_fixture()
     # m0 occupies cell (0, 0); the neighbor cell only touches it.
-    assert is_legal_macro_location(nl, pl, "m1", (1, 0), Orientation.N, grid)
-
-
-def test_is_legal_macro_location_unknown_node():
-    nl, pl, grid = _legality_fixture()
-    with pytest.raises(UnknownNode):
-        is_legal_macro_location(nl, pl, "nope", (0, 0), Orientation.N, grid)
+    assert _legal_with_m1_at((1, 0))
 
 
 def test_is_legal_macro_location_oversized():
     nodes = [Node("big", NodeKind.MACRO, 150.0, 10.0, movable=True)]
     nl = Netlist(nodes=nodes, nets=[], canvas=Canvas(100.0, 100.0))
     grid = _grid10()
-    assert not is_legal_macro_location(nl, {}, "big", (5, 5), Orientation.N, grid)
+    assert not placement_is_legal(nl, {"big": Pose(*grid.cell_center(5, 5))}, grid)
+
+
+def _touching_pairs(netlist, placement):
+    """Placed macro pairs whose intervals meet exactly on one axis and
+    overlap on the other."""
+    boxes = [node_bbox(n, placement[n.name]) for n in netlist.nodes
+             if n.kind is NodeKind.MACRO and n.name in placement]
+    count = 0
+    for i, a in enumerate(boxes):
+        for b in boxes[i + 1:]:
+            ox = min(a[2], b[2]) - max(a[0], b[0])
+            oy = min(a[3], b[3]) - max(a[1], b[1])
+            count += (ox == 0.0 and oy > 0.0) or (oy == 0.0 and ox > 0.0)
+    return count
+
+
+def test_placement_is_legal_matches_interval_oracle():
+    legal = illegal = touching = 0
+    for seed in range(2000):
+        nl, pl, grid = legality_instance(seed)
+        got = placement_is_legal(nl, pl, grid)
+        assert got == oracles.placement_is_legal(nl, pl, grid), seed
+        legal += got
+        illegal += not got
+        touching += _touching_pairs(nl, pl) if got else 0
+    # Both outcomes occur, and legal placements hold outlines that meet
+    # exactly edge to edge.
+    assert legal >= 100 and illegal >= 100 and touching >= 50, (legal, illegal, touching)
