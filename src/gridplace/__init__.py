@@ -42,8 +42,8 @@ from .netlist import (
     Orientation,
     Pin,
     Placement,
+    PlacementState,
     Pose,
-    mirror_orientation,
     read_netlist,
     transform_pin_offset,
     write_netlist,
@@ -60,11 +60,11 @@ from .svgplot import write_svg
 __all__ = [
     "ACTIONS", "Canvas", "ClusteredNetlist", "CostConfig", "Evaluator",
     "FDIterationInfo", "FDParams", "Grid", "Net", "Netlist", "Node",
-    "NodeKind", "Orientation", "ParallelResult", "Pin", "Placement", "Pose",
-    "ProxyBreakdown", "ProxyWeights", "SAConfig", "SAResult",
+    "NodeKind", "Orientation", "ParallelResult", "Pin", "Placement",
+    "PlacementState", "Pose", "ProxyBreakdown", "ProxyWeights", "SAConfig", "SAResult",
     "StabilityReport", "anneal", "apply_vacuous_placement", "build_grid",
     "cluster_by_grid", "fd_place", "init_greedy_pack", "init_spiral",
-    "kendall_tau", "mirror_orientation", "no_clustering", "node_bbox",
+    "kendall_tau", "no_clustering", "node_bbox",
     "parse_aux", "parse_bookshelf", "placement_is_legal", "read_netlist",
     "read_placement", "run_parallel", "shuffle_same_size", "smooth_grid",
     "spiral_cells", "stability_study", "summarize_groups",

@@ -15,23 +15,22 @@ the best macro placement and re-scores it.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-
-import multiprocessing
-from pathlib import Path
 
 import numpy as np
 
 from .clustering import ClusteredNetlist
 from .cost import CostConfig, Evaluator, ProxyBreakdown, ProxyWeights
-from .errors import InitFailed, MissingLocation, OutOfRange, Unplaceable
+from .errors import InitFailed, OutOfRange, Unplaceable
 from .fd import FDParams, fd_place
 from .geometry import Grid, MacroState
-from .netlist import Netlist, NodeKind, Orientation, Placement, Pose, mirror_orientation
+from .netlist import Netlist, NodeKind, Placement, PlacementState, write_text
 
 log = logging.getLogger(__name__)
 
@@ -120,38 +119,36 @@ def spiral_cells(n_cols: int, n_rows: int) -> list:
 _SCAN_BLOCK = 64
 
 
-def _place_macros(netlist: Netlist, grid: Grid, fixed: Placement, order, cells) -> Placement:
-    """Put each macro of `order` at the center of the first cell of `cells`
-    where it is legal, checking the cells a block at a time."""
-    st = MacroState(netlist, grid, fixed)
+def _place_macros(netlist: Netlist, grid: Grid, fixed: Placement, order, cells) -> PlacementState:
+    """`fixed` plus each macro of `order` at the center of the first cell of
+    `cells` where it is legal, checking the cells a block at a time."""
+    placement = PlacementState.of(netlist.arrays, fixed).copy()
+    st = MacroState(netlist, grid, placement)
     centers = [grid.cell_center(col, row) for col, row in cells]
     xs = np.array([c[0] for c in centers])
     ys = np.array([c[1] for c in centers])
-    placed: Placement = {}
     for node in order:
-        i = st.index[node.name]
+        i = netlist.arrays.index[node.name]
         for start in range(0, len(centers), _SCAN_BLOCK):
             ok = st.legal_centers(i, xs[start:start + _SCAN_BLOCK], ys[start:start + _SCAN_BLOCK])
             if ok.any():
-                cx, cy = centers[start + int(np.argmax(ok))]
-                st.x[i], st.y[i] = cx, cy
-                placed[node.name] = Pose(cx, cy, Orientation.N)
+                placement.x[i], placement.y[i] = centers[start + int(np.argmax(ok))]
                 break
         else:
             raise Unplaceable(node.name)
-    return placed
+    return placement
 
 
-def init_spiral(netlist: Netlist, grid: Grid, fixed: Placement) -> Placement:
-    """Each movable macro (input order) takes the first legal cell along a
-    counterclockwise inward spiral from the lower-left cell."""
+def init_spiral(netlist: Netlist, grid: Grid, fixed: Placement) -> PlacementState:
+    """`fixed` plus each movable macro (input order) at the first legal cell
+    along a counterclockwise inward spiral from the lower-left cell."""
     return _place_macros(netlist, grid, fixed, netlist.movable_macros,
                          spiral_cells(grid.n_cols, grid.n_rows))
 
 
-def init_greedy_pack(netlist: Netlist, grid: Grid, fixed: Placement) -> Placement:
-    """Macros in descending area order take the first legal cell scanning
-    row-major from the lower-left corner."""
+def init_greedy_pack(netlist: Netlist, grid: Grid, fixed: Placement) -> PlacementState:
+    """`fixed` plus the movable macros, in descending area order, each at the
+    first legal cell scanning row-major from the lower-left corner."""
     movable = netlist.movable_macros
     order = sorted(range(len(movable)), key=lambda i: (-movable[i].area, i))
     cells = [(c, r) for r in range(grid.n_rows) for c in range(grid.n_cols)]
@@ -180,32 +177,26 @@ def _action_probs(weights: dict | None) -> np.ndarray:
 
 class _Annealer:
     def __init__(self, cnl: ClusteredNetlist, fixed: Placement, config: SAConfig):
-        self.cnl = cnl
         self.netlist = cnl.netlist
         self.grid = cnl.grid
         self.config = config
         self.movable = self.netlist.movable_macros
         if not self.movable:
             raise InitFailed("no movable macros to anneal")
-        base: Placement = {}
-        for node in self.netlist.nodes:
-            if not node.movable:
-                pose = fixed.get(node.name)
-                if pose is None:
-                    raise MissingLocation(f"fixed node {node.name!r} has no location")
-                base[node.name] = pose
+        a = self.netlist.arrays
+        base = PlacementState.of(a, fixed).copy()
+        base.x[a.movable] = base.y[a.movable] = np.nan
+        base.sx[a.movable] = base.sy[a.movable] = 1.0
+        base.require(~a.movable, "fixed node")
         init_fn = INITIALIZERS.get(config.init)
         if init_fn is None:
             raise InitFailed(f"unknown initializer {config.init!r}")
-        macros = init_fn(self.netlist, self.grid, base)
-        self.placement: Placement = {**base, **macros}
-        self.has_clusters = any(
-            n.kind == NodeKind.CLUSTER and n.movable for n in self.netlist.nodes
-        )
+        placement = init_fn(self.netlist, self.grid, base)
+        self.has_clusters = bool((a.is_cluster & a.movable).any())
         if self.has_clusters:
-            self.placement = fd_place(self.netlist, self.placement, config.fd_params)
+            placement = fd_place(self.netlist, placement, config.fd_params)
         self.evaluator = Evaluator(self.netlist, self.grid, config.cost_config)
-        self.state = MacroState(self.netlist, self.grid, self.placement)
+        self.state = MacroState(self.netlist, self.grid, placement)
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
         self.probs = _action_probs(config.action_weights)
         n = len(self.movable)
@@ -217,115 +208,88 @@ class _Annealer:
         self.fd_every = mult * n
         self.cur = self.evaluator.breakdown(self.placement, config.weights)
         self.init_cost = self.cur
-        self.init_snapshot = dict(self.placement)
+        self.init_snapshot = self.placement.copy()
         self.best_cost = self.cur
-        self.best_snapshot = dict(self.placement)
+        self.best_snapshot = self.placement.copy()
+
+    @property
+    def placement(self) -> PlacementState:
+        """The one placement state: proposals move it, snapshots copy it."""
+        return self.state.placement
 
     # -- proposals ---------------------------------------------------------
 
     def _candidate(self, action: str):
-        """One candidate for the action, or None when it cannot be built.
+        """Apply one legal candidate for the action to the placement state.
 
-        Returns a list of (name, Pose) updates already vetted for legality
-        (arrays in self.state are left in the applied state on success).
+        Returns a function that undoes it, or None, with the state unchanged,
+        when the candidate cannot be built legally.
         """
         st = self.state
+        p = self.placement
         rng = self.rng
         n = len(st.movable_idx)
         if action == "mirror":
             pick = int(st.movable_idx[rng.integers(n)])
-            axis = "x" if rng.integers(2) == 0 else "y"
-            name = st.names[pick]
-            pose = self.placement[name]
-            return [(name, Pose(pose.x, pose.y, mirror_orientation(pose.orient, axis)))]
+            signs = p.sx if rng.integers(2) == 0 else p.sy
+
+            def mirror():
+                signs[pick] = -signs[pick]
+            mirror()
+            return mirror    # a mirror is its own inverse
         if action == "swap":
             if n < 2:
                 return None
             a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
             ia, ib = int(st.movable_idx[a]), int(st.movable_idx[b])
-            ax, ay = st.x[ia], st.y[ia]
-            bx, by = st.x[ib], st.y[ib]
-            if not st.try_moves([(ia, bx, by), (ib, ax, ay)]):
-                return None
-            na, nb = st.names[ia], st.names[ib]
-            return [
-                (na, Pose(float(bx), float(by), self.placement[na].orient)),
-                (nb, Pose(float(ax), float(ay), self.placement[nb].orient)),
-            ]
-        if action == "shift":
+            moves = [(ia, p.x[ib], p.y[ib]), (ib, p.x[ia], p.y[ia])]
+        elif action in ("shift", "move"):
             pick = int(st.movable_idx[rng.integers(n)])
-            col, row = self.grid.cell_of_point(st.x[pick], st.y[pick])
-            dc, dr = ((1, 0), (-1, 0), (0, 1), (0, -1))[rng.integers(4)]
-            col, row = col + dc, row + dr
-            if not (0 <= col < self.grid.n_cols and 0 <= row < self.grid.n_rows):
-                return None
-            cx, cy = self.grid.cell_center(col, row)
-            if not st.try_moves([(pick, cx, cy)]):
-                return None
-            name = st.names[pick]
-            return [(name, Pose(cx, cy, self.placement[name].orient))]
-        if action == "move":
-            pick = int(st.movable_idx[rng.integers(n)])
-            col = int(rng.integers(self.grid.n_cols))
-            row = int(rng.integers(self.grid.n_rows))
-            cx, cy = self.grid.cell_center(col, row)
-            if not st.try_moves([(pick, cx, cy)]):
-                return None
-            name = st.names[pick]
-            return [(name, Pose(cx, cy, self.placement[name].orient))]
-        if action == "shuffle":
+            if action == "shift":
+                col, row = self.grid.cell_of_point(p.x[pick], p.y[pick])
+                dc, dr = ((1, 0), (-1, 0), (0, 1), (0, -1))[rng.integers(4)]
+                col, row = col + dc, row + dr
+                if not (0 <= col < self.grid.n_cols and 0 <= row < self.grid.n_rows):
+                    return None
+            else:
+                col = int(rng.integers(self.grid.n_cols))
+                row = int(rng.integers(self.grid.n_rows))
+            moves = [(pick, *self.grid.cell_center(col, row))]
+        elif action == "shuffle":
             k = min(SHUFFLE_SIZE, n)
             chosen = [int(v) for v in rng.choice(n, size=k, replace=False)]
             perm = rng.permutation(k)
             idxs = [int(st.movable_idx[c]) for c in chosen]
-            olds = [(st.x[i], st.y[i]) for i in idxs]
-            moves = [(idxs[t], olds[int(perm[t])][0], olds[int(perm[t])][1]) for t in range(k)]
-            if not st.try_moves(moves):
-                return None
-            out = []
-            for t in range(k):
-                name = st.names[idxs[t]]
-                ox, oy = olds[int(perm[t])]
-                out.append((name, Pose(float(ox), float(oy), self.placement[name].orient)))
-            return out
-        raise ValueError(f"unknown action {action!r}")
-
-    def _revert_candidate(self, updates, old_poses):
-        for name, _ in updates:
-            i = self.state.index.get(name)
-            if i is not None:
-                pose = old_poses[name]
-                self.state.x[i] = pose.x
-                self.state.y[i] = pose.y
-        self.placement.update(old_poses)
+            spots = [(p.x[i], p.y[i]) for i in idxs]
+            moves = [(i, *spots[int(perm[t])]) for t, i in enumerate(idxs)]
+        else:
+            raise ValueError(f"unknown action {action!r}")
+        olds = st.try_moves(moves)
+        return None if olds is None else functools.partial(st.revert, olds)
 
     def _propose(self):
-        """Pick an action and try to instantiate it legally.
+        """Pick an action and try to apply it legally, up to 10 times.
 
-        Returns (action, updates, old_poses) where updates is None after 10
-        failed attempts. On success the state arrays and placement dict carry
-        the candidate; call _revert_candidate to back out.
+        Returns (action, undo): the placement state carries the candidate and
+        undo() backs it out, or undo is None and the state is unchanged.
         """
         action = ACTIONS[int(self.rng.choice(len(ACTIONS), p=self.probs))]
         for _ in range(MAX_PROPOSAL_ATTEMPTS):
-            updates = self._candidate(action)
-            if updates is None:
-                continue
-            old_poses = {name: self.placement[name] for name, _ in updates}
-            self.placement.update(dict(updates))
-            return action, updates, old_poses
-        return action, None, None
+            undo = self._candidate(action)
+            if undo is not None:
+                return action, undo
+        return action, None
 
     # -- temperature -------------------------------------------------------
 
     def _auto_t_init(self) -> float:
         uphill = []
         for _ in range(self.config.probe_count):
-            _, updates, old_poses = self._propose()
-            if updates is None:
+            _, undo = self._propose()
+            if undo is None:
                 continue
             cand = self.evaluator.breakdown(self.placement, self.config.weights)
-            self._revert_candidate(updates, old_poses)
+            undo()
             delta = cand.total - self.cur.total
             if delta > 0:
                 uphill.append(delta)
@@ -348,9 +312,9 @@ class _Annealer:
             if deadline is not None and time.monotonic() >= deadline:
                 break
             steps = step + 1
-            action, updates, old_poses = self._propose()
+            action, undo = self._propose()
             actions_taken[action] += 1
-            if updates is not None:
+            if undo is not None:
                 cand = self.evaluator.breakdown(self.placement, cfg.weights)
                 delta = cand.total - self.cur.total
                 accept = delta <= 0.0 or (t > 0.0 and self.rng.random() < math.exp(-delta / t))
@@ -360,16 +324,16 @@ class _Annealer:
                         accept_audit(step, self.placement)
                     if cand.total < self.best_cost.total:
                         self.best_cost = cand
-                        self.best_snapshot = dict(self.placement)
+                        self.best_snapshot = self.placement.copy()
                 else:
-                    self._revert_candidate(updates, old_poses)
+                    undo()
                 macro_actions += 1
                 if self.has_clusters and macro_actions % self.fd_every == 0:
-                    self.placement = fd_place(self.netlist, self.placement, cfg.fd_params)
+                    self.state.placement = fd_place(self.netlist, self.placement, cfg.fd_params)
                     self.cur = self.evaluator.breakdown(self.placement, cfg.weights)
                     if self.cur.total < self.best_cost.total:
                         self.best_cost = self.cur
-                        self.best_snapshot = dict(self.placement)
+                        self.best_snapshot = self.placement.copy()
             trace.append((step, self.cur.total))
             if (step + 1) % self.epoch_len == 0:
                 t *= cfg.cooling_ratio
@@ -477,7 +441,7 @@ def _future_outcome(fut):
 def write_trace_csv(result: SAResult, path) -> None:
     lines = ["step,cost"]
     lines += [f"{s},{c!r}" for s, c in result.cost_trace]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

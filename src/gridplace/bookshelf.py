@@ -20,7 +20,7 @@ import logging
 import re
 from pathlib import Path
 
-from .errors import IncompletePlacement, InvalidDimension, IoFailure, MalformedLine, MissingFile
+from .errors import IncompletePlacement, InvalidDimension, MalformedLine, MissingFile
 from .netlist import (
     Canvas,
     Net,
@@ -33,6 +33,7 @@ from .netlist import (
     Pose,
     finite_float,
     validate_nets,
+    write_text,
 )
 
 log = logging.getLogger(__name__)
@@ -360,7 +361,4 @@ def write_placement(netlist: Netlist, placement: Placement, path) -> None:
         y = pose.y - node.height / 2.0
         suffix = "" if node.movable else " /FIXED"
         lines.append(f"{node.name}\t{x:.6f}\t{y:.6f}\t: {pose.orient.value}{suffix}")
-    try:
-        Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(lines) + "\n")

@@ -32,10 +32,10 @@ from .annealer import (
 from .bookshelf import parse_aux, parse_bookshelf, read_placement, write_placement
 from .clustering import apply_vacuous_placement, cluster_by_grid, no_clustering
 from .cost import CostConfig, Evaluator, ProxyWeights
-from .errors import GridPlaceError, MissingFile
+from .errors import GridPlaceError, IoFailure, MissingFile
 from .fd import FDParams, fd_place
 from .geometry import build_grid
-from .netlist import NodeKind, read_netlist, write_netlist
+from .netlist import NodeKind, read_netlist, write_netlist, write_text
 from .stats import (
     kendall_tau,
     read_external_metrics,
@@ -212,18 +212,15 @@ def _read_config_file(path, known: dict) -> dict:
 # Shared pipeline pieces
 
 
-def _load_netlist(args):
+def _load_design(args):
+    """(netlist, initial placement) from --netlist, --initial and --vacuous."""
     path = Path(args.netlist)
-    if path.suffix.lower() == ".aux":
-        return parse_bookshelf(path), path
-    return read_netlist(path), path
-
-
-def _initial_placement(args, netlist, netlist_path):
+    is_aux = path.suffix.lower() == ".aux"
+    netlist = parse_bookshelf(path) if is_aux else read_netlist(path)
     base = {}
     pl_path = args.initial
-    if pl_path is None and netlist_path.suffix.lower() == ".aux":
-        pl_path = parse_aux(netlist_path).get("pl")
+    if pl_path is None and is_aux:
+        pl_path = parse_aux(path).get("pl")
     if pl_path is not None:
         base = read_placement(pl_path, netlist)
     if args.vacuous:
@@ -234,17 +231,19 @@ def _initial_placement(args, netlist, netlist_path):
             base.update(apply_vacuous_placement(netlist, "point", (x, y)))
         else:
             base.update(apply_vacuous_placement(netlist, args.vacuous))
-    return base
+    return netlist, base
 
 
 def _grid(args, netlist):
     return build_grid(netlist.canvas, args.grid_cols, args.grid_rows, args.h_cap, args.v_cap)
 
 
-def _clustered(args, netlist, initial, grid):
-    if args.cluster == "none":
-        return no_clustering(netlist, initial, grid)
-    return cluster_by_grid(netlist, initial, grid)
+def _clustered_design(args):
+    """(initial placement, grid, clustered netlist) of the design."""
+    netlist, initial = _load_design(args)
+    grid = _grid(args, netlist)
+    cluster = no_clustering if args.cluster == "none" else cluster_by_grid
+    return initial, grid, cluster(netlist, initial, grid)
 
 
 def _cost_config(args) -> CostConfig:
@@ -278,8 +277,6 @@ def _print_kv(pairs):
 
 
 def _write_manifest(args, name: str, extra: dict) -> Path:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     entries = {
         "command": name,
         "version": __version__,
@@ -298,16 +295,14 @@ def _write_manifest(args, name: str, extra: dict) -> Path:
         "cluster": getattr(args, "cluster", "grid"),
     }
     entries.update(extra)
-    path = out_dir / f"{name}.manifest"
+    path = Path(args.out_dir) / f"{name}.manifest"
     lines = [f"{k} = {v}" for k, v in entries.items()]
-    path.write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
     return path
 
 
 def _out_path(args, default_name: str, explicit=None) -> Path:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return Path(explicit) if explicit else out_dir / default_name
+    return Path(explicit) if explicit else Path(args.out_dir) / default_name
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +310,7 @@ def _out_path(args, default_name: str, explicit=None) -> Path:
 
 
 def cmd_parse(args) -> int:
-    netlist, netlist_path = _load_netlist(args)
-    initial = _initial_placement(args, netlist, netlist_path)
+    netlist, initial = _load_design(args)
     by_kind = {k: 0 for k in NodeKind}
     for n in netlist.nodes:
         by_kind[n.kind] += 1
@@ -340,10 +334,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    netlist, netlist_path = _load_netlist(args)
-    initial = _initial_placement(args, netlist, netlist_path)
-    grid = _grid(args, netlist)
-    cnl = _clustered(args, netlist, initial, grid)
+    initial, grid, cnl = _clustered_design(args)
     _print_kv([
         ("clusters", len(cnl.members)),
         ("clustered_cells", sum(len(v) for v in cnl.members.values())),
@@ -359,10 +350,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_fd(args) -> int:
-    netlist, netlist_path = _load_netlist(args)
-    initial = _initial_placement(args, netlist, netlist_path)
-    grid = _grid(args, netlist)
-    cnl = _clustered(args, netlist, initial, grid)
+    initial, grid, cnl = _clustered_design(args)
     ka = 0.0 if args.repulsive_only else args.ka
     params = FDParams(num_iters=args.iters, k_attract=ka, k_repel=args.kr,
                       io_factor=args.io_factor, seed=args.seed)
@@ -384,10 +372,7 @@ def cmd_fd(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    netlist, netlist_path = _load_netlist(args)
-    initial = _initial_placement(args, netlist, netlist_path)
-    grid = _grid(args, netlist)
-    cnl = _clustered(args, netlist, initial, grid)
+    initial, grid, cnl = _clustered_design(args)
     placement = _full_placement(args, cnl, initial, fd_requested=args.fd, fd_iters=args.fd_iters)
     ev = Evaluator(cnl.netlist, grid, _cost_config(args))
     b = ev.breakdown(placement, _weights(args))
@@ -453,10 +438,7 @@ def _sa_config(args) -> SAConfig:
 
 
 def cmd_sa(args) -> int:
-    netlist, netlist_path = _load_netlist(args)
-    initial = _initial_placement(args, netlist, netlist_path)
-    grid = _grid(args, netlist)
-    cnl = _clustered(args, netlist, initial, grid)
+    initial, grid, cnl = _clustered_design(args)
     config = _sa_config(args)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
     t0 = time.monotonic()
@@ -503,12 +485,13 @@ def cmd_stability(args) -> int:
     pairs = _parse_flag("--seed-pairs", args.seed_pairs,
                         lambda t: [_numbers(part, int) for part in t.split(";")],
                         "semicolon-separated groups of integer seeds such as 0,1;2,3")
-    if args.external_metrics and not Path(args.external_metrics).is_file():
-        raise MissingFile(args.external_metrics)
-    netlist, netlist_path = _load_netlist(args)
-    initial = _initial_placement(args, netlist, netlist_path)
-    grid = _grid(args, netlist)
-    cnl = _clustered(args, netlist, initial, grid)
+    # Parsed before the design loads, so that a bad file fails before any anneal.
+    external = None
+    if args.external_metrics:
+        if not Path(args.external_metrics).is_file():
+            raise MissingFile(args.external_metrics)
+        external = read_external_metrics(args.external_metrics)
+    initial, grid, cnl = _clustered_design(args)
     ns = argparse.Namespace(**vars(args))
     ns.action_weights = None
     ns.fd_every = None
@@ -526,12 +509,9 @@ def cmd_stability(args) -> int:
                               wall_clock_budget=args.budget,
                               parallel=not args.sequential)
         runs.append((label, result.best.best_cost))
-    external = read_external_metrics(args.external_metrics) if args.external_metrics else None
     report = stability_study(runs, external)
     print(report.to_text(), end="")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "stability.csv").write_text(report.to_csv())
+    write_text(Path(args.out_dir) / "stability.csv", report.to_csv())
     _write_manifest(args, "stability", {
         "seed_pairs": args.seed_pairs, "workers": args.workers,
         "max_steps": args.steps, "budget": args.budget or "",
@@ -543,10 +523,7 @@ def cmd_sweep(args) -> int:
     combos = _parse_flag("--combos", args.combos,
                          lambda t: [_numbers(part, float, 2) for part in t.split(";")],
                          "gamma,lambda pairs such as 0.5,0.5;1,0.5")
-    netlist, netlist_path = _load_netlist(args)
-    initial = _initial_placement(args, netlist, netlist_path)
-    grid = _grid(args, netlist)
-    cnl = _clustered(args, netlist, initial, grid)
+    initial, grid, cnl = _clustered_design(args)
     placement = _full_placement(args, cnl, initial, fd_requested=args.fd, fd_iters=args.fd_iters)
     ev = Evaluator(cnl.netlist, grid, _cost_config(args))
     rows = weight_sweep(ev, placement, combos)
@@ -554,18 +531,13 @@ def cmd_sweep(args) -> int:
     for r in rows:
         print(f"{r.gamma:<8g} {r.lam:<8g} {r.wirelength:<14.6f} {r.density:<14.6f} "
               f"{r.congestion:<14.6f} {r.total:.6f}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sweep.csv").write_text(sweep_to_csv(rows))
+    write_text(Path(args.out_dir) / "sweep.csv", sweep_to_csv(rows))
     _write_manifest(args, "sweep", {"combos": args.combos, "placement": args.placement or ""})
     return 0
 
 
 def cmd_shuffle(args) -> int:
-    netlist, netlist_path = _load_netlist(args)
-    initial = _initial_placement(args, netlist, netlist_path)
-    grid = _grid(args, netlist)
-    cnl = _clustered(args, netlist, initial, grid)
+    initial, grid, cnl = _clustered_design(args)
     placement = _full_placement(args, cnl, initial, fd_requested=args.fd, fd_iters=args.fd_iters)
     ev = Evaluator(cnl.netlist, grid, _cost_config(args))
     before = ev.breakdown(placement, _weights(args))
@@ -606,8 +578,7 @@ def cmd_kendall(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    netlist, netlist_path = _load_netlist(args)
-    initial = _initial_placement(args, netlist, netlist_path)
+    netlist, initial = _load_design(args)
     grid = _grid(args, netlist)
     placement = dict(initial)
     if args.placement:
@@ -617,6 +588,10 @@ def cmd_plot(args) -> int:
     print(f"out={out}")
     return 0
 
+
+# Commands that write into --out-dir. It is made before the design loads, so
+# that an unusable directory fails before any work is done.
+WRITES_OUT_DIR = {"cluster", "fd", "evaluate", "sa", "stability", "sweep", "shuffle", "plot"}
 
 COMMANDS = {
     "parse": cmd_parse,
@@ -674,6 +649,11 @@ def main(argv=None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
             stream=sys.stderr,
         )
+        if args.command in WRITES_OUT_DIR:
+            try:
+                Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise IoFailure(f"cannot create output directory {args.out_dir}: {exc}") from exc
         return COMMANDS[args.command](args)
     except GridPlaceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCellSet, MissingLocation, OutOfRange
+from .errors import EmptyCellSet, OutOfRange
 from .geometry import Grid
-from .netlist import ORIENT_SIGNS, Netlist, Placement
+from .netlist import Netlist, Placement, PlacementState
 
 DEFAULT_GAMMA = 0.5
 DEFAULT_LAMBDA = 0.5
@@ -190,22 +190,13 @@ class Evaluator:
     # -- placement decoding
 
     def node_arrays(self, placement: Placement):
-        """(x, y, sx, sy) arrays in node order; every node must be placed."""
-        n = len(self._arrays.names)
-        x = np.empty(n)
-        y = np.empty(n)
-        sx = np.empty(n)
-        sy = np.empty(n)
-        for i, name in enumerate(self._arrays.names):
-            pose = placement.get(name)
-            if pose is None:
-                raise MissingLocation(f"node {name!r} has no location")
-            x[i] = pose[0]
-            y[i] = pose[1]
-            s = ORIENT_SIGNS[pose[2]]
-            sx[i] = s[0]
-            sy[i] = s[1]
-        return x, y, sx, sy
+        """(x, y, sx, sy) arrays in node order; every node must be placed.
+
+        A `PlacementState` of this netlist hands over its own arrays.
+        """
+        st = PlacementState.of(self._arrays, placement)
+        st.require(np.ones(st.x.size, dtype=bool), "node")
+        return st.x, st.y, st.sx, st.sy
 
     def _pin_xy(self, x, y, sx, sy):
         a = self._arrays

@@ -23,7 +23,8 @@ definition's operands and summation order, so results are bit-identical to
 `fd_place_dense` in tests/oracles.py.
 
 Node sizes, kinds and pins come from `Netlist.arrays`, built once per
-netlist; each call reads only the locations and orientations it is given.
+netlist; each call reads only the locations and orientation signs of the
+`PlacementState` it decodes from the placement it is given.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MissingLocation, OutOfRange
-from .netlist import ORIENT_SIGNS, Netlist, Orientation, Placement, Pose
+from .errors import OutOfRange
+from .netlist import Netlist, Placement, PlacementState
 
 log = logging.getLogger(__name__)
 
@@ -68,10 +69,12 @@ def _star_pairs(netlist: Netlist, placement: Placement, io_factor: float):
 
     A k-pin net gives k - 1 pairs, from its driver (first marked source, else
     first pin) to each other pin. Offsets are pre-rotated by the owner's
-    orientation (orientations do not change during FD). Returns index arrays
-    plus per-pair attraction scale, net by net and pin by pin.
+    orientation in `placement`, N for an unplaced owner (orientations do not
+    change during FD). Returns index arrays plus per-pair attraction scale,
+    net by net and pin by pin.
     """
     arrays = netlist.arrays
+    state = PlacementState.of(arrays, placement)
     owner = arrays.pin_owner
     off = np.column_stack((arrays.pin_dx, arrays.pin_dy))
     other = np.ones(owner.size, dtype=bool)
@@ -79,8 +82,7 @@ def _star_pairs(netlist: Netlist, placement: Placement, io_factor: float):
     a_pin = np.repeat(arrays.driver, np.diff(arrays.net_start))[other]
     b_pin = np.flatnonzero(other)
 
-    signs = np.array([ORIENT_SIGNS[placement[name][2]] if name in placement
-                      else ORIENT_SIGNS[Orientation.N] for name in arrays.names])
+    signs = np.column_stack((state.sx, state.sy))
     a_idx = owner[a_pin]
     b_idx = owner[b_pin]
     scale = np.where(arrays.is_port[a_idx] | arrays.is_port[b_idx], io_factor, 1.0)
@@ -119,12 +121,15 @@ def fd_place(
     placement: Placement,
     params: FDParams | None = None,
     observer: Callable[[FDIterationInfo], None] | None = None,
-) -> Placement:
-    """Run the force-directed schedule; returns a full placement.
+) -> PlacementState:
+    """Run the force-directed schedule on any placement.
 
-    `placement` must locate every non-cluster node (macros and ports); cluster
-    entries are ignored because clusters restart from the canvas center. With
-    no movable clusters the input is returned unchanged (with a warning).
+    Returns a new `PlacementState` of the netlist: the movable clusters where
+    FD leaves them, at orientation N, and every other node as `placement` has
+    it. `placement` must locate every node but the movable clusters (macros
+    and ports); cluster entries are ignored because clusters restart from the
+    canvas center. With no movable clusters the result equals the input
+    (with a warning).
     """
     params = params or FDParams()
     if params.num_iters < 1:
@@ -133,28 +138,20 @@ def fd_place(
         raise OutOfRange("force factors must be nonnegative")
 
     arrays = netlist.arrays
+    out = PlacementState.of(arrays, placement).copy()
     mover = arrays.is_cluster & arrays.movable
     if not mover.any():
         log.warning("no movable clusters; force-directed pass is a no-op")
-        return dict(placement)
+        return out
+    out.require(~mover, "fixed node")
 
     cv = netlist.canvas
-    n = len(arrays.names)
-    x = np.empty(n)
-    y = np.empty(n)
-    for i, name in enumerate(arrays.names):
-        if mover[i]:
-            x[i] = cv.width / 2.0
-            y[i] = cv.height / 2.0
-        else:
-            pose = placement.get(name)
-            if pose is None:
-                raise MissingLocation(f"fixed node {name!r} has no location for FD")
-            x[i] = pose[0]
-            y[i] = pose[1]
+    n = mover.size
+    x = np.where(mover, cv.width / 2.0, out.x)
+    y = np.where(mover, cv.height / 2.0, out.y)
 
     hw, hh = arrays.half_w, arrays.half_h
-    a_idx, b_idx, a_off, b_off, scale = _star_pairs(netlist, placement, params.io_factor)
+    a_idx, b_idx, a_off, b_off, scale = _star_pairs(netlist, out, params.io_factor)
     have_pairs = a_idx.size > 0
     ab_idx = np.concatenate((a_idx, b_idx))
 
@@ -247,7 +244,7 @@ def fd_place(
                 max_move_distance=mmd,
             ))
 
-    out = dict(placement)
-    for i in np.flatnonzero(mover):
-        out[arrays.names[i]] = Pose(float(x[i]), float(y[i]), Orientation.N)
+    out.x[mover] = x[mover]
+    out.y[mover] = y[mover]
+    out.sx[mover] = out.sy[mover] = 1.0
     return out

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, MissingLocation, OutOfRange
-from .netlist import Canvas, Netlist, Node, Placement, Pose
+from .errors import InvalidDimension, OutOfRange
+from .netlist import Canvas, Netlist, Node, Placement, PlacementState, Pose
 
 EPS_FRAC = 1e-9
 
@@ -103,70 +103,70 @@ def bbox_inside_canvas(bbox, canvas: Canvas, tol: float = 0.0) -> bool:
 
 
 class MacroState:
-    """Macro centers as arrays (fixed macros included) and the legality
-    predicate over them.
+    """The legality predicate over the macros (fixed ones included) of a
+    placement state.
 
-    An unplaced macro has NaN coordinates. NaN fails every comparison, so an
-    unplaced macro blocks nothing and is never legal itself.
+    Node indices select macros; moves read and write the state's own `x` and
+    `y`. An unplaced macro has NaN coordinates. NaN fails every comparison,
+    so an unplaced macro blocks nothing and is never legal itself.
     """
 
-    def __init__(self, netlist: Netlist, grid: Grid, base: Placement, require_fixed=True):
-        a = netlist.arrays
-        idx = np.flatnonzero(a.is_macro)
-        self.names = [a.names[i] for i in idx]
-        self.index = {name: i for i, name in enumerate(self.names)}
-        self.hw = a.half_w[idx]
-        self.hh = a.half_h[idx]
-        self.x = np.full(idx.size, np.nan)
-        self.y = np.full(idx.size, np.nan)
+    def __init__(self, netlist: Netlist, grid: Grid, placement: PlacementState, require_fixed=True):
+        a = placement.arrays
+        self.placement = placement
+        self.macros = np.flatnonzero(a.is_macro)
+        self.movable_idx = np.flatnonzero(a.is_macro & a.movable)
+        self.hw = a.half_w[self.macros]
+        self.hh = a.half_h[self.macros]
         self.canvas = netlist.canvas
         self.tol = grid.tol
-        for i, name in enumerate(self.names):
-            pose = base.get(name)
-            if pose is not None:
-                self.x[i] = pose[0]
-                self.y[i] = pose[1]
-            elif not a.movable[idx[i]] and require_fixed:
-                raise MissingLocation(f"fixed macro {name!r} has no location")
-        self.movable_idx = np.flatnonzero(a.movable[idx])
+        if require_fixed:
+            placement.require(a.is_macro & ~a.movable, "fixed macro")
 
     def legal_centers(self, i: int, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        """For each candidate center (cx[k], cy[k]) of macro i, whether it is
-        in-canvas and overlap-free against the other macros where they are."""
-        hw, hh = self.hw[i], self.hh[i]
+        """For each candidate center (cx[k], cy[k]) of macro node i, whether
+        it is in-canvas and overlap-free against the other macros where they
+        are."""
+        p = self.placement
+        hw, hh = p.arrays.half_w[i], p.arrays.half_h[i]
         t = self.tol
         ok = ((cx - hw >= -t) & (cx + hw <= self.canvas.width + t)
               & (cy - hh >= -t) & (cy + hh <= self.canvas.height + t))
-        ox = (self.hw + hw) - np.abs(self.x - cx[:, None])
-        oy = (self.hh + hh) - np.abs(self.y - cy[:, None])
+        ox = (self.hw + hw) - np.abs(p.x[self.macros] - cx[:, None])
+        oy = (self.hh + hh) - np.abs(p.y[self.macros] - cy[:, None])
         hit = (ox > t) & (oy > t)
-        hit[:, i] = False
+        hit[:, self.macros == i] = False
         return ok & ~hit.any(axis=1)
 
     def legal_at(self, i: int) -> bool:
-        """Current coordinates of macro i are in-canvas and overlap-free."""
-        return bool(self.legal_centers(i, self.x[i:i + 1], self.y[i:i + 1])[0])
+        """Current coordinates of macro node i are in-canvas and overlap-free."""
+        p = self.placement
+        return bool(self.legal_centers(i, p.x[i:i + 1], p.y[i:i + 1])[0])
 
-    def try_moves(self, moves) -> bool:
-        """Tentatively apply [(i, x, y)]; revert and return False if illegal."""
-        olds = [(i, self.x[i], self.y[i]) for i, _, _ in moves]
+    def try_moves(self, moves):
+        """Apply [(i, x, y)] to the state. Returns the [(i, old x, old y)]
+        that `revert` takes to undo them, or None, with the state unchanged,
+        when a moved macro ends up illegal."""
+        p = self.placement
+        olds = [(i, p.x[i], p.y[i]) for i, _, _ in moves]
         for i, nx, ny in moves:
-            self.x[i] = nx
-            self.y[i] = ny
+            p.x[i] = nx
+            p.y[i] = ny
         for i, _, _ in moves:
             if not self.legal_at(i):
                 self.revert(olds)
-                return False
-        return True
+                return None
+        return olds
 
     def revert(self, olds) -> None:
+        p = self.placement
         for i, ox, oy in olds:
-            self.x[i] = ox
-            self.y[i] = oy
+            p.x[i] = ox
+            p.y[i] = oy
 
 
 def placement_is_legal(netlist: Netlist, placement: Placement, grid: Grid) -> bool:
     """Every movable macro is placed, in-canvas and overlap-free against all
     other placed macros."""
-    st = MacroState(netlist, grid, placement, require_fixed=False)
+    st = MacroState(netlist, grid, PlacementState.of(netlist.arrays, placement), require_fixed=False)
     return all(st.legal_at(i) for i in st.movable_idx)

@@ -4,7 +4,9 @@ A netlist is a set of rectangular nodes (hard macros, standard cells, soft
 clusters, zero-area ports) connected by weighted nets. Pin offsets are stored
 relative to the owning node's center, matching the convention of the Bookshelf
 files this tool consumes. Node locations are not part of the netlist; they
-live in separate placement maps (see `Pose`).
+live in separate placements, name -> `Pose` maps. Files and the CLI use
+dicts; the placer works on `PlacementState`, the array form of a placement,
+and `PlacementState.of` is the one decoder from a dict to it.
 
 Native text format, one record per line (see README for the grammar):
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -34,6 +37,8 @@ from .errors import (
     IoFailure,
     MalformedLine,
     MissingFile,
+    MissingLocation,
+    OutOfRange,
 )
 
 log = logging.getLogger(__name__)
@@ -72,18 +77,6 @@ def transform_pin_offset(dx: float, dy: float, orient: Orientation) -> tuple[flo
     return sx * dx, sy * dy
 
 
-def mirror_orientation(orient: Orientation, axis: str) -> Orientation:
-    """Compose a mirror with an orientation. axis 'x' negates dx, 'y' negates dy."""
-    sx, sy = ORIENT_SIGNS[orient]
-    if axis == "x":
-        sx = -sx
-    elif axis == "y":
-        sy = -sy
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return _SIGN_TO_ORIENT[(sx, sy)]
-
-
 class Pose(NamedTuple):
     """A placed node: center coordinates plus orientation."""
 
@@ -92,8 +85,9 @@ class Pose(NamedTuple):
     orient: Orientation = Orientation.N
 
 
-# A placement maps node id -> Pose. Plain dicts keep snapshots cheap.
-Placement = dict
+# A placement maps node id -> Pose: a dict at file and CLI boundaries, a
+# PlacementState everywhere a placement is scored, legalized or moved.
+Placement = Mapping[str, Pose]
 
 
 @dataclass
@@ -173,6 +167,78 @@ class NetlistArrays:
     net_start: np.ndarray
     net_weight: np.ndarray
     driver: np.ndarray
+
+
+@dataclass(eq=False, repr=False)
+class PlacementState(Mapping):
+    """A placement of one netlist as node-order arrays.
+
+    `x`, `y` are node centers, NaN for a node without a location, and `sx`,
+    `sy` the per-axis signs that each node's orientation applies to its pin
+    offsets (1.0 for an unplaced node). The arrays are the state: code that
+    moves or mirrors nodes writes them in place, and `copy()` is a snapshot.
+
+    As a read-only `Mapping[str, Pose]` over the placed nodes, in node order,
+    a state stands wherever a placement is read; each value is a `Pose` of
+    Python floats. Mapping equality holds with a dict of equal poses.
+    """
+
+    arrays: NetlistArrays
+    x: np.ndarray
+    y: np.ndarray
+    sx: np.ndarray
+    sy: np.ndarray
+
+    @classmethod
+    def of(cls, arrays: NetlistArrays, placement: Placement) -> "PlacementState":
+        """`placement` as a state of the netlist `arrays`.
+
+        A state of these very arrays is returned as it is, not copied; any
+        other placement is decoded by name, and names outside the netlist are
+        ignored. Raises OutOfRange naming the node with a non-finite
+        coordinate.
+        """
+        if isinstance(placement, cls) and placement.arrays is arrays:
+            return placement
+        n = len(arrays.names)
+        x, y, sx, sy = np.full(n, np.nan), np.full(n, np.nan), np.ones(n), np.ones(n)
+        index = arrays.index
+        for name, pose in placement.items():
+            i = index.get(name)
+            if i is not None:
+                px, py = pose[0], pose[1]
+                if not (math.isfinite(px) and math.isfinite(py)):
+                    raise OutOfRange(f"node {name!r} has a non-finite location ({px}, {py})")
+                x[i] = px
+                y[i] = py
+                sx[i], sy[i] = ORIENT_SIGNS[pose[2]]
+        return cls(arrays, x, y, sx, sy)
+
+    def copy(self) -> "PlacementState":
+        return PlacementState(self.arrays, self.x.copy(), self.y.copy(), self.sx.copy(), self.sy.copy())
+
+    def require(self, mask: np.ndarray, what: str) -> None:
+        """Raise MissingLocation naming the first node of `mask` without a
+        location."""
+        hole = mask & np.isnan(self.x)
+        if hole.any():
+            raise MissingLocation(f"{what} {self.arrays.names[int(np.argmax(hole))]!r} has no location")
+
+    def __getitem__(self, name: str) -> Pose:
+        i = self.arrays.index[name]
+        if np.isnan(self.x[i]):
+            raise KeyError(name)
+        return Pose(float(self.x[i]), float(self.y[i]), _SIGN_TO_ORIENT[(self.sx[i], self.sy[i])])
+
+    def __iter__(self):
+        names = self.arrays.names
+        return (names[i] for i in np.flatnonzero(~np.isnan(self.x)))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(~np.isnan(self.x)))
+
+    def __repr__(self) -> str:
+        return f"PlacementState({dict(self)!r})"
 
 
 @dataclass
@@ -255,6 +321,14 @@ def finite_float(text: str) -> float:
     return value
 
 
+def write_text(path, text: str) -> None:
+    """Write a text file; an OSError becomes IoFailure."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
 def validate_nets(nets: Iterable[Net], where: str = "netlist") -> list[Net]:
     """Drop nets with fewer than two pins and demote extra source pins.
 
@@ -291,10 +365,7 @@ def write_netlist(netlist: Netlist, path) -> None:
         for p in net.pins:
             src = " s" if p.is_source else ""
             lines.append(f"pin {net.name} {p.node} {p.dx!r} {p.dy!r}{src}")
-    try:
-        Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_netlist(path) -> Netlist:

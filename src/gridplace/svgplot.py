@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from .errors import IoFailure
 from .geometry import Grid
-from .netlist import Netlist, NodeKind, Placement
+from .netlist import Netlist, NodeKind, Placement, write_text
 
 _STYLE = (
     "<style>"
@@ -75,7 +72,4 @@ def write_svg(netlist: Netlist, placement: Placement, path,
         if labels:
             parts.append(f'<text class="label" x="{x + 2:.2f}" y="{y + 11:.2f}">{node.name}</text>')
     parts.append("</svg>")
-    try:
-        Path(path).write_text("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(parts) + "\n")

@@ -158,7 +158,9 @@ def test_criterion_05():
     assert time.monotonic() - t0 < 300.0
 
 
-def _sa_instance():
+def _sa_instance(offset=0.0):
+    """Criterion 06's instance; `offset` moves the macro pins off center, so
+    that mirroring a macro changes the cost."""
     nodes = [
         Node("m0", NodeKind.MACRO, 12.0, 12.0, movable=True),
         Node("m1", NodeKind.MACRO, 10.0, 10.0, movable=True),
@@ -169,10 +171,10 @@ def _sa_instance():
         Node("s1", NodeKind.STDCELL, 3.0, 3.0, movable=True),
     ]
     nets = [
-        Net("n0", [Pin("m0", is_source=True), Pin("s0")]),
+        Net("n0", [Pin("m0", offset, offset / 2, is_source=True), Pin("s0")]),
         Net("n1", [Pin("s0", is_source=True), Pin("s1"), Pin("p0")]),
-        Net("n2", [Pin("m1", is_source=True), Pin("s1")]),
-        Net("n3", [Pin("m2", is_source=True), Pin("blk")], weight=2.0),
+        Net("n2", [Pin("m1", offset / 2, offset, is_source=True), Pin("s1")]),
+        Net("n3", [Pin("m2", offset, offset, is_source=True), Pin("blk")], weight=2.0),
     ]
     netlist = Netlist(nodes=nodes, nets=nets, canvas=Canvas(60.0, 60.0))
     grid = build_grid(netlist.canvas, 3, 3)
@@ -203,6 +205,26 @@ def test_criterion_06(tmp_path):
     write_trace_csv(res2, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert res1.best_placement == res2.best_placement
+
+
+def test_annealer_scores_the_placement_it_reports():
+    """Mirror-heavy anneal with no FD pass inside the loop: a fresh
+    evaluation of each accepted placement gives that step's trace cost, bit
+    for bit, so the state the annealer scores is the one it reports, and
+    rejected moves and mirrors leave no trace in it."""
+    cnl, fixed = _sa_instance(offset=3.0)
+    weights = {"mirror": 6.0, "swap": 1.0, "shift": 1.0, "move": 1.0, "shuffle": 1.0}
+    cfg = SAConfig(seed=11, max_steps=150, t_init=0.002, fd_params=FDParams(num_iters=5),
+                   action_weights=weights, fd_interval_multiplier=1000)
+    audited = []
+    res = anneal(cnl, fixed, cfg, accept_audit=lambda step, pl: audited.append((step, dict(pl))))
+    assert res.actions_taken["mirror"] > 60 and len(audited) > 20
+    assert any(p.orient is not Orientation.N for _, pl in audited for p in pl.values())
+    trace = dict(res.cost_trace)
+    ev = Evaluator(cnl.netlist, cnl.grid)
+    for step, pl in audited:
+        want = res.init_cost.total if step < 0 else trace[step]
+        assert ev.breakdown(pl).total == want
 
 
 def test_criterion_07():

@@ -83,7 +83,8 @@ def test_init_unplaceable():
 
 def _scan_one_cell_at_a_time(netlist, grid, fixed, order, cells):
     """Reference initializer: test the cells one by one, in order, with the
-    scalar in-canvas and overlap comparisons."""
+    scalar in-canvas and overlap comparisons; returns `fixed` plus the placed
+    macros."""
     macros = [n for n in netlist.nodes if n.kind == NodeKind.MACRO]
     index = {n.name: i for i, n in enumerate(macros)}
     hw = np.array([n.width / 2.0 for n in macros])
@@ -91,7 +92,7 @@ def _scan_one_cell_at_a_time(netlist, grid, fixed, order, cells):
     x = np.array([fixed[n.name].x if n.name in fixed else np.nan for n in macros])
     y = np.array([fixed[n.name].y if n.name in fixed else np.nan for n in macros])
     cv, t = netlist.canvas, grid.tol
-    placed = {}
+    placed = dict(fixed)
     for node in order:
         i = index[node.name]
         for col, row in cells:
@@ -308,6 +309,17 @@ def test_accepted_states_all_legal():
     assert audited
     for pl in audited:
         assert placement_is_legal(cnl.netlist, pl, cnl.grid)
+
+
+@pytest.mark.parametrize("action", ["swap", "shuffle"])
+def test_swap_and_shuffle_permute_macro_spots(action):
+    cnl, fixed = _macro_fixture()
+    audited = []
+    cfg = SAConfig(seed=2, max_steps=40, t_init=1.0, action_weights={action: 1.0})
+    anneal(cnl, fixed, cfg, accept_audit=lambda step, pl: audited.append(dict(pl)))
+    spots = [sorted((pl[m].x, pl[m].y) for m in ("m0", "m1", "m2")) for pl in audited]
+    assert all(s == spots[0] for s in spots)
+    assert any(pl != audited[0] for pl in audited[1:])
 
 
 def test_action_weights_restrict_moves():

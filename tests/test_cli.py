@@ -2,6 +2,7 @@
 
 import pytest
 
+import gridplace.cli
 from gridplace.bookshelf import read_placement
 from gridplace.cli import main
 from gridplace.netlist import read_netlist
@@ -212,6 +213,34 @@ def test_missing_external_metrics_is_diagnosed(design, capsys):
     ]) == 2
     assert "/nonexistent.csv" in _one_line_error(capsys)
     assert not (tmp / "stability.csv").exists()
+
+
+def _no_anneal(*args, **kwargs):
+    raise AssertionError("an anneal ran before the input error was reported")
+
+
+def test_external_metrics_without_run_column_fails_before_anneal(design, tmp_path, monkeypatch, capsys):
+    net, pl, tmp = design
+    monkeypatch.setattr(gridplace.cli, "run_parallel", _no_anneal)
+    ext = tmp_path / "ext.csv"
+    ext.write_text("label,area\n0,1.5\n")
+    assert main([
+        "stability", "--netlist", str(net), "--initial", str(pl),
+        "--seed-pairs", "0;1", "--workers", "1", "--steps", "30", "--sequential",
+        "--external-metrics", str(ext), "--out-dir", str(tmp),
+    ]) == 2
+    assert "'run' column" in _one_line_error(capsys)
+
+
+def test_unusable_out_dir_fails_before_anneal(design, monkeypatch, capsys):
+    net, pl, tmp = design
+    monkeypatch.setattr(gridplace.cli, "run_parallel", _no_anneal)
+    for out_dir in (pl / "sub", pl):   # under a file, and a file itself
+        assert main([
+            "sa", "--netlist", str(net), "--initial", str(pl), "--steps", "30",
+            "--sequential", "--out-dir", str(out_dir),
+        ]) == 2
+        assert "output directory" in _one_line_error(capsys)
 
 
 def test_non_numeric_kendall_csv_is_diagnosed(tmp_path, capsys):

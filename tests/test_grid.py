@@ -14,8 +14,8 @@ from gridplace.netlist import (
     NodeKind,
     Orientation,
     Pin,
+    PlacementState,
     Pose,
-    mirror_orientation,
     transform_pin_offset,
 )
 
@@ -94,13 +94,23 @@ def test_transform_fn_twice_is_identity():
 
 
 def test_mirror_orientation_composition():
-    assert mirror_orientation(Orientation.N, "x") == Orientation.FN
-    assert mirror_orientation(Orientation.N, "y") == Orientation.FS
-    assert mirror_orientation(Orientation.FN, "x") == Orientation.N
+    # A mirror negates one orientation sign of a placement state, as the
+    # annealer's mirror move does: sx mirrors about the y axis, sy about x.
+    netlist = Netlist(nodes=[Node("a", NodeKind.MACRO, 4.0, 2.0, movable=True)], nets=[],
+                      canvas=Canvas(10.0, 10.0))
+
+    def mirror(orient, axes):
+        st = PlacementState.of(netlist.arrays, {"a": Pose(5.0, 5.0, orient)})
+        for axis in axes:
+            signs = st.sx if axis == "x" else st.sy
+            signs[0] = -signs[0]
+        return st["a"].orient
+
+    assert mirror(Orientation.N, "x") == Orientation.FN
+    assert mirror(Orientation.N, "y") == Orientation.FS
+    assert mirror(Orientation.FN, "x") == Orientation.N
     # x then y mirrors compose to a 180-degree turn.
-    assert mirror_orientation(mirror_orientation(Orientation.N, "x"), "y") == Orientation.S
-    with pytest.raises(ValueError):
-        mirror_orientation(Orientation.N, "z")
+    assert mirror(Orientation.N, "xy") == Orientation.S
 
 
 def test_node_bbox_orientation_keeps_outline():
