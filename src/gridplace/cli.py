@@ -592,6 +592,8 @@ def cmd_plot(args) -> int:
 # Commands that write into --out-dir. It is made before the design loads, so
 # that an unusable directory fails before any work is done.
 WRITES_OUT_DIR = {"cluster", "fd", "evaluate", "sa", "stability", "sweep", "shuffle", "plot"}
+# Explicit output file options; each one's directory is checked up front too.
+OUTPUT_FILES = ("out", "placement_out", "plot")
 
 COMMANDS = {
     "parse": cmd_parse,
@@ -654,6 +656,10 @@ def main(argv=None) -> int:
                 Path(args.out_dir).mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise IoFailure(f"cannot create output directory {args.out_dir}: {exc}") from exc
+        for name in OUTPUT_FILES:
+            target = getattr(args, name, None)
+            if target and not Path(target).parent.is_dir():
+                raise IoFailure(f"cannot write {target}: {Path(target).parent} is not a directory")
         return COMMANDS[args.command](args)
     except GridPlaceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -199,9 +199,10 @@ def read_external_metrics(path, key_column: str = "run") -> dict:
     """CSV with a run-id column -> {run_id: {column: float}}."""
     out: dict = {}
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            if key_column not in rec:
-                raise DegenerateInput(f"external metrics need a {key_column!r} column")
+        reader = csv.DictReader(fh)
+        if key_column not in (reader.fieldnames or ()):
+            raise DegenerateInput(f"external metrics need a {key_column!r} column")
+        for rec in reader:
             label = rec[key_column]
             out[label] = {}
             for k, v in rec.items():

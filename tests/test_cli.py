@@ -243,6 +243,25 @@ def test_unusable_out_dir_fails_before_anneal(design, monkeypatch, capsys):
         assert "output directory" in _one_line_error(capsys)
 
 
+def test_unusable_out_file_fails_before_the_design_loads(design, monkeypatch, capsys):
+    net, pl, tmp = design
+    monkeypatch.setattr(gridplace.cli, "run_parallel", _no_anneal)
+    assert main([
+        "sa", "--netlist", str(net), "--initial", str(pl), "--steps", "30",
+        "--sequential", "--out", "/nonexistent_dir/best.pl", "--out-dir", str(tmp),
+    ]) == 2
+    assert "/nonexistent_dir/best.pl" in _one_line_error(capsys)
+    assert not (tmp / "trace_w0.csv").exists()
+    monkeypatch.setattr(gridplace.cli, "_load_design", _no_anneal)
+    for command, flag in (("parse", "--out"), ("parse", "--plot"), ("cluster", "--out"),
+                          ("cluster", "--placement-out"), ("fd", "--out"),
+                          ("shuffle", "--out"), ("plot", "--out")):
+        target = str(pl / "out.txt")     # under a file
+        assert main([command, "--netlist", str(net), "--initial", str(pl), flag, target,
+                     "--out-dir", str(tmp)]) == 2, (command, flag)
+        assert target in _one_line_error(capsys)
+
+
 def test_non_numeric_kendall_csv_is_diagnosed(tmp_path, capsys):
     csv_path = tmp_path / "ranks.csv"
     for body in ("x,y\n1,2\nfoo,3\n", "x,y\n1,2\n3\n"):

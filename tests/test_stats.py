@@ -143,6 +143,16 @@ def test_read_external_metrics(tmp_path):
         read_external_metrics(bad)
 
 
+def test_external_metrics_header_is_checked_without_rows(tmp_path):
+    for text in ("label,area\n", ""):     # header only, and an empty file
+        path = tmp_path / "ext.csv"
+        path.write_text(text)
+        with pytest.raises(DegenerateInput, match="'run' column"):
+            read_external_metrics(path)
+    path.write_text("run,area\n")
+    assert read_external_metrics(path) == {}
+
+
 # ---------------------------------------------------------------------------
 # Weight sweeps
 
