@@ -22,6 +22,13 @@ predicate as the dense all-pairs definition. Every force sum keeps the dense
 definition's operands and summation order, so results are bit-identical to
 `fd_place_dense` in tests/oracles.py.
 
+The dense definition sums each node's repulsion terms as a row of an n x n
+matrix, `M.sum(axis=1)`. `_RowSums` gives the same floats from the nonzero
+entries alone, with no n x n buffer: it mirrors numpy's `pairwise_sum`
+(numpy/_core/src/umath/loops_utils.h.src; Higham, SIAM J. Sci. Comput. 1993),
+a fixed tree that depends only on n. A numpy that sums rows differently makes
+the dense-oracle tests fail.
+
 Node sizes, kinds and pins come from `Netlist.arrays`, built once per
 netlist; each call reads only the locations and orientation signs of the
 `PlacementState` it decodes from the placement it is given.
@@ -89,6 +96,97 @@ def _star_pairs(netlist: Netlist, placement: Placement, io_factor: float):
     return a_idx, b_idx, signs[a_idx] * off[a_pin], signs[b_idx] * off[b_pin], scale
 
 
+# numpy's pairwise_sum: a run of at most _BLOCK values is summed by _LANES
+# strided accumulators, so a lane takes at most _PASSES values.
+_BLOCK = 128
+_LANES = 8
+_PASSES = _BLOCK // _LANES
+
+
+class _RowSums:
+    """Exact `M.sum(axis=1)` of float64 matrices with `n_cols` columns, from
+    their nonzero entries.
+
+    For a C-contiguous float64 row, numpy returns 0.0 + pairwise(row):
+    pairwise splits a row longer than _BLOCK at half its length, rounded
+    down to a multiple of _LANES, into leaves of at most _BLOCK values. A
+    leaf sums value k into lane k % 8 (the first value of a lane starts it),
+    combines the lanes as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then adds its
+    last len % 8 values, the tail, in order; a leaf shorter than 8 is all
+    tail. Zeros leave a nonzero partial sum unchanged and the final 0.0 +
+    clears the sign of a zero one, so only the nonzero entries need adding.
+
+    Each column fixes its leaf and either its lane and pass k // 8 or its
+    tail position. One sort of the entries by pass, then tail position, puts
+    every lane's and every tail's values in column order, and `np.bincount`,
+    which adds in input order, accumulates them: the lanes into an (n_rows,
+    leaves, 8) array, about n_rows * n_cols / 12 floats, then the tails onto
+    the leaf sums. The leaves combine by the tree, one column at a time.
+    """
+
+    def __init__(self, n_cols: int):
+        starts, sizes = [], []
+
+        def split(start, size):
+            if size <= _BLOCK:
+                starts.append(start)
+                sizes.append(size)
+                return len(sizes) - 1
+            half = size // 2
+            half -= half % _LANES
+            return split(start, half), split(start + half, size - half)
+
+        self._tree = split(0, n_cols)
+        self._leaves = len(sizes)
+        leaf = np.repeat(np.arange(self._leaves), sizes)
+        off = np.arange(n_cols) - np.asarray(starts)[leaf]
+        main = np.asarray(sizes)[leaf] // _LANES * _LANES
+        in_lane = off < main
+        # Passes sort first, then tail positions.
+        self._key = np.where(in_lane, off // _LANES, _PASSES + off - main).astype(np.uint8)
+        self._slot = leaf * _LANES + np.where(in_lane, off % _LANES, 0)
+
+    def __call__(self, n_rows: int, rows: np.ndarray, cols: np.ndarray):
+        """The row-sum function of the (n_rows, n_cols) matrices whose
+        entries sit at (rows, cols), each cell at most once; every other cell
+        is zero. It maps the entries' values, in the same order, to the row
+        sums."""
+        key = self._key[cols]
+        n_tail = np.count_nonzero(key >= _PASSES)
+        width = self._leaves * _LANES
+        slot = rows.astype(np.intp)
+        slot *= width
+        slot += self._slot[cols]
+        # A lane takes one value per pass, so ordering by pass puts each
+        # lane's values in column order (stable: numpy radix-sorts uint8).
+        order = np.argsort(key, kind="stable")
+        slot = slot[order]
+        n_lane = slot.size - n_tail
+        tail_slot = slot[n_lane:] // _LANES
+        slot = slot[:n_lane]
+
+        def row_sums(vals: np.ndarray) -> np.ndarray:
+            v = vals[order]
+            r = np.bincount(slot, v[:n_lane], n_rows * width)
+            r = r.reshape(n_rows, self._leaves, _LANES)
+            r = r[..., 0::2] + r[..., 1::2]
+            r = r[..., 0::2] + r[..., 1::2]
+            leaf = r[..., 0] + r[..., 1]
+            if n_tail:
+                leaf = np.bincount(np.concatenate((np.arange(leaf.size), tail_slot)),
+                                   np.concatenate((leaf.reshape(-1), v[n_lane:])), leaf.size)
+                leaf = leaf.reshape(n_rows, self._leaves)
+
+            def combine(node):
+                if isinstance(node, int):
+                    return leaf[:, node]
+                return combine(node[0]) + combine(node[1])
+
+            return 0.0 + combine(self._tree)
+
+        return row_sums
+
+
 def _overlap_pairs(x, y, hw, hh, slack):
     """Node pairs (i, j), i < j, whose outlines overlap with positive area.
 
@@ -114,6 +212,44 @@ def _overlap_pairs(x, y, hw, hh, slack):
     keep = (hws[k] + hws[m]) - np.abs(xs[m] - xs[k]) > 0.0
     a, b = order[k[keep]], order[m[keep]]
     return np.minimum(a, b), np.maximum(a, b)
+
+
+def _add_repulsion(fx, fy, x, y, hw, hh, slack, mag, row_sums, rng):
+    """fx, fy plus the repulsion, of magnitude `mag`, between every pair of
+    nodes whose outlines overlap, summed as the dense definition sums it."""
+    n = x.size
+    ii, jj = _overlap_pairs(x, y, hw, hh, slack)
+    dx = x[jj] - x[ii]   # points i -> j
+    dy = y[jj] - y[ii]
+    dist = np.sqrt(dx * dx + dy * dy)
+    apart = dist > 0.0
+    drawn = None
+    if not apart.all():
+        # Coincident centers draw their directions pair by pair in row-major
+        # (i, j) order.
+        drawn = np.sort(ii[~apart].astype(np.intp) * n + jj[~apart])
+        ii, jj, dx, dy, dist = ii[apart], jj[apart], dx[apart], dy[apart], dist[apart]
+    if ii.size:
+        inv = np.divide(1.0, dist, out=dist)
+        dx *= inv
+        dy *= inv
+        # Cells (i, j), then (j, i): -(dx * inv) is the dense (-dx) * inv.
+        sums = row_sums(n, np.concatenate((ii, jj)), np.concatenate((jj, ii)))
+        fx = fx - mag * sums(np.concatenate((dx, -dx)))
+        fy = fy - mag * sums(np.concatenate((dy, -dy)))
+    if drawn is not None:
+        ic, jc = np.divmod(drawn, n)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=drawn.size)
+        px = mag * np.cos(theta)
+        py = mag * np.sin(theta)
+        # Each node adds its own force, then its draws as i, then as j: two
+        # bincounts that each start from the sum so far.
+        ids = np.arange(n)
+        fx = np.bincount(np.concatenate((ids, ic)), np.concatenate((fx, px)), n)
+        fy = np.bincount(np.concatenate((ids, ic)), np.concatenate((fy, py)), n)
+        fx = np.bincount(np.concatenate((ids, jc)), np.concatenate((fx, -px)), n)
+        fy = np.bincount(np.concatenate((ids, jc)), np.concatenate((fy, -py)), n)
+    return fx, fy
 
 
 def fd_place(
@@ -162,15 +298,7 @@ def fd_place(
     # canvas, and fixed nodes never move, so this bounds every x extent;
     # 1e-9 of it dwarfs the extents' rounding error.
     slack = 1e-9 * max(cv.width, cv.height, float(np.max(np.abs(x) + hw)))
-    node_ids = np.arange(n, dtype=np.intp)
-    if params.k_repel > 0:
-        # Per-node repulsion terms laid out as the dense (n, n) matrix rows:
-        # each row sums the same values in the same positions, and the
-        # zeros elsewhere leave any nonzero partial sum unchanged.
-        rep_x = np.zeros((n, n))
-        rep_y = np.zeros((n, n))
-        flat_x = rep_x.reshape(-1)
-        flat_y = rep_y.reshape(-1)
+    row_sums = _RowSums(n)
 
     for it in range(params.num_iters):
         if have_pairs and params.k_attract > 0:
@@ -186,37 +314,8 @@ def fd_place(
             fx = np.zeros(n)
             fy = np.zeros(n)
         if params.k_repel > 0:
-            ii, jj = _overlap_pairs(x, y, hw, hh, slack)
-            dx = x[jj] - x[ii]   # points i -> j
-            dy = y[jj] - y[ii]
-            dist = np.sqrt(dx * dx + dy * dy)
-            apart = dist > 0.0
-            mag = params.k_repel * f_r_max
-            if apart.any():
-                ia, ja = ii[apart], jj[apart]
-                inv = 1.0 / dist[apart]
-                ux = dx[apart] * inv
-                uy = dy[apart] * inv
-                # Cells (i, j), then (j, i): -(dx * inv) == (-dx) * inv exactly.
-                cells = np.concatenate((ia * n + ja, ja * n + ia))
-                flat_x[cells] = np.concatenate((ux, -ux))
-                flat_y[cells] = np.concatenate((uy, -uy))
-                fx -= mag * rep_x.sum(axis=1)
-                fy -= mag * rep_y.sum(axis=1)
-                flat_x[cells] = 0.0
-                flat_y[cells] = 0.0
-            if not apart.all():
-                # Coincident centers draw their directions pair by pair in
-                # row-major (i, j) order.
-                ic, jc = ii[~apart], jj[~apart]
-                order = np.argsort(ic * n + jc)
-                ic, jc = ic[order], jc[order]
-                theta = rng.uniform(0.0, 2.0 * np.pi, size=ic.size)
-                px = mag * np.cos(theta)
-                py = mag * np.sin(theta)
-                idx = np.concatenate((node_ids, ic, jc))
-                fx = np.bincount(idx, np.concatenate((fx, px, -px)), n)
-                fy = np.bincount(idx, np.concatenate((fy, py, -py)), n)
+            fx, fy = _add_repulsion(fx, fy, x, y, hw, hh, slack, params.k_repel * f_r_max,
+                                    row_sums, rng)
 
         max_fx = np.max(np.abs(fx))
         max_fy = np.max(np.abs(fy))

@@ -114,6 +114,28 @@ def stacked_pair(seed):
     return netlist, placement
 
 
+def fd_lattice_instance(seed, n_fixed=3000, n_clusters=100):
+    """Many small fixed macros on a lattice, apart from each other, and a few
+    clusters each joined to one of them: n is large but few outlines
+    overlap."""
+    rng = random.Random(seed)
+    cols = 60
+    rows = -(-n_fixed // cols)
+    nodes = []
+    placement = {}
+    for i in range(n_fixed):
+        nodes.append(Node(f"m{i}", NodeKind.MACRO, 1.0, 1.0, movable=False))
+        placement[f"m{i}"] = Pose(2.0 * (i % cols) + 1.0, 2.0 * (i // cols) + 1.0)
+    nets = []
+    for i in range(n_clusters):
+        side = rng.uniform(1.0, 4.0)
+        nodes.append(Node(f"g{i}", NodeKind.CLUSTER, side, side, movable=True))
+        nets.append(Net(f"net{i}", [Pin(f"g{i}", is_source=True),
+                                    Pin(f"m{rng.randrange(n_fixed)}")]))
+    netlist = Netlist(nodes=nodes, nets=nets, canvas=Canvas(2.0 * cols, 2.0 * rows))
+    return netlist, placement
+
+
 def fd_contact_instance(seed):
     """100-300 clusters in a few repeated sizes plus fixed ports and macros,
     built so that the FD repulsion meets its boundary cases.

@@ -1,6 +1,7 @@
 """Force-directed cluster placement."""
 
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from gridplace.bookshelf import parse_aux, parse_bookshelf, read_placement
 from gridplace.clustering import cluster_by_grid
 from gridplace.errors import DegenerateNet, MissingLocation, OutOfRange
-from gridplace.fd import FDIterationInfo, FDParams, _star_pairs, fd_place
+from gridplace.fd import FDIterationInfo, FDParams, _RowSums, _star_pairs, fd_place
 from gridplace.geometry import build_grid, node_bbox
 from gridplace.netlist import (
     Canvas,
@@ -23,7 +24,7 @@ from gridplace.netlist import (
 )
 
 import oracles
-from gen import fd_contact_instance, fd_instance, stacked_pair
+from gen import fd_contact_instance, fd_instance, fd_lattice_instance, stacked_pair
 
 
 def test_decompose_star_pairs():
@@ -359,3 +360,80 @@ def test_fd_matches_dense_at_full_scale(synth_aux):
     cnl = cluster_by_grid(netlist, initial, build_grid(netlist.canvas, 32, 32))
     _assert_matches_dense(cnl.netlist, cnl.seed_placement(initial), FDParams(num_iters=6, seed=7))
 
+
+
+def test_fd_matches_dense_through_the_crowded_iterations(synth_aux):
+    # Iteration 0 splits the clusters stacked at the center; iteration 1 then
+    # sums the repulsion of about 520k separated pairs.
+    netlist = parse_bookshelf(synth_aux)
+    initial = read_placement(parse_aux(synth_aux)["pl"], netlist)
+    cnl = cluster_by_grid(netlist, initial, build_grid(netlist.canvas, 32, 32))
+    _assert_matches_dense(cnl.netlist, cnl.seed_placement(initial), FDParams(num_iters=30, seed=7))
+
+
+# ---------------------------------------------------------------------------
+# Exact row sums without a dense buffer
+
+
+def _sparse_matrix(rng, n_rows, n_cols):
+    """Entries of an (n_rows, n_cols) matrix in shuffled order: row 0 empty,
+    row 1 full, the rest of random density; magnitudes from 1e-8 to 1e8 of
+    either sign, and some entries +0.0 or -0.0."""
+    present = rng.random((n_rows, n_cols)) < rng.random((n_rows, 1))
+    present[0] = False
+    present[1] = True
+    rows, cols = np.nonzero(present)
+    order = rng.permutation(rows.size)
+    rows, cols = rows[order], cols[order]
+    vals = rng.choice([-1.0, 1.0], rows.size) * 10.0 ** rng.uniform(-8.0, 8.0, rows.size)
+    zero = rng.random(rows.size) < 0.05
+    vals[zero] = np.copysign(0.0, vals[zero])
+    return rows, cols, vals
+
+
+def _dense_row_sums(n_rows, n_cols, rows, cols, vals):
+    m = np.zeros((n_rows, n_cols))
+    m[rows, cols] = vals
+    return m.sum(axis=1)
+
+
+def test_row_sums_match_dense_rows():
+    # Leaves shorter than 8 (n < 8), leaves with a tail, and trees of one to
+    # sixteen leaves (n = 1,526, the benchmark designs' node count).
+    rng = np.random.default_rng(0)
+    for n in list(range(1, 301)) + [1526]:
+        n_rows = 40 if n == 1526 else 5
+        rows, cols, vals = _sparse_matrix(rng, n_rows, n)
+        sums = _RowSums(n)(n_rows, rows, cols)
+        # One entry layout serves several value vectors, as x and y in FD.
+        for v in (vals, -vals[::-1].copy()):
+            got = sums(v)
+            want = _dense_row_sums(n_rows, n, rows, cols, v)
+            assert np.array_equal(got, want), n
+            assert np.array_equal(np.signbit(got), np.signbit(want)), n
+
+
+def test_row_sums_follow_the_dense_order():
+    # The same values summed in column order would round differently: the
+    # test above checks the order, not just the total.
+    rng = np.random.default_rng(1)
+    rows, cols, vals = _sparse_matrix(rng, 40, 1526)
+    want = _dense_row_sums(40, 1526, rows, cols, vals)
+    order = np.lexsort((cols, rows))
+    in_order = np.bincount(rows[order], vals[order], 40)
+    assert not np.array_equal(in_order, want)
+    assert np.array_equal(_RowSums(1526)(40, rows, cols)(vals), want)
+
+
+def test_fd_allocates_no_dense_buffer():
+    # About 3,100 nodes: one n x n float64 buffer would take 77 MB.
+    netlist, placement = fd_lattice_instance(0)
+    n = len(netlist.nodes)
+    netlist.arrays   # built once per netlist, outside the measured call
+    tracemalloc.start()
+    try:
+        fd_place(netlist, placement, FDParams(num_iters=5, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
