@@ -32,7 +32,7 @@ re-scores only what changed. Wirelength and net congestion each keep a
 private memo of their last inputs and results. A call compares the new node
 arrays with the memo's by bit pattern (so -0.0 and 0.0 differ) and finds,
 through a node->net index built once, the nets with a pin on a moved node:
-  * wirelength recomputes those nets' HPWL and takes the same dot product
+  * wirelength recomputes those nets' HPWL and takes the same weighted sum
     over all nets;
   * net congestion routes those nets with the one router at their old and at
     their new positions, subtracts the old difference-array entries and adds
@@ -322,7 +322,8 @@ class Evaluator:
                 hp[nets] = self._net_hpwl(x, y, sx, sy, nets)
         self._remember("wirelength", (x, y, sx, sy), hp=hp)
         norm = self.netlist.canvas.width + self.netlist.canvas.height
-        return float(np.dot(self._arrays.net_weight, hp) / norm / self._n_nets)
+        # numpy's pairwise sum, not np.dot: BLAS rounds by its thread count.
+        return float(np.add.reduce(self._arrays.net_weight * hp) / norm / self._n_nets)
 
     def density_grid_from_arrays(self, x, y) -> np.ndarray:
         g = self.grid

@@ -1,10 +1,15 @@
 """Proxy cost: wirelength, density, congestion, routing, pooling."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridplace
 import oracles
 from gen import one_net_instance, small_instance, three_cell_instance
 from gridplace.cost import (
@@ -494,3 +499,36 @@ def test_smooth_radius_config_respected():
     c0 = Evaluator(nl, grid, CostConfig(smooth_radius=0)).components(pl)[2]
     want = oracles.congestion(nl, pl, grid, radius=0)
     assert c0 == pytest.approx(want, rel=1e-9)
+
+
+_WIRELENGTH_SCRIPT = """
+import sys
+from gridplace.bookshelf import parse_aux, parse_bookshelf, read_placement
+from gridplace.clustering import cluster_by_grid
+from gridplace.cost import Evaluator
+from gridplace.fd import FDParams, fd_place
+from gridplace.geometry import build_grid
+
+aux = sys.argv[1]
+netlist = parse_bookshelf(aux)
+initial = read_placement(parse_aux(aux)["pl"], netlist)
+grid = build_grid(netlist.canvas, 32, 32)
+cnl = cluster_by_grid(netlist, initial, grid)
+evaluator = Evaluator(cnl.netlist, grid)
+base = cnl.seed_placement(initial)
+for placement in (base, fd_place(cnl.netlist, base, FDParams(num_iters=3, seed=0))):
+    print(repr(evaluator.breakdown(placement).wirelength))
+"""
+
+
+def test_wirelength_independent_of_blas_threads(synth_aux):
+    # The ibm01-scale design has over 10k nets: enough for OpenBLAS to split
+    # a dot product over its threads, whose partial sums round by number.
+    # After an FD pass the net lengths no longer sum exactly.
+    env = dict(os.environ, PYTHONPATH=str(Path(gridplace.__file__).resolve().parents[1]))
+    out = {}
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        out[threads] = subprocess.run([sys.executable, "-c", _WIRELENGTH_SCRIPT, str(synth_aux)],
+                                      env=env, capture_output=True, text=True, check=True).stdout
+    assert out["1"] == out["2"]
