@@ -8,9 +8,10 @@ itself is the head side. For each pair and each workload of BENCHMARK.json,
 `benchmark/run.py` runs once on each side at seed 7 for BENCHMARK.json's
 run_seconds, the side that goes first alternating from pair to pair. One
 traced run per side and workload follows. The output file holds the machine
-record, the median and quartiles of every end-to-end metric per workload and
-side, how many pairs the head side won per metric, the traced per-layer
-metrics and the failed operation counts.
+record, each side's source line count (`wc -l src/gridplace/*.py`), the
+median and quartiles of every end-to-end metric per workload and side, how
+many pairs the head side won per metric, the traced per-layer metrics and the
+failed operation counts.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ def run_one(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
     return result
 
 
+def source_lines(checkout: Path) -> int:
+    """The total that `wc -l src/gridplace/*.py` prints: newlines in the package sources."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "gridplace").glob("*.py"))
+
+
 def summary(values: list) -> dict:
     if len(values) < 2:
         return {"median": values[0], "q1": values[0], "q3": values[0], "values": values}
@@ -98,6 +104,7 @@ def main(argv=None) -> int:
     out = {"command": f"python3 benchmark/run.py --workload W --seed {SEED} "
                       f"--seconds {seconds:g} --trace 0|1",
            "revisions": revs, "pairs": args.pairs, "machine": machine,
+           "source_lines": {side: source_lines(path) for side, path in sides.items()},
            "workloads": {}}
     for w in workloads:
         entry = {}

@@ -23,15 +23,16 @@ from pathlib import Path
 from .errors import IncompletePlacement, InvalidDimension, MalformedLine, MissingFile
 from .netlist import (
     Canvas,
-    Net,
     Netlist,
+    NetTable,
     Node,
     NodeKind,
     Orientation,
-    Pin,
     Placement,
     Pose,
+    clamp_offsets,
     finite_float,
+    pin_table,
     validate_nets,
     write_text,
 )
@@ -49,7 +50,7 @@ def _content_lines(path: Path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if _HEADER_RE.match(line):
+        if line[0] in "Uu" and _HEADER_RE.match(line):
             continue
         yield lineno, line
 
@@ -61,6 +62,14 @@ def _header_value(tok: list[str], path: Path, lineno: int) -> int:
     if not m:
         raise MalformedLine(path, lineno, f"bad count line {joined!r}")
     return int(m.group(1))
+
+
+def _check_counts(path: Path, declared: dict, parsed: dict) -> None:
+    """Raise MalformedLine for a header count ("NumPins : 12") that the
+    body of the file contradicts."""
+    for key, got in parsed.items():
+        if declared[key] not in (None, got):
+            raise MalformedLine(path, 0, f"{key}={declared[key]} but parsed {got}")
 
 
 def parse_aux(path) -> dict[str, Path]:
@@ -87,14 +96,11 @@ def parse_aux(path) -> dict[str, Path]:
 
 def parse_nodes(path: Path, row_height: float | None) -> list[Node]:
     nodes: list[Node] = []
-    num_nodes = num_terminals = None
+    declared = dict.fromkeys(("NumNodes", "NumTerminals"))
     for lineno, line in _content_lines(path):
         tok = line.split()
-        if tok[0] == "NumNodes":
-            num_nodes = _header_value(tok, path, lineno)
-            continue
-        if tok[0] == "NumTerminals":
-            num_terminals = _header_value(tok, path, lineno)
+        if tok[0] in declared:
+            declared[tok[0]] = _header_value(tok, path, lineno)
             continue
         if len(tok) < 3:
             raise MalformedLine(path, lineno, f"expected 'name width height [terminal]', got {line!r}")
@@ -119,130 +125,100 @@ def parse_nodes(path: Path, row_height: float | None) -> list[Node]:
             else:
                 kind = NodeKind.MACRO
             nodes.append(Node(name, kind, w, h, movable=True))
-    if num_nodes is not None and num_nodes != len(nodes):
-        raise MalformedLine(path, 0, f"NumNodes={num_nodes} but parsed {len(nodes)} nodes")
-    if num_terminals is not None:
-        parsed_t = sum(1 for n in nodes if not n.movable)
-        if num_terminals != parsed_t:
-            raise MalformedLine(path, 0, f"NumTerminals={num_terminals} but parsed {parsed_t}")
+    _check_counts(path, declared, {"NumNodes": len(nodes),
+                                   "NumTerminals": sum(1 for n in nodes if not n.movable)})
     return nodes
 
 
-def parse_nets(path: Path, nodes: dict[str, Node]) -> list[Net]:
-    nets: list[Net] = []
-    num_nets = num_pins = None
-    pins_seen = 0
-    current: Net | None = None
+_NUMBER_CHARS = "+-.0123456789eE"
+
+
+def parse_nets(path: Path, nodes: list[Node]) -> NetTable:
+    """The .nets sections as a pin table, offsets clamped to the owners'
+    half-extents. Nets are not validated yet."""
+    index = {n.name: i for i, n in enumerate(nodes)}
+    names: list[str] = []
+    sizes: list[int] = []
+    pins: list[tuple] = []   # (owner, dx, dy, marked)
+    declared = dict.fromkeys(("NumNets", "NumPins"))
     remaining = 0
-    clamped = 0
     for lineno, line in _content_lines(path):
         tok = line.split()
-        if tok[0] == "NumNets":
-            num_nets = _header_value(tok, path, lineno)
+        head = tok[0]
+        if head in declared:
+            declared[head] = _header_value(tok, path, lineno)
             continue
-        if tok[0] == "NumPins":
-            num_pins = _header_value(tok, path, lineno)
-            continue
-        if tok[0] == "NetDegree":
+        if head == "NetDegree":
             if remaining > 0:
-                raise MalformedLine(path, lineno, f"net {current.name!r} short by {remaining} pin(s)")
-            joined = " ".join(tok)
-            m = re.match(r"^NetDegree\s*:\s*(\d+)\s*(\S+)?$", joined)
-            if not m:
+                raise MalformedLine(path, lineno, f"net {names[-1]!r} short by {remaining} pin(s)")
+            # "NetDegree : 3 name"; the name is optional.
+            before, colon, rest = " ".join(tok[1:]).partition(":")
+            rest = rest.lstrip()
+            digits = rest[:len(rest) - len(rest.lstrip("0123456789"))]
+            name = rest[len(digits):].split()
+            if before or not colon or not digits or len(name) > 1:
                 raise MalformedLine(path, lineno, f"bad NetDegree line {line!r}")
-            remaining = int(m.group(1))
-            name = m.group(2) or f"net{len(nets)}"
-            current = Net(name, [])
-            nets.append(current)
+            remaining = int(digits)
+            names.append(name[0] if name else f"net{len(names)}")
+            sizes.append(remaining)
             continue
-        if current is None or remaining == 0:
+        if remaining == 0:
             raise MalformedLine(path, lineno, f"pin line outside a net section: {line!r}")
-        # "nodename I : dx dy" / "nodename O" / "nodename B : dx dy"
-        m = re.match(r"^(\S+)\s+([IOB])(?:\s*:\s*([-+0-9.eE]+)\s+([-+0-9.eE]+))?$", line)
-        if not m:
+        # "nodename I : dx dy" / "nodename O" / "nodename B: dx dy"; O marks the source.
+        direction, colon, rest = " ".join(tok[1:]).partition(":")
+        offsets = rest.split()
+        if direction.rstrip() not in ("I", "O", "B") or colon and (
+                len(offsets) != 2 or any(t.strip(_NUMBER_CHARS) for t in offsets)):
             raise MalformedLine(path, lineno, f"bad pin line {line!r}")
-        node_name, direction = m.group(1), m.group(2)
-        if node_name not in nodes:
-            raise MalformedLine(path, lineno, f"pin references unknown node {node_name!r}")
+        i = index.get(head)
+        if i is None:
+            raise MalformedLine(path, lineno, f"pin references unknown node {head!r}")
         try:
-            dx = finite_float(m.group(3)) if m.group(3) is not None else 0.0
-            dy = finite_float(m.group(4)) if m.group(4) is not None else 0.0
+            pins.append((i, *(map(finite_float, offsets) if colon else (0.0, 0.0)), direction[0] == "O"))
         except ValueError as exc:
             raise MalformedLine(path, lineno, f"bad pin offset in {line!r}") from exc
-        node = nodes[node_name]
-        hw, hh = node.width / 2.0, node.height / 2.0
-        cx = min(max(dx, -hw), hw)
-        cy = min(max(dy, -hh), hh)
-        if cx != dx or cy != dy:
-            clamped += 1
-            dx, dy = cx, cy
-        current.pins.append(Pin(node_name, dx, dy, is_source=direction == "O"))
         remaining -= 1
-        pins_seen += 1
     if remaining > 0:
-        raise MalformedLine(path, 0, f"net {current.name!r} short by {remaining} pin(s)")
-    if num_nets is not None and num_nets != len(nets):
-        raise MalformedLine(path, 0, f"NumNets={num_nets} but parsed {len(nets)}")
-    if num_pins is not None and num_pins != pins_seen:
-        raise MalformedLine(path, 0, f"NumPins={num_pins} but parsed {pins_seen}")
-    if clamped:
-        log.warning("%s: clamped %d pin offset(s) to node half-extents", path, clamped)
-    return nets
+        raise MalformedLine(path, 0, f"net {names[-1]!r} short by {remaining} pin(s)")
+    _check_counts(path, declared, {"NumNets": len(names), "NumPins": len(pins)})
+    return clamp_offsets(pin_table(names, [1.0] * len(names), sizes, pins), nodes, path, "node half-extents")
 
 
 def parse_scl(path: Path) -> tuple[float, float, float, float, float]:
     """Parse core rows. Returns (min_x, min_y, max_x, max_y, row_height)."""
     rows = []
-    num_rows = None
-    in_row = False
-    coord = height = origin = sites = None
-    spacing = 1.0
+    declared = {"NumRows": None}
+    row = None   # the open CoreRow's values by lower-case key
     for lineno, line in _content_lines(path):
         tok = line.split()
-        if tok[0] == "NumRows":
-            num_rows = _header_value(tok, path, lineno)
+        if tok[0] in declared:
+            declared[tok[0]] = _header_value(tok, path, lineno)
             continue
         if tok[0] == "CoreRow":
-            in_row = True
-            coord = height = origin = sites = None
-            spacing = 1.0
+            row = {"sitespacing": 1.0}
             continue
         if tok[0] == "End":
-            if not in_row:
+            if row is None:
                 raise MalformedLine(path, lineno, "End outside CoreRow")
-            if coord is None or height is None or origin is None or sites is None:
+            if not {"coordinate", "height", "subroworigin", "numsites"} <= row.keys():
                 raise MalformedLine(path, lineno, "CoreRow missing Coordinate/Height/SubrowOrigin/NumSites")
-            rows.append((origin, coord, origin + sites * spacing, coord + height))
-            in_row = False
+            origin, coord = row["subroworigin"], row["coordinate"]
+            rows.append((origin, coord, origin + row["numsites"] * row["sitespacing"], coord + row["height"]))
+            row = None
             continue
-        if not in_row:
+        if row is None:
             raise MalformedLine(path, lineno, f"unexpected line outside CoreRow: {line!r}")
         # Key : value pairs, possibly several per line (SubrowOrigin : 0 NumSites : 128)
         for m in re.finditer(r"(\w+)\s*:\s*([-+0-9.eE]+)", line):
             try:
-                key, val = m.group(1).lower(), finite_float(m.group(2))
+                row[m.group(1).lower()] = finite_float(m.group(2))
             except ValueError as exc:
                 raise MalformedLine(path, lineno, f"bad number in {line!r}") from exc
-            if key == "coordinate":
-                coord = val
-            elif key == "height":
-                height = val
-            elif key == "subroworigin":
-                origin = val
-            elif key == "numsites":
-                sites = val
-            elif key == "sitespacing":
-                spacing = val
-    if num_rows is not None and num_rows != len(rows):
-        raise MalformedLine(path, 0, f"NumRows={num_rows} but parsed {len(rows)}")
+    _check_counts(path, declared, {"NumRows": len(rows)})
     if not rows:
         raise MalformedLine(path, 0, "no CoreRow sections found")
-    min_x = min(r[0] for r in rows)
-    min_y = min(r[1] for r in rows)
-    max_x = max(r[2] for r in rows)
-    max_y = max(r[3] for r in rows)
-    row_height = rows[0][3] - rows[0][1]
-    return min_x, min_y, max_x, max_y, row_height
+    left, bottom, right, top = zip(*rows)
+    return min(left), min(bottom), max(right), max(top), rows[0][3] - rows[0][1]
 
 
 def parse_bookshelf(aux_path) -> Netlist:
@@ -262,21 +238,17 @@ def parse_bookshelf(aux_path) -> Netlist:
             log.info("%s: rows start at (%g, %g); canvas keeps origin (0, 0)", files["scl"], min_x, min_y)
         canvas = Canvas(max_x, max_y)
     nodes = parse_nodes(files["nodes"], row_height)
-    node_map = {n.name: n for n in nodes}
-    nets = validate_nets(parse_nets(files["nets"], node_map), where=str(files["nets"]))
+    nets = validate_nets(parse_nets(files["nets"], nodes), where=str(files["nets"]))
     if canvas is None:
         if "pl" not in files:
             raise InvalidDimension("no .scl rows and no .pl file: cannot infer a canvas")
         corners = _read_pl_corners(files["pl"])
-        ext_x = ext_y = 0.0
         fixed = [n for n in nodes if not n.movable and n.name in corners]
         pool = fixed if fixed else [n for n in nodes if n.name in corners]
         if not pool:
             raise InvalidDimension("cannot infer canvas: .pl places no known nodes")
-        for n in pool:
-            x, y = corners[n.name][0], corners[n.name][1]
-            ext_x = max(ext_x, x + n.width)
-            ext_y = max(ext_y, y + n.height)
+        ext_x = max([0.0] + [corners[n.name][0] + n.width for n in pool])
+        ext_y = max([0.0] + [corners[n.name][1] + n.height for n in pool])
         canvas = Canvas(ext_x, ext_y)
         log.info("canvas inferred from %d placed node(s): %g x %g", len(pool), ext_x, ext_y)
     return Netlist(nodes=nodes, nets=nets, canvas=canvas)

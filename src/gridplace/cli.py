@@ -314,14 +314,13 @@ def cmd_parse(args) -> int:
     by_kind = {k: 0 for k in NodeKind}
     for n in netlist.nodes:
         by_kind[n.kind] += 1
-    pins = sum(len(n.pins) for n in netlist.nets)
     _print_kv([
         ("nodes", len(netlist.nodes)),
         ("macros", by_kind[NodeKind.MACRO]),
         ("stdcells", by_kind[NodeKind.STDCELL]),
         ("ports", by_kind[NodeKind.PORT]),
-        ("nets", len(netlist.nets)),
-        ("pins", pins),
+        ("nets", len(netlist.arrays.net_names)),
+        ("pins", len(netlist.arrays.pin_owner)),
         ("canvas_w", float(netlist.canvas.width)),
         ("canvas_h", float(netlist.canvas.height)),
         ("placed", len(initial)),
@@ -338,7 +337,7 @@ def cmd_cluster(args) -> int:
     _print_kv([
         ("clusters", len(cnl.members)),
         ("clustered_cells", sum(len(v) for v in cnl.members.values())),
-        ("nets", len(cnl.netlist.nets)),
+        ("nets", len(cnl.netlist.arrays.net_names)),
         ("nodes", len(cnl.netlist.nodes)),
     ])
     if args.out:

@@ -16,9 +16,21 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .errors import MissingLocation, PointOutsideCanvas
+import numpy as np
+
+from .errors import PointOutsideCanvas
 from .geometry import Grid
-from .netlist import Net, Netlist, Node, NodeKind, Orientation, Pin, Placement, Pose
+from .netlist import (
+    Netlist,
+    NetTable,
+    Node,
+    NodeKind,
+    Orientation,
+    Placement,
+    PlacementState,
+    Pose,
+    drop_short_nets,
+)
 
 log = logging.getLogger(__name__)
 
@@ -38,21 +50,14 @@ class ClusteredNetlist:
     def clusters(self) -> list[Node]:
         return [n for n in self.netlist.nodes if n.kind == NodeKind.CLUSTER]
 
-    def initial_cluster_placement(self) -> Placement:
-        """Clusters at their bucket cell centers, orientation N."""
-        out: Placement = {}
-        for cid, (col, row) in self.cluster_cells.items():
-            x, y = self.grid.cell_center(col, row)
-            out[cid] = Pose(x, y, Orientation.N)
-        return out
-
     def seed_placement(self, initial: Placement) -> Placement:
         """Initial poses for the rewired netlist.
 
-        Clusters sit at their bucket centers; every other node keeps its pose
-        from `initial` when one exists.
+        Clusters sit at their bucket centers, orientation N; every other node
+        keeps its pose from `initial` when one exists.
         """
-        out = self.initial_cluster_placement()
+        out = {cid: Pose(*self.grid.cell_center(col, row), Orientation.N)
+               for cid, (col, row) in self.cluster_cells.items()}
         for node in self.netlist.nodes:
             if node.kind != NodeKind.CLUSTER and node.name in initial:
                 out[node.name] = initial[node.name]
@@ -66,71 +71,72 @@ def _cluster_name(row: int, col: int, taken) -> str:
     return name
 
 
-def _rewire(netlist: Netlist, cluster_of: dict[str, str]) -> tuple[list[Net], int]:
-    """Collapse member pins onto cluster centers; returns (nets, dropped)."""
-    nets: list[Net] = []
-    dropped = 0
-    for net in netlist.nets:
-        pins: list[Pin] = []
-        seen_clusters: dict[str, Pin] = {}
-        for pin in net.pins:
-            cid = cluster_of.get(pin.node)
-            if cid is None:
-                pins.append(Pin(pin.node, pin.dx, pin.dy, pin.is_source))
-                continue
-            existing = seen_clusters.get(cid)
-            if existing is not None:
-                if pin.is_source:
-                    existing.is_source = True
-                continue
-            cp = Pin(cid, 0.0, 0.0, pin.is_source)
-            seen_clusters[cid] = cp
-            pins.append(cp)
-        if len(pins) < 2:
-            dropped += 1
-            continue
-        nets.append(Net(net.name, pins, net.weight))
-    return nets, dropped
+def _cluster(netlist: Netlist, initial: Placement, grid: Grid, singletons: bool) -> ClusteredNetlist:
+    """Group the movable standard cells by the grid cell holding their
+    initial center, or each on its own with `singletons`, and rewire the nets.
+
+    Bucket clusters follow the other nodes in (row, col) order, members in
+    node order; a singleton cluster keeps its cell's name and place. Per
+    net, one center pin stands for each cluster at the place of its first
+    member pin, marked when any member pin was; other pins stay, duplicates
+    included. Nets left with fewer than two pins are dropped.
+    """
+    nodes, a = netlist.nodes, netlist.arrays
+    stdcell = np.array([n.kind == NodeKind.STDCELL and n.movable for n in nodes], dtype=bool)
+    st = PlacementState.of(a, initial)
+    st.require(stdcell, "standard cell")
+    cells = np.flatnonzero(stdcell)
+    cols, rows = grid.cells_of(st.x[cells], st.y[cells])
+    key = np.arange(len(cells)) if singletons else rows * grid.n_cols + cols
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    new_nodes, new_index = list(nodes), np.arange(len(nodes))
+    if not singletons:
+        new_nodes = [n for n, s in zip(nodes, stdcell.tolist()) if not s]
+        new_index[~stdcell] = np.arange(len(new_nodes))
+    taken = {n.name for n in nodes}
+    cluster_of, members, cluster_cells = {}, {}, {}
+    for start, group in zip(starts.tolist(), np.split(cells[order], starts[1:])):
+        col, row = int(cols[order[start]]), int(rows[order[start]])
+        group = group.tolist()
+        cid = nodes[group[0]].name if singletons else _cluster_name(row, col, taken)
+        taken.add(cid)
+        side = math.sqrt(sum(nodes[i].area for i in group))
+        cluster = Node(cid, NodeKind.CLUSTER, side, side, movable=True)
+        if singletons:
+            new_nodes[group[0]] = cluster
+        else:
+            new_index[group] = len(new_nodes)
+            new_nodes.append(cluster)
+        members[cid] = [nodes[i].name for i in group]
+        cluster_cells[cid] = (col, row)
+        cluster_of.update(dict.fromkeys(members[cid], cid))
+
+    member = stdcell[a.pin_owner]
+    owner = new_index[a.pin_owner]
+    at = np.flatnonzero(member)
+    _, first, group = np.unique(a.net_of_pin[at] * len(new_nodes) + owner[at],
+                                return_index=True, return_inverse=True)
+    marked = a.pin_marked.copy()
+    marked[at[first]] = np.bincount(group, weights=a.pin_marked[at], minlength=len(first)) > 0
+    keep = ~member
+    keep[at[first]] = True
+    nets, sizes = drop_short_nets(NetTable(a.net_names, a.net_weight, a.net_start, owner,
+                                           np.where(member, 0.0, a.pin_dx),
+                                           np.where(member, 0.0, a.pin_dy), marked), keep)
+    dropped = int(np.count_nonzero(sizes < 2))
+    if dropped:
+        log.warning("singleton clustering dropped %d net(s)" if singletons
+                    else "clustering dropped %d net(s) with fewer than two pins", dropped)
+    log.info("clustered %d standard cells into %d cluster(s); %d net(s) kept",
+             len(cluster_of), len(members), len(nets.net_names))
+    rewired = Netlist(nodes=new_nodes, nets=nets, canvas=netlist.canvas)
+    return ClusteredNetlist(rewired, cluster_of, members, cluster_cells, grid, original=netlist)
 
 
 def cluster_by_grid(netlist: Netlist, initial: Placement, grid: Grid) -> ClusteredNetlist:
     """Bucket movable standard cells by the grid cell holding their center."""
-    buckets: dict[tuple[int, int], list[Node]] = {}
-    for node in netlist.nodes:
-        if node.kind != NodeKind.STDCELL or not node.movable:
-            continue
-        pose = initial.get(node.name)
-        if pose is None:
-            raise MissingLocation(f"standard cell {node.name!r} has no initial location")
-        cell = grid.cell_of_point(pose.x, pose.y)
-        buckets.setdefault(cell, []).append(node)
-
-    taken = {n.name for n in netlist.nodes}
-    cluster_of: dict[str, str] = {}
-    members: dict[str, list[str]] = {}
-    cluster_cells: dict[str, tuple[int, int]] = {}
-    cluster_nodes: list[Node] = []
-    for (col, row) in sorted(buckets, key=lambda c: (c[1], c[0])):
-        group = buckets[(col, row)]
-        cid = _cluster_name(row, col, taken)
-        taken.add(cid)
-        side = math.sqrt(sum(n.area for n in group))
-        cluster_nodes.append(Node(cid, NodeKind.CLUSTER, side, side, movable=True))
-        members[cid] = [n.name for n in group]
-        cluster_cells[cid] = (col, row)
-        for n in group:
-            cluster_of[n.name] = cid
-
-    kept_nodes = [n for n in netlist.nodes if n.name not in cluster_of]
-    nets, dropped = _rewire(netlist, cluster_of)
-    if dropped:
-        log.warning("clustering dropped %d net(s) with fewer than two pins", dropped)
-    rewired = Netlist(nodes=kept_nodes + cluster_nodes, nets=nets, canvas=netlist.canvas)
-    log.info(
-        "clustered %d standard cells into %d cluster(s); %d net(s) kept",
-        len(cluster_of), len(cluster_nodes), len(nets),
-    )
-    return ClusteredNetlist(rewired, cluster_of, members, cluster_cells, grid, original=netlist)
+    return _cluster(netlist, initial, grid, singletons=False)
 
 
 def no_clustering(netlist: Netlist, initial: Placement, grid: Grid) -> ClusteredNetlist:
@@ -140,27 +146,7 @@ def no_clustering(netlist: Netlist, initial: Placement, grid: Grid) -> Clustered
     clusters are squared like any other cluster so downstream code sees one
     shape convention.
     """
-    cluster_of: dict[str, str] = {}
-    members: dict[str, list[str]] = {}
-    cluster_cells: dict[str, tuple[int, int]] = {}
-    new_nodes: list[Node] = []
-    for node in netlist.nodes:
-        if node.kind != NodeKind.STDCELL or not node.movable:
-            new_nodes.append(node)
-            continue
-        pose = initial.get(node.name)
-        if pose is None:
-            raise MissingLocation(f"standard cell {node.name!r} has no initial location")
-        side = math.sqrt(node.area)
-        new_nodes.append(Node(node.name, NodeKind.CLUSTER, side, side, movable=True))
-        cluster_of[node.name] = node.name
-        members[node.name] = [node.name]
-        cluster_cells[node.name] = grid.cell_of_point(pose.x, pose.y)
-    nets, dropped = _rewire(netlist, cluster_of)
-    if dropped:
-        log.warning("singleton clustering dropped %d net(s)", dropped)
-    rewired = Netlist(nodes=new_nodes, nets=nets, canvas=netlist.canvas)
-    return ClusteredNetlist(rewired, cluster_of, members, cluster_cells, grid, original=netlist)
+    return _cluster(netlist, initial, grid, singletons=True)
 
 
 VACUOUS_MODES = ("point", "lower-left", "upper-right")

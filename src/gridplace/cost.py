@@ -219,7 +219,7 @@ class Evaluator:
         self._density_mask = a.is_macro | a.is_cluster
         self._n_nets = a.net_weight.size
         self._net_size = np.diff(a.net_start)
-        self._pin_net = np.repeat(np.arange(self._n_nets, dtype=np.intp), self._net_size)
+        self._pin_net = a.net_of_pin
         self._driver_offset = a.driver - a.net_start[:-1]
         # Node -> net CSR: the net of each pin, node by node (in any order
         # within a node; a stable sort costs four times as much).
@@ -390,8 +390,7 @@ class Evaluator:
         a = self._arrays
         pins, pin_net, first = self._net_pins(nets)
         px, py = self._pin_xy(x, y, sx, sy, pins)
-        pc = np.clip(np.floor(px / g.cell_w).astype(np.intp), 0, g.n_cols - 1)
-        pr = np.clip(np.floor(py / g.cell_h).astype(np.intp), 0, g.n_rows - 1)
+        pc, pr = g.cells_of(px, py)
         cell = pc * g.n_rows + pr
         # Distinct (net, cell) keys in sorted order, as np.unique would give
         # them; a sort plus an adjacent-difference mask is several times

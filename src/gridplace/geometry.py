@@ -57,6 +57,12 @@ class Grid:
         row = min(max(int(math.floor(y / self.cell_h)), 0), self.n_rows - 1)
         return col, row
 
+    def cells_of(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`cell_of_point` of finite points, as column and row arrays."""
+        col = np.clip(np.floor(x / self.cell_w), 0, self.n_cols - 1).astype(np.intp)
+        row = np.clip(np.floor(y / self.cell_h), 0, self.n_rows - 1).astype(np.intp)
+        return col, row
+
     @property
     def tol(self) -> float:
         return EPS_FRAC * max(self.canvas.width, self.canvas.height)

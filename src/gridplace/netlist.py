@@ -3,8 +3,11 @@
 A netlist is a set of rectangular nodes (hard macros, standard cells, soft
 clusters, zero-area ports) connected by weighted nets. Pin offsets are stored
 relative to the owning node's center, matching the convention of the Bookshelf
-files this tool consumes. Node locations are not part of the netlist; they
-live in separate placements, name -> `Pose` maps. Files and the CLI use
+files this tool consumes. A netlist stores its nets once, as the flat pin
+table of `NetlistArrays` that the readers and clustering build; `Net`/`Pin`
+objects exist only where callers hand them in or read them out. Node
+locations are not part of the netlist; they live in separate placements,
+name -> `Pose` maps. Files and the CLI use
 dicts; the placer works on `PlacementState`, the array form of a placement,
 and `PlacementState.of` is the one decoder from a dict to it.
 
@@ -21,9 +24,8 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -106,13 +108,6 @@ class Net:
     pins: list[Pin] = field(default_factory=list)
     weight: float = 1.0
 
-    def source_index(self) -> int:
-        """Index of the driving pin: the marked source, else the first pin."""
-        for i, p in enumerate(self.pins):
-            if p.is_source:
-                return i
-        return 0
-
 
 @dataclass
 class Node:
@@ -143,14 +138,33 @@ class Canvas:
 
 
 @dataclass(frozen=True)
-class NetlistArrays:
-    """The netlist as flat arrays, nodes in netlist order and pins net by net.
+class NetTable:
+    """Nets as flat pin arrays.
 
-    Node arrays have one entry per node. `pin_owner`, `pin_dx` and `pin_dy`
-    hold every pin, the pins of net k at `net_start[k]:net_start[k + 1]`
-    (`net_start` has one more entry than there are nets). `driver` is the flat
-    index of each net's driving pin: its first marked source, else its first
-    pin, as `Net.source_index()` answers.
+    The pins of net k are at `net_start[k]:net_start[k + 1]`, and `net_start`
+    has one more entry than there are nets. `pin_owner` holds node indices;
+    `pin_marked` is each pin's source mark as read or given (`s` in the
+    native format, `O` in Bookshelf), and a net may carry several.
+    """
+
+    net_names: list[str]
+    net_weight: np.ndarray
+    net_start: np.ndarray
+    pin_owner: np.ndarray
+    pin_dx: np.ndarray
+    pin_dy: np.ndarray
+    pin_marked: np.ndarray
+
+    @property
+    def net_of_pin(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.net_names)), np.diff(self.net_start))
+
+
+@dataclass(frozen=True)
+class NetlistArrays(NetTable):
+    """The netlist as flat arrays: its `NetTable` plus node arrays, one entry
+    per node in netlist order. `driver` is the flat index of each net's
+    driving pin: its first marked pin, else its first pin.
     """
 
     names: list[str]
@@ -161,11 +175,6 @@ class NetlistArrays:
     is_cluster: np.ndarray
     is_port: np.ndarray
     movable: np.ndarray
-    pin_owner: np.ndarray
-    pin_dx: np.ndarray
-    pin_dy: np.ndarray
-    net_start: np.ndarray
-    net_weight: np.ndarray
     driver: np.ndarray
 
 
@@ -241,61 +250,31 @@ class PlacementState(Mapping):
         return f"PlacementState({dict(self)!r})"
 
 
-@dataclass
 class Netlist:
     """Nodes, nets and canvas, checked once at construction.
 
-    No code changes a netlist after construction: readers and clustering
-    finish editing pins (`validate_nets`, rewiring) before they build one.
-    `arrays` relies on this; it is built on first use and kept.
+    `nets` is either a `NetTable` over `nodes`, as the readers and clustering
+    build it, or an iterable of `Net` objects, decoded here into one; a net
+    without pins or a pin naming an unknown node is rejected. The table is
+    stored only in `arrays`, and no code changes a netlist after
+    construction.
     """
 
-    nodes: list[Node]
-    nets: list[Net]
-    canvas: Canvas
-    _index: dict[str, Node] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self.nodes:
+    def __init__(self, nodes: list[Node], nets: NetTable | Iterable[Net], canvas: Canvas):
+        if not nodes:
             raise EmptyNetlist("netlist has no nodes")
-        self._index = {}
-        for n in self.nodes:
-            if n.name in self._index:
+        index: dict[str, int] = {}
+        for i, n in enumerate(nodes):
+            if n.name in index:
                 raise InvalidDimension(f"duplicate node id {n.name!r}")
-            self._index[n.name] = n
-        for net in self.nets:
-            if not net.pins:
-                # No driver: Net.source_index() would still answer pin 0.
-                raise DegenerateNet(f"net {net.name!r} has no pins")
-            for pin in net.pins:
-                if pin.node not in self._index:
-                    raise DanglingPinReference(f"net {net.name!r} pin references unknown node {pin.node!r}")
-
-    def node(self, name: str) -> Node:
-        return self._index[name]
-
-    def has_node(self, name: str) -> bool:
-        return name in self._index
-
-    @property
-    def movable_macros(self) -> list[Node]:
-        return [n for n in self.nodes if n.kind == NodeKind.MACRO and n.movable]
-
-    @cached_property
-    def arrays(self) -> NetlistArrays:
-        """The netlist as flat arrays, built on first use."""
-        nodes = self.nodes
-        index = {n.name: i for i, n in enumerate(nodes)}
+            index[n.name] = i
+        table = nets if isinstance(nets, NetTable) else _decode_nets(list(nets), index)
+        self.nodes, self.canvas = nodes, canvas
         kinds = [n.kind for n in nodes]
-        pins = [p for net in self.nets for p in net.pins]
-        sizes = np.array([len(net.pins) for net in self.nets], dtype=np.intp)
-        net_start = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
-        is_src = np.array([p.is_source for p in pins], dtype=bool)
-        n_pins = len(pins)
-        pos = np.arange(n_pins, dtype=np.intp)
-        first_src = np.minimum.reduceat(np.where(is_src, pos, n_pins), net_start[:-1])
-        driver = np.where(first_src < n_pins, first_src, net_start[:-1])
-        return NetlistArrays(
+        n_pins, first = len(table.pin_owner), table.net_start[:-1]
+        first_src = np.minimum.reduceat(np.where(table.pin_marked, np.arange(n_pins), n_pins), first)
+        self.arrays = NetlistArrays(
+            **{f: getattr(table, f) for f in NetTable.__dataclass_fields__},
             names=[n.name for n in nodes],
             index=index,
             half_w=np.array([n.width for n in nodes], dtype=float) / 2.0,
@@ -304,13 +283,53 @@ class Netlist:
             is_cluster=np.array([k == NodeKind.CLUSTER for k in kinds], dtype=bool),
             is_port=np.array([k == NodeKind.PORT for k in kinds], dtype=bool),
             movable=np.array([n.movable for n in nodes], dtype=bool),
-            pin_owner=np.array([index[p.node] for p in pins], dtype=np.intp),
-            pin_dx=np.array([p.dx for p in pins], dtype=float),
-            pin_dy=np.array([p.dy for p in pins], dtype=float),
-            net_start=net_start,
-            net_weight=np.array([net.weight for net in self.nets], dtype=float),
-            driver=driver,
+            driver=np.where(first_src < n_pins, first_src, first),
         )
+
+    def node(self, name: str) -> Node:
+        return self.nodes[self.arrays.index[name]]
+
+    def has_node(self, name: str) -> bool:
+        return name in self.arrays.index
+
+    @property
+    def movable_macros(self) -> list[Node]:
+        return [n for n in self.nodes if n.kind == NodeKind.MACRO and n.movable]
+
+    @property
+    def nets(self) -> list[Net]:
+        """The nets as `Net` objects, built from the table on each access."""
+        return [Net(name, [Pin(*p) for p in pins], weight) for name, weight, pins in _net_rows(self.arrays)]
+
+
+def _net_rows(a: NetlistArrays) -> list[tuple[str, float, list[tuple]]]:
+    """(name, weight, [(node name, dx, dy, marked) per pin]) per net."""
+    pins = list(zip([a.names[i] for i in a.pin_owner.tolist()], a.pin_dx.tolist(), a.pin_dy.tolist(),
+                    a.pin_marked.tolist()))
+    start = a.net_start.tolist()
+    return [(name, weight, pins[start[k]:start[k + 1]])
+            for k, (name, weight) in enumerate(zip(a.net_names, a.net_weight.tolist()))]
+
+
+def pin_table(names: Iterable[str], weights, sizes, pins) -> NetTable:
+    """A `NetTable` from each net's name, weight and pin count, and one
+    (owner, dx, dy, marked) row per pin, net by net."""
+    owner, dx, dy, marked = np.array(pins, dtype=float).reshape(-1, 4).T.copy()
+    return NetTable(list(names), np.array(weights, dtype=float),
+                    np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))),
+                    owner.astype(np.intp), dx, dy, marked.astype(bool))
+
+
+def _decode_nets(nets: list[Net], index: dict[str, int]) -> NetTable:
+    for net in nets:
+        if not net.pins:
+            # No driver: the evaluator and FD would borrow the next net's first pin.
+            raise DegenerateNet(f"net {net.name!r} has no pins")
+        for pin in net.pins:
+            if pin.node not in index:
+                raise DanglingPinReference(f"net {net.name!r} pin references unknown node {pin.node!r}")
+    return pin_table([net.name for net in nets], [net.weight for net in nets], [len(net.pins) for net in nets],
+                     [(index[p.node], p.dx, p.dy, p.is_source) for net in nets for p in net.pins])
 
 
 def finite_float(text: str) -> float:
@@ -329,26 +348,49 @@ def write_text(path, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def validate_nets(nets: Iterable[Net], where: str = "netlist") -> list[Net]:
-    """Drop nets with fewer than two pins and demote extra source pins.
+def clamp_offsets(t: NetTable, nodes: list[Node], where: str | Path, extents: str) -> NetTable:
+    """`t` with pin offsets pulled back within their owners' half-extents;
+    logs how many pins moved. Offsets inside or on the boundary stay bit for
+    bit."""
+    half = (np.array([(n.width, n.height) for n in nodes], dtype=float) / 2.0)[t.pin_owner].T
+    d = np.stack([t.pin_dx, t.pin_dy])
+    c = np.where(d < -half, -half, np.where(d > half, half, d))
+    clamped = int(np.count_nonzero((c != d).any(axis=0)))
+    if clamped:
+        log.warning("%s: clamped %d pin offset(s) to %s", where, clamped, extents)
+    return replace(t, pin_dx=c[0], pin_dy=c[1])
 
-    Returns the retained nets; logs one warning per dropped net and per
-    demoted source.
+
+def drop_short_nets(t: NetTable, keep: np.ndarray | None = None) -> tuple[NetTable, np.ndarray]:
+    """`t` cut to the pins in `keep` (all by default), then to the nets left
+    with two or more pins; also returns each net's count of kept pins."""
+    net_of_pin = t.net_of_pin
+    keep = np.ones(len(net_of_pin), dtype=bool) if keep is None else keep
+    sizes = np.bincount(net_of_pin[keep], minlength=len(t.net_names))
+    kept = sizes >= 2
+    pins = keep & kept[net_of_pin]
+    return NetTable([name for name, k in zip(t.net_names, kept.tolist()) if k], t.net_weight[kept],
+                    np.concatenate(([0], np.cumsum(sizes[kept]))), t.pin_owner[pins], t.pin_dx[pins],
+                    t.pin_dy[pins], t.pin_marked[pins]), sizes
+
+
+def validate_nets(t: NetTable, where: str = "netlist") -> NetTable:
+    """Drop nets with fewer than two pins and unmark all but the first
+    marked pin of each net. Returns the retained nets; logs one warning per
+    dropped net and per unmarked pin, in net order.
     """
-    kept = []
-    for net in nets:
-        if len(net.pins) < 2:
-            log.warning("%s: dropping net %r with %d pin(s)", where, net.name, len(net.pins))
-            continue
-        seen_source = False
-        for pin in net.pins:
-            if pin.is_source:
-                if seen_source:
-                    log.warning("%s: net %r has multiple source pins, keeping the first", where, net.name)
-                    pin.is_source = False
-                seen_source = True
-        kept.append(net)
-    return kept
+    # Marks up to and including each pin, counted within its net.
+    net_of_pin, seen = t.net_of_pin, np.cumsum(t.pin_marked)
+    seen -= np.concatenate(([0], seen))[t.net_start[:-1]][net_of_pin]
+    extra = t.pin_marked & (seen > 1)
+    sizes = np.diff(t.net_start)
+    n_extra = np.bincount(net_of_pin[extra], minlength=len(sizes))
+    for k in np.flatnonzero((sizes < 2) | (n_extra > 0)).tolist():
+        if sizes[k] < 2:
+            log.warning("%s: dropping net %r with %d pin(s)", where, t.net_names[k], sizes[k])
+        for _ in range(n_extra[k]):
+            log.warning("%s: net %r has multiple source pins, keeping the first", where, t.net_names[k])
+    return drop_short_nets(replace(t, pin_marked=t.pin_marked & ~extra))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +402,9 @@ def write_netlist(netlist: Netlist, path) -> None:
     lines = [f"canvas {netlist.canvas.width!r} {netlist.canvas.height!r}"]
     for n in netlist.nodes:
         lines.append(f"node {n.name} {n.kind.value} {n.width!r} {n.height!r} {int(n.movable)}")
-    for net in netlist.nets:
-        lines.append(f"net {net.name} {net.weight!r}")
-        for p in net.pins:
-            src = " s" if p.is_source else ""
-            lines.append(f"pin {net.name} {p.node} {p.dx!r} {p.dy!r}{src}")
+    for name, weight, pins in _net_rows(netlist.arrays):
+        lines.append(f"net {name} {weight!r}")
+        lines += [f"pin {name} {node} {dx!r} {dy!r}{' s' if m else ''}" for node, dx, dy, m in pins]
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -375,9 +415,10 @@ def read_netlist(path) -> Netlist:
         raise MissingFile(str(path))
     canvas = None
     nodes: list[Node] = []
-    nets: dict[str, Net] = {}
-    node_by_name: dict[str, Node] = {}
-    clamped = 0
+    node_index: dict[str, int] = {}
+    net_index: dict[str, int] = {}
+    weights: list[float] = []
+    pins: list[tuple] = []   # (net, owner, dx, dy, marked) in file order
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -401,42 +442,38 @@ def read_netlist(path) -> Netlist:
                         raise ValueError("ports must have zero width and height")
                 elif w <= 0 or h <= 0:
                     raise ValueError(f"{nk} node needs positive size, got {w} x {h}")
-                node = Node(name, node_kind, w, h, movable=mv == "1")
-                nodes.append(node)
-                node_by_name[name] = node
+                node_index[name] = len(nodes)
+                nodes.append(Node(name, node_kind, w, h, movable=mv == "1"))
             elif kind == "net":
                 if len(tok) not in (2, 3):
                     raise ValueError("expected: net ID [WEIGHT]")
                 weight = finite_float(tok[2]) if len(tok) == 3 else 1.0
-                if tok[1] in nets:
+                if tok[1] in net_index:
                     raise ValueError(f"duplicate net id {tok[1]!r}")
-                nets[tok[1]] = Net(tok[1], [], weight)
+                net_index[tok[1]] = len(weights)
+                weights.append(weight)
             elif kind == "pin":
                 if len(tok) not in (5, 6):
                     raise ValueError("expected: pin NETID NODEID DX DY [s]")
                 if len(tok) == 6 and tok[5] != "s":
                     raise ValueError(f"trailing token must be 's', got {tok[5]!r}")
-                if tok[1] not in nets:
+                k = net_index.get(tok[1])
+                if k is None:
                     raise ValueError(f"pin before net declaration {tok[1]!r}")
-                owner = node_by_name.get(tok[2])
-                if owner is None:
+                i = node_index.get(tok[2])
+                if i is None:
                     raise DanglingPinReference(f"pin references unknown node {tok[2]!r}")
-                dx, dy = finite_float(tok[3]), finite_float(tok[4])
-                # Pin offsets must stay within the owner's half-extents.
-                cdx = min(max(dx, -owner.width / 2), owner.width / 2)
-                cdy = min(max(dy, -owner.height / 2), owner.height / 2)
-                if cdx != dx or cdy != dy:
-                    clamped += 1
-                nets[tok[1]].pins.append(Pin(tok[2], cdx, cdy, is_source=len(tok) == 6))
+                pins.append((k, i, finite_float(tok[3]), finite_float(tok[4]), len(tok) == 6))
             else:
                 raise ValueError(f"unknown record {kind!r}")
-        except DanglingPinReference:
-            raise
         except (ValueError, InvalidDimension) as exc:
             raise MalformedLine(path, lineno, str(exc)) from exc
     if canvas is None:
         raise MalformedLine(path, 0, "missing canvas record")
-    if clamped:
-        log.warning("%s: clamped %d pin offset(s) to the owner's half-extents", path, clamped)
-    kept = validate_nets(list(nets.values()), where=str(path))
-    return Netlist(nodes=nodes, nets=kept, canvas=canvas)
+    # Pins grouped by net, in file order within a net.
+    rows = np.array(pins, dtype=float).reshape(-1, 5)
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    sizes = np.bincount(rows[:, 0].astype(np.intp), minlength=len(weights))
+    table = pin_table(net_index, weights, sizes, rows[:, 1:])
+    table = clamp_offsets(table, nodes, path, "the owner's half-extents")
+    return Netlist(nodes=nodes, nets=validate_nets(table, where=str(path)), canvas=canvas)

@@ -376,3 +376,42 @@ def legality_instance(seed, n_cols=10, n_rows=8):
             y += rng.uniform(-5.0, 5.0)
         placement[name] = Pose(x, y, rng.choice(ORIENTS))
     return Netlist(nodes=nodes, nets=[], canvas=canvas), placement, grid
+
+
+def rewire_instance(seed):
+    """Standard cells, macros and ports on a 4 x 4 grid, joined by nets that
+    exercise clustering's pin rewiring.
+
+    Nets draw their owners with replacement, so one owner (cell, macro or
+    port) may appear several times in a net; pins carry offsets and are
+    marked as sources at random, several per net; and many nets fall inside
+    one grid bucket, so that clustering leaves them with fewer than two pins.
+    Some cells sit exactly on the canvas edges and one standard cell is
+    fixed. Returns (netlist, placement, grid).
+    """
+    rng = random.Random(seed)
+    canvas = Canvas(80.0, 60.0)
+    grid = build_grid(canvas, 4, 4)
+    nodes = []
+    placement = {}
+    for i in range(40):
+        nodes.append(Node(f"s{i}", NodeKind.STDCELL, rng.uniform(1.0, 4.0),
+                          rng.uniform(1.0, 4.0), movable=i != 7))
+        x = rng.choice((0.0, canvas.width, rng.uniform(0.0, canvas.width)))
+        y = rng.choice((0.0, canvas.height, rng.uniform(0.0, canvas.height)))
+        placement[f"s{i}"] = Pose(x, y, rng.choice(ORIENTS))
+    for i in range(4):
+        nodes.append(Node(f"m{i}", NodeKind.MACRO, rng.uniform(6.0, 12.0),
+                          rng.uniform(6.0, 12.0), movable=i < 3))
+        placement[f"m{i}"] = Pose(rng.uniform(10.0, 70.0), rng.uniform(10.0, 50.0))
+    for i in range(3):
+        nodes.append(Node(f"p{i}", NodeKind.PORT, 0.0, 0.0, movable=False))
+        placement[f"p{i}"] = Pose(0.0, rng.uniform(0.0, canvas.height))
+    nets = []
+    for j in range(80):
+        members = [rng.choice(nodes) for _ in range(rng.randint(1, 6))]
+        pins = [Pin(n.name, rng.uniform(-n.width / 2, n.width / 2),
+                    rng.uniform(-n.height / 2, n.height / 2), is_source=rng.random() < 0.3)
+                for n in members]
+        nets.append(Net(f"net{j}", pins, weight=rng.choice((0.5, 1.0, 2.0))))
+    return Netlist(nodes=nodes, nets=nets, canvas=canvas), placement, grid

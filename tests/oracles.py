@@ -90,7 +90,66 @@ def placement_is_legal(netlist, placement, grid):
 
 
 # ---------------------------------------------------------------------------
+# Net cleanup and clustering's rewiring, pin by pin
+
+
+def net_rows(nets):
+    """Nets as (name, weight, [(node, dx, dy, is_source), ...]) tuples."""
+    return [(n.name, n.weight, [(p.node, p.dx, p.dy, p.is_source) for p in n.pins]) for n in nets]
+
+
+def validated_nets(nets):
+    """(rows, warnings) of the readers' net cleanup: nets with fewer than two
+    pins dropped, every marked pin after a net's first unmarked; one warning
+    per dropped net and per unmarked pin, in net order."""
+    rows, warnings = [], []
+    for name, weight, pins in net_rows(nets):
+        if len(pins) < 2:
+            warnings.append(f"dropping net {name!r} with {len(pins)} pin(s)")
+            continue
+        marked = [i for i, p in enumerate(pins) if p[3]]
+        for i in marked[1:]:
+            warnings.append(f"net {name!r} has multiple source pins, keeping the first")
+            pins[i] = pins[i][:3] + (False,)
+        rows.append((name, weight, pins))
+    return rows, warnings
+
+
+def rewired_nets(nets, cluster_of):
+    """(rows, dropped) of clustering's rewiring: in each net the pins of one
+    cluster's members become one pin on the cluster at the first one's
+    place, offset zero, marked when any of them was; other pins stay as they
+    are; nets left with fewer than two pins are dropped and counted."""
+    rows, dropped = [], 0
+    for name, weight, pins in net_rows(nets):
+        out, at = [], {}
+        for node, dx, dy, marked in pins:
+            cid = cluster_of.get(node)
+            if cid is None:
+                out.append((node, dx, dy, marked))
+            elif cid in at:
+                i = at[cid]
+                out[i] = out[i][:3] + (out[i][3] or marked,)
+            else:
+                at[cid] = len(out)
+                out.append((cid, 0.0, 0.0, marked))
+        if len(out) < 2:
+            dropped += 1
+        else:
+            rows.append((name, weight, out))
+    return rows, dropped
+
+
+# ---------------------------------------------------------------------------
 # Pin geometry
+
+
+def source_index(net):
+    """Index of the net's driving pin: its first marked pin, else its first."""
+    for i, p in enumerate(net.pins):
+        if p.is_source:
+            return i
+    return 0
 
 
 def pin_points(netlist, placement, net):
@@ -270,7 +329,7 @@ def net_demand(netlist, placement, grid):
     for net in netlist.nets:
         pts = pin_points(netlist, placement, net)
         cells = [cell_of(px, py, grid) for px, py in pts]
-        src = cells[net.source_index()]
+        src = cells[source_index(net)]
         sinks = sorted(set(c for c in cells if c != src))
         route_demand(h, v, net.weight, src, sinks)
     for c in range(grid.n_cols):
@@ -376,7 +435,7 @@ def star_pairs(netlist, placement, node_idx, io_factor):
     kinds = [n.kind for n in netlist.nodes]
     for net in netlist.nets:
         pins = net.pins
-        ci = net.source_index()
+        ci = source_index(net)
         center = pins[ci]
         c_node = node_idx[center.node]
         c_orient = placement[center.node][2] if center.node in placement else Orientation.N

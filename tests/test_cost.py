@@ -337,7 +337,7 @@ def _three_cell_case(src, sinks):
 
 def _net_cells(pl, grid, net):
     cells = [grid.cell_of_point(pl[p.node].x, pl[p.node].y) for p in net.pins]
-    src = cells[net.source_index()]
+    src = cells[oracles.source_index(net)]
     return src, sorted(set(cells) - {src})
 
 

@@ -1,7 +1,9 @@
 """Native netlist format and Bookshelf reader/writer."""
 
+import logging
 import math
 
+import numpy as np
 import pytest
 
 from gridplace.bookshelf import (
@@ -23,6 +25,7 @@ from gridplace.netlist import (
     Canvas,
     Net,
     Netlist,
+    NetTable,
     Node,
     NodeKind,
     Orientation,
@@ -77,7 +80,7 @@ def test_native_comments_and_blanks(tmp_path):
     nl = read_netlist(path)
     assert len(nl.nodes) == 1 and len(nl.nets) == 1
     assert nl.nets[0].weight == 1.5
-    assert nl.nets[0].source_index() == 0
+    assert nl.arrays.driver.tolist() == [0]
 
 
 def test_native_missing_file():
@@ -155,15 +158,20 @@ def test_native_zero_size_port_allowed(tmp_path):
 
 
 def test_validate_nets_drops_short_and_demotes_sources():
-    nets = [
-        Net("short", [Pin("a")]),
-        Net("dual", [Pin("a", is_source=True), Pin("b", is_source=True), Pin("c")]),
-    ]
+    # Pins name nodes a, b, c by index.
+    nets = NetTable(
+        net_names=["short", "dual"], net_weight=np.array([1.0, 2.0]), net_start=np.array([0, 1, 4]),
+        pin_owner=np.array([0, 0, 1, 2]), pin_dx=np.zeros(4), pin_dy=np.zeros(4),
+        pin_marked=np.array([False, True, True, False]))
     kept = validate_nets(nets)
-    assert [n.name for n in kept] == ["dual"]
-    dual = kept[0]
-    assert dual.source_index() == 0
-    assert [p.is_source for p in dual.pins] == [True, False, False]
+    assert kept.net_names == ["dual"]
+    assert kept.net_start.tolist() == [0, 3] and kept.net_weight.tolist() == [2.0]
+    assert kept.pin_owner.tolist() == [0, 1, 2]
+    assert kept.pin_marked.tolist() == [True, False, False]
+    nodes = [Node(n, NodeKind.MACRO, 1.0, 1.0, movable=True) for n in "abc"]
+    dual = Netlist(nodes=nodes, nets=kept, canvas=Canvas(10.0, 10.0))
+    assert dual.arrays.driver.tolist() == [0]
+    assert [p.is_source for p in dual.nets[0].pins] == [True, False, False]
 
 
 def test_write_netlist_io_failure():
@@ -331,6 +339,123 @@ def test_bookshelf_short_net_section(tmp_path):
         "NetDegree : 3 n0\n  a O : 0 0\n  b I : 0 0\n")
     with pytest.raises(MalformedLine):
         parse_bookshelf(aux)
+
+
+# Edits of the .nets file that _write_bookshelf writes: (old text, new text,
+# line the error names, 0 for the whole file, and a fragment of its reason).
+# Lines 5-8 hold net n0, lines 9-11 net n1.
+NETS_ERRORS = [
+    ("NetDegree : 2 n1", "NetDegree : x n1", 9, "bad NetDegree line"),
+    ("NetDegree : 2 n1", "NetDegree 2 n1", 9, "bad NetDegree line"),
+    ("NetDegree : 2 n1", "NetDegree : 2 n1 n2", 9, "bad NetDegree line"),
+    ("NetDegree : 2 n1", "NetDegree : n1", 9, "bad NetDegree line"),
+    ("NetDegree : 3 n0", "NetDegree:3 n0", 5, "pin line outside a net section"),
+    ("NetDegree : 3 n0", "  a O : 1.0 1.0\nNetDegree : 3 n0", 5, "pin line outside a net section"),
+    ("  blk O : 1.0 -1.0", "  blk O : 1.0 -1.0\n  b I", 12, "pin line outside a net section"),
+    ("  b I : -2.0 0.5", "  b X : -2.0 0.5", 7, "bad pin line"),
+    ("  b I : -2.0 0.5", "  b IO : -2.0 0.5", 7, "bad pin line"),
+    ("  b I : -2.0 0.5", "  b I : -2.0", 7, "bad pin line"),
+    ("  b I : -2.0 0.5", "  b I :", 7, "bad pin line"),
+    ("  b I : -2.0 0.5", "  b I -2.0 0.5", 7, "bad pin line"),
+    ("  b I : -2.0 0.5", "  b I : -2.0 0.5 1", 7, "bad pin line"),
+    ("  b I : -2.0 0.5", "  b I : : -2.0 0.5", 7, "bad pin line"),
+    ("  b I : -2.0 0.5", "  b", 7, "bad pin line"),
+    ("  b I : -2.0 0.5", "  ghost I : -2.0 0.5", 7, "unknown node 'ghost'"),
+    ("  b I : -2.0 0.5", "  b I : nan 0.5", 7, "bad pin line"),
+    ("  b I : -2.0 0.5", "  b I : -2.0 inf", 7, "bad pin line"),
+    ("  b I : -2.0 0.5", "  b I : 1_0 0.5", 7, "bad pin line"),
+    ("  b I : -2.0 0.5", "  b I : 1e999 0.5", 7, "bad pin offset"),
+    ("  b I : -2.0 0.5", "  b I : 1e 0.5", 7, "bad pin offset"),
+    ("  b I : -2.0 0.5", "  b I : -2.0 --0.5", 7, "bad pin offset"),
+    ("NetDegree : 3 n0", "NetDegree : 4 n0", 9, "net 'n0' short by 1 pin(s)"),
+    ("NetDegree : 2 n1", "NetDegree : 3 n1", 0, "net 'n1' short by 1 pin(s)"),
+    ("NumNets : 2", "NumNets : 3", 0, "NumNets=3 but parsed 2"),
+    ("NumPins : 5", "NumPins : 4", 0, "NumPins=4 but parsed 5"),
+    ("NumPins : 5", "NumPins : five", 4, "bad count line"),
+]
+
+
+@pytest.mark.parametrize("old, new, lineno, reason", NETS_ERRORS)
+def test_bookshelf_nets_errors_name_line_and_reason(tmp_path, old, new, lineno, reason):
+    aux = _write_bookshelf(tmp_path)
+    nets = tmp_path / "d.nets"
+    text = nets.read_text()
+    assert old in text
+    nets.write_text(text.replace(old, new, 1))
+    with pytest.raises(MalformedLine) as err:
+        parse_bookshelf(aux)
+    assert err.value.lineno == lineno
+    assert reason in err.value.reason
+
+
+def test_bookshelf_nets_spacing_variants(tmp_path):
+    # The colons may touch their neighbours, and a section may be unnamed.
+    want = _table(parse_bookshelf(_write_bookshelf(tmp_path)))
+    nets = tmp_path / "d.nets"
+    text = nets.read_text()
+    for old, new in (("a O : 1.0 1.0", "a O:1.0 1.0"), ("b I : -2.0 0.5", "b I :-2.0   0.5"),
+                     ("blk O : 1.0 -1.0", "blk O: 1.0 -1.0"), ("NetDegree : 3 n0", "NetDegree :3 n0")):
+        text = text.replace(old, new)
+    nets.write_text(text)
+    assert _table(parse_bookshelf(tmp_path / "d.aux")) == want
+    nets.write_text(text.replace("NetDegree : 2 n1", "NetDegree : 2"))
+    assert [n.name for n in parse_bookshelf(tmp_path / "d.aux").nets] == ["n0", "net1"]
+
+
+def _table(netlist):
+    return [(net.name, net.weight, [(p.node, p.dx, p.dy, p.is_source) for p in net.pins])
+            for net in netlist.nets]
+
+
+def _warnings(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+
+def test_reader_warnings_clamp_drop_and_demote(tmp_path, caplog):
+    aux = _write_bookshelf(tmp_path, num_nets=4, num_pins=7)
+    nets = tmp_path / "d.nets"
+    nets.write_text(
+        "UCLA nets 1.0\n\nNumNets : 4\nNumPins : 7\n"
+        "NetDegree : 3 n0\n  a O : 9 1\n  b O : -2.0 -9\n  pad O\n"
+        "NetDegree : 1 lone\n  a I\n"
+        "NetDegree : 0 empty\n"
+        "NetDegree : 3 n1\n  a I : 3 0.0\n  blk O : 1.0 -1.0\n  a O\n")
+    with caplog.at_level(logging.WARNING, logger="gridplace"):
+        nl = parse_bookshelf(aux)
+    where = str(nets)
+    assert _warnings(caplog) == [
+        f"{where}: clamped 3 pin offset(s) to node half-extents",
+        f"{where}: net 'n0' has multiple source pins, keeping the first",
+        f"{where}: net 'n0' has multiple source pins, keeping the first",
+        f"{where}: dropping net 'lone' with 1 pin(s)",
+        f"{where}: dropping net 'empty' with 0 pin(s)",
+        f"{where}: net 'n1' has multiple source pins, keeping the first",
+    ]
+    assert [[p.is_source for p in net.pins] for net in nl.nets] == \
+        [[True, False, False], [False, True, False]]
+
+    caplog.clear()
+    path = tmp_path / "d.txt"
+    path.write_text(
+        "canvas 10 10\nnode a macro 2 2 1\nnode b macro 4 4 1\n"
+        "net n0\nnet lone\nnet empty\nnet n1\n"
+        "pin n1 a 0 0\npin n0 a 5 0 s\npin lone b 0 0\npin n0 b 0 0 s\n"
+        "pin n1 b 3 -3 s\npin n0 a 0 0 s\npin n1 a 0 0 s\n")
+    with caplog.at_level(logging.WARNING, logger="gridplace"):
+        nl = read_netlist(path)
+    where = str(path)
+    assert _warnings(caplog) == [
+        f"{where}: clamped 2 pin offset(s) to the owner's half-extents",
+        f"{where}: net 'n0' has multiple source pins, keeping the first",
+        f"{where}: net 'n0' has multiple source pins, keeping the first",
+        f"{where}: dropping net 'lone' with 1 pin(s)",
+        f"{where}: dropping net 'empty' with 0 pin(s)",
+        f"{where}: net 'n1' has multiple source pins, keeping the first",
+    ]
+    assert _table(nl) == [
+        ("n0", 1.0, [("a", 1.0, 0.0, True), ("b", 0.0, 0.0, False), ("a", 0.0, 0.0, False)]),
+        ("n1", 1.0, [("a", 0.0, 0.0, False), ("b", 2.0, -2.0, True), ("a", 0.0, 0.0, False)]),
+    ]
 
 
 def test_bookshelf_rejects_non_finite_numbers(tmp_path):
