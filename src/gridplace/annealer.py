@@ -30,7 +30,7 @@ from .cost import CostConfig, Evaluator, ProxyBreakdown, ProxyWeights
 from .errors import InitFailed, OutOfRange, Unplaceable
 from .fd import FDParams, fd_place
 from .geometry import Grid, MacroState
-from .netlist import Netlist, NodeKind, Placement, PlacementState, write_text
+from .netlist import Netlist, Placement, PlacementState, write_text
 
 log = logging.getLogger(__name__)
 
@@ -119,40 +119,41 @@ def spiral_cells(n_cols: int, n_rows: int) -> list:
 _SCAN_BLOCK = 64
 
 
-def _place_macros(netlist: Netlist, grid: Grid, fixed: Placement, order, cells) -> PlacementState:
-    """`fixed` plus each macro of `order` at the center of the first cell of
-    `cells` where it is legal, checking the cells a block at a time."""
+def _place_macros(netlist: Netlist, grid: Grid, fixed: Placement, order: np.ndarray, cells) -> PlacementState:
+    """`fixed` plus each macro of `order`, an array of node indices, at the
+    center of the first cell of `cells` where it is legal, checking the cells
+    a block at a time."""
     placement = PlacementState.of(netlist.arrays, fixed).copy()
     st = MacroState(netlist, grid, placement)
-    centers = [grid.cell_center(col, row) for col, row in cells]
-    xs = np.array([c[0] for c in centers])
-    ys = np.array([c[1] for c in centers])
-    for node in order:
-        i = netlist.arrays.index[node.name]
-        for start in range(0, len(centers), _SCAN_BLOCK):
+    xs, ys = np.array([grid.cell_center(col, row) for col, row in cells]).reshape(-1, 2).T
+    for i in order.tolist():
+        for start in range(0, len(xs), _SCAN_BLOCK):
             ok = st.legal_centers(i, xs[start:start + _SCAN_BLOCK], ys[start:start + _SCAN_BLOCK])
             if ok.any():
-                placement.x[i], placement.y[i] = centers[start + int(np.argmax(ok))]
+                k = start + int(np.argmax(ok))
+                placement.x[i], placement.y[i] = xs[k], ys[k]
                 break
         else:
-            raise Unplaceable(node.name)
+            raise Unplaceable(netlist.arrays.names[i])
     return placement
 
 
 def init_spiral(netlist: Netlist, grid: Grid, fixed: Placement) -> PlacementState:
     """`fixed` plus each movable macro (input order) at the first legal cell
     along a counterclockwise inward spiral from the lower-left cell."""
-    return _place_macros(netlist, grid, fixed, netlist.movable_macros,
+    a = netlist.arrays
+    return _place_macros(netlist, grid, fixed, np.flatnonzero(a.is_macro & a.movable),
                          spiral_cells(grid.n_cols, grid.n_rows))
 
 
 def init_greedy_pack(netlist: Netlist, grid: Grid, fixed: Placement) -> PlacementState:
     """`fixed` plus the movable macros, in descending area order, each at the
     first legal cell scanning row-major from the lower-left corner."""
-    movable = netlist.movable_macros
-    order = sorted(range(len(movable)), key=lambda i: (-movable[i].area, i))
+    a = netlist.arrays
+    movable = np.flatnonzero(a.is_macro & a.movable)
+    order = movable[np.argsort(-(a.width[movable] * a.height[movable]), kind="stable")]
     cells = [(c, r) for r in range(grid.n_rows) for c in range(grid.n_cols)]
-    return _place_macros(netlist, grid, fixed, [movable[i] for i in order], cells)
+    return _place_macros(netlist, grid, fixed, order, cells)
 
 
 INITIALIZERS = {"spiral": init_spiral, "greedy": init_greedy_pack}
@@ -180,10 +181,9 @@ class _Annealer:
         self.netlist = cnl.netlist
         self.grid = cnl.grid
         self.config = config
-        self.movable = self.netlist.movable_macros
-        if not self.movable:
-            raise InitFailed("no movable macros to anneal")
         a = self.netlist.arrays
+        if not (a.is_macro & a.movable).any():
+            raise InitFailed("no movable macros to anneal")
         base = PlacementState.of(a, fixed).copy()
         base.x[a.movable] = base.y[a.movable] = np.nan
         base.sx[a.movable] = base.sy[a.movable] = 1.0
@@ -199,7 +199,7 @@ class _Annealer:
         self.state = MacroState(self.netlist, self.grid, placement)
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
         self.probs = _action_probs(config.action_weights)
-        n = len(self.movable)
+        n = len(self.state.movable_idx)
         self.epoch_len = config.epoch_len if config.epoch_len else 10 * n
         mult = config.fd_interval_multiplier
         if mult is None:
@@ -399,41 +399,33 @@ def run_parallel(cnl: ClusteredNetlist, fixed: Placement, base_config: SAConfig,
         raise ValueError("n_workers must be >= 1")
     worker_seeds = derive_worker_seeds(list(seeds), n_workers)
     configs = [replace(base_config, seed=s) for s in worker_seeds]
-    deadline = time.monotonic() + wall_clock_budget if wall_clock_budget else None
+    deadline = time.monotonic() + wall_clock_budget if wall_clock_budget is not None else None
     args = [(cnl, fixed, cfg, deadline) for cfg in configs]
-    outcomes: list = [None] * n_workers
     if parallel and n_workers > 1:
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
             futures = [pool.submit(_worker, a) for a in args]
-            outcomes = [_future_outcome(f) for f in futures]
+            outcomes = [_outcome(f.result) for f in futures]
     else:
-        for i, a in enumerate(args):
-            try:
-                outcomes[i] = ("ok", _worker(a))
-            except Exception as exc:  # keep going; fail only if all workers fail
-                outcomes[i] = ("err", exc)
-    results = []
-    kept_configs = []
-    failed = []
-    for i, (status, payload) in enumerate(outcomes):
-        if status == "ok":
-            results.append(payload)
-            kept_configs.append(configs[i])
-        else:
-            log.warning("annealing worker %d failed: %s", i, payload)
-            failed.append((i, str(payload)))
+        outcomes = [_outcome(_worker, a) for a in args]
+    results = [payload for status, payload in outcomes if status == "ok"]
+    kept_configs = [cfg for cfg, (status, _) in zip(configs, outcomes) if status == "ok"]
+    errors = [(i, payload) for i, (status, payload) in enumerate(outcomes) if status == "err"]
+    for i, exc in errors:
+        log.warning("annealing worker %d failed: %s", i, exc)
     if not results:
-        first = next(p for s, p in outcomes if s == "err")
-        raise first
+        raise errors[0][1]
+    failed = [(i, str(exc)) for i, exc in errors]
     best_index = min(range(len(results)), key=lambda i: (results[i].best_cost.total, i))
     return ParallelResult(workers=results, best_index=best_index,
                           configs=kept_configs, failed=failed)
 
 
-def _future_outcome(fut):
+def _outcome(fn, *args):
+    """("ok", fn(*args)), or ("err", what it raised): a failed worker does not
+    stop the others, and the run fails only when every worker does."""
     try:
-        return "ok", fut.result()
+        return "ok", fn(*args)
     except Exception as exc:
         return "err", exc
 
@@ -448,22 +440,21 @@ def write_trace_csv(result: SAResult, path) -> None:
 # Macro shuffling study op
 
 
-def shuffle_same_size(netlist: Netlist, placement: Placement, seed: int) -> Placement:
-    """Randomly permute poses within groups of identically sized movable
-    macros. A macro receives both the location and the orientation of the
-    macro whose spot it takes, so legality is preserved exactly."""
+def shuffle_same_size(netlist: Netlist, placement: Placement, seed: int) -> PlacementState:
+    """Randomly permute poses within groups of identically sized placed
+    movable macros. A macro receives both the location and the orientation
+    of the macro whose spot it takes, so legality is preserved exactly."""
     rng = np.random.Generator(np.random.PCG64(seed))
+    a = netlist.arrays
+    st = PlacementState.of(a, placement)
     groups: dict[tuple, list] = {}
-    for node in netlist.nodes:
-        if node.kind == NodeKind.MACRO and node.movable and node.name in placement:
-            groups.setdefault((node.width, node.height), []).append(node.name)
-    out = dict(placement)
-    for key in groups:
-        names = groups[key]
-        if len(names) < 2:
-            continue
-        perm = rng.permutation(len(names))
-        poses = [placement[nm] for nm in names]
-        for t, nm in enumerate(names):
-            out[nm] = poses[int(perm[t])]
+    placed = np.flatnonzero(a.is_macro & a.movable & ~np.isnan(st.x))
+    for i, w, h in zip(placed.tolist(), a.width[placed].tolist(), a.height[placed].tolist()):
+        groups.setdefault((w, h), []).append(i)
+    out = st.copy()
+    for group in groups.values():
+        if len(group) > 1:
+            take = np.array(group)[rng.permutation(len(group))]
+            for new, old in zip((out.x, out.y, out.sx, out.sy), (st.x, st.y, st.sx, st.sy)):
+                new[group] = old[take]
     return out

@@ -20,18 +20,21 @@ import logging
 import re
 from pathlib import Path
 
+import numpy as np
+
 from .errors import IncompletePlacement, InvalidDimension, MalformedLine, MissingFile
 from .netlist import (
     Canvas,
     Netlist,
     NetTable,
-    Node,
     NodeKind,
+    NodeTable,
     Orientation,
     Placement,
     Pose,
     clamp_offsets,
     finite_float,
+    node_table,
     pin_table,
     validate_nets,
     write_text,
@@ -75,27 +78,21 @@ def _check_counts(path: Path, declared: dict, parsed: dict) -> None:
 def parse_aux(path) -> dict[str, Path]:
     """Map file extension (without dot) -> path for the files listed in .aux."""
     path = Path(path)
-    if not path.exists():
-        raise MissingFile(str(path))
-    base = path.parent
     files: dict[str, Path] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for _, line in _content_lines(path):
         if ":" in line:
             line = line.split(":", 1)[1]
         for name in line.split():
             ext = Path(name).suffix.lstrip(".").lower()
             if ext:
-                files[ext] = base / name
+                files[ext] = path.parent / name
     if "nodes" not in files or "nets" not in files:
         raise MalformedLine(path, 0, "aux must list .nodes and .nets files")
     return files
 
 
-def parse_nodes(path: Path, row_height: float | None) -> list[Node]:
-    nodes: list[Node] = []
+def parse_nodes(path: Path, row_height: float | None) -> NodeTable:
+    rows: list[tuple] = []   # (name, kind, width, height, movable)
     declared = dict.fromkeys(("NumNodes", "NumTerminals"))
     for lineno, line in _content_lines(path):
         tok = line.split()
@@ -111,32 +108,26 @@ def parse_nodes(path: Path, row_height: float | None) -> list[Node]:
             raise MalformedLine(path, lineno, f"bad node size in {line!r}") from exc
         if w < 0 or h < 0:
             raise MalformedLine(path, lineno, f"negative node size in {line!r}")
-        terminal = len(tok) > 3 and tok[3].lower().startswith("terminal")
-        if terminal:
-            if w == 0 and h == 0:
-                nodes.append(Node(name, NodeKind.PORT, 0.0, 0.0, movable=False))
-            else:
-                nodes.append(Node(name, NodeKind.MACRO, w, h, movable=False))
+        if len(tok) > 3 and tok[3].lower().startswith("terminal"):
+            rows.append((name, NodeKind.PORT, 0.0, 0.0, False) if w == 0 and h == 0
+                        else (name, NodeKind.MACRO, w, h, False))
+        elif w <= 0 or h <= 0:
+            raise MalformedLine(path, lineno, f"movable node {name!r} needs positive size")
         else:
-            if w <= 0 or h <= 0:
-                raise MalformedLine(path, lineno, f"movable node {name!r} needs positive size")
-            if row_height is not None and h <= row_height:
-                kind = NodeKind.STDCELL
-            else:
-                kind = NodeKind.MACRO
-            nodes.append(Node(name, kind, w, h, movable=True))
-    _check_counts(path, declared, {"NumNodes": len(nodes),
-                                   "NumTerminals": sum(1 for n in nodes if not n.movable)})
+            stdcell = row_height is not None and h <= row_height
+            rows.append((name, NodeKind.STDCELL if stdcell else NodeKind.MACRO, w, h, True))
+    nodes = node_table(rows)
+    _check_counts(path, declared, {"NumNodes": len(rows), "NumTerminals": int((~nodes.movable).sum())})
     return nodes
 
 
 _NUMBER_CHARS = "+-.0123456789eE"
 
 
-def parse_nets(path: Path, nodes: list[Node]) -> NetTable:
+def parse_nets(path: Path, nodes: NodeTable) -> NetTable:
     """The .nets sections as a pin table, offsets clamped to the owners'
     half-extents. Nets are not validated yet."""
-    index = {n.name: i for i, n in enumerate(nodes)}
+    index = {name: i for i, name in enumerate(nodes.names)}
     names: list[str] = []
     sizes: list[int] = []
     pins: list[tuple] = []   # (owner, dx, dy, marked)
@@ -243,14 +234,18 @@ def parse_bookshelf(aux_path) -> Netlist:
         if "pl" not in files:
             raise InvalidDimension("no .scl rows and no .pl file: cannot infer a canvas")
         corners = _read_pl_corners(files["pl"])
-        fixed = [n for n in nodes if not n.movable and n.name in corners]
-        pool = fixed if fixed else [n for n in nodes if n.name in corners]
-        if not pool:
+        x, y = np.full((2, len(nodes.names)), np.nan)
+        for i, name in enumerate(nodes.names):
+            if name in corners:
+                x[i], y[i] = corners[name][:2]
+        pool = ~np.isnan(x) & ~nodes.movable
+        pool = pool if pool.any() else ~np.isnan(x)
+        if not pool.any():
             raise InvalidDimension("cannot infer canvas: .pl places no known nodes")
-        ext_x = max([0.0] + [corners[n.name][0] + n.width for n in pool])
-        ext_y = max([0.0] + [corners[n.name][1] + n.height for n in pool])
+        ext_x = max(0.0, float((x + nodes.width)[pool].max()))
+        ext_y = max(0.0, float((y + nodes.height)[pool].max()))
         canvas = Canvas(ext_x, ext_y)
-        log.info("canvas inferred from %d placed node(s): %g x %g", len(pool), ext_x, ext_y)
+        log.info("canvas inferred from %d placed node(s): %g x %g", int(pool.sum()), ext_x, ext_y)
     return Netlist(nodes=nodes, nets=nets, canvas=canvas)
 
 
@@ -259,7 +254,8 @@ _PL_RE = re.compile(
 )
 
 
-def _read_pl_corners(path: Path) -> dict[str, tuple[float, float, str]]:
+def _read_pl_corners(path: Path) -> dict[str, tuple[float, float, str, int]]:
+    """name -> (x, y, orientation, line number) of the last line naming it."""
     out = {}
     for lineno, line in _content_lines(path):
         m = _PL_RE.match(line)
@@ -269,7 +265,7 @@ def _read_pl_corners(path: Path) -> dict[str, tuple[float, float, str]]:
             x, y = finite_float(m.group(2)), finite_float(m.group(3))
         except ValueError as exc:
             raise MalformedLine(path, lineno, f"bad coordinate in {line!r}") from exc
-        out[m.group(1)] = (x, y, m.group(4) or "N")
+        out[m.group(1)] = (x, y, m.group(4) or "N", lineno)
     return out
 
 
@@ -283,12 +279,13 @@ def read_placement(path, netlist: Netlist, clamp_ports: bool = True) -> Placemen
     corners = _read_pl_corners(Path(path))
     placement: Placement = {}
     unknown = clamped = 0
-    cv = netlist.canvas
-    for name, (x, y, orient_s) in corners.items():
-        if not netlist.has_node(name):
+    cv, a = netlist.canvas, netlist.arrays
+    hw, hh, port = a.half_w.tolist(), a.half_h.tolist(), a.is_port.tolist()
+    for name, (x, y, orient_s, lineno) in corners.items():
+        i = a.index.get(name)
+        if i is None:
             unknown += 1
             continue
-        node = netlist.node(name)
         try:
             orient = Orientation(orient_s)
         except ValueError:
@@ -296,11 +293,11 @@ def read_placement(path, netlist: Netlist, clamp_ports: bool = True) -> Placemen
             # their mirror relatives (outline is what matters here).
             alias = {"E": "N", "W": "S", "FE": "FN", "FW": "FS"}.get(orient_s)
             if alias is None:
-                raise MalformedLine(Path(path), 0, f"unsupported orientation {orient_s!r} for {name!r}")
+                raise MalformedLine(Path(path), lineno, f"unsupported orientation {orient_s!r} for {name!r}")
             orient = Orientation(alias)
-        cx = x + node.width / 2.0
-        cy = y + node.height / 2.0
-        if clamp_ports and node.kind == NodeKind.PORT:
+        cx = x + hw[i]
+        cy = y + hh[i]
+        if clamp_ports and port[i]:
             nx = min(max(cx, 0.0), cv.width)
             ny = min(max(cy, 0.0), cv.height)
             if nx != cx or ny != cy:
@@ -319,18 +316,18 @@ def write_placement(netlist: Netlist, placement: Placement, path) -> None:
 
     Every movable node must be covered; fixed nodes are written when present.
     """
-    missing = [n.name for n in netlist.nodes if n.movable and n.name not in placement]
+    a = netlist.arrays
+    nodes = list(zip(a.names, a.half_w.tolist(), a.half_h.tolist(), a.movable.tolist()))
+    missing = [name for name, _, _, movable in nodes if movable and name not in placement]
     if missing:
         raise IncompletePlacement(
             f"placement missing {len(missing)} movable node(s), first: {missing[:3]}"
         )
     lines = ["UCLA pl 1.0", ""]
-    for node in netlist.nodes:
-        pose = placement.get(node.name)
+    for name, hw, hh, movable in nodes:
+        pose = placement.get(name)
         if pose is None:
             continue
-        x = pose.x - node.width / 2.0
-        y = pose.y - node.height / 2.0
-        suffix = "" if node.movable else " /FIXED"
-        lines.append(f"{node.name}\t{x:.6f}\t{y:.6f}\t: {pose.orient.value}{suffix}")
+        suffix = "" if movable else " /FIXED"
+        lines.append(f"{name}\t{pose.x - hw:.6f}\t{pose.y - hh:.6f}\t: {pose.orient.value}{suffix}")
     write_text(path, "\n".join(lines) + "\n")

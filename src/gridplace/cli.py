@@ -35,7 +35,7 @@ from .cost import CostConfig, Evaluator, ProxyWeights
 from .errors import GridPlaceError, IoFailure, MissingFile
 from .fd import FDParams, fd_place
 from .geometry import build_grid
-from .netlist import NodeKind, read_netlist, write_netlist, write_text
+from .netlist import KIND_CODE, NodeKind, PlacementState, read_netlist, write_netlist, write_text
 from .stats import (
     kendall_tau,
     read_external_metrics,
@@ -254,21 +254,22 @@ def _weights(args) -> ProxyWeights:
     return ProxyWeights(args.gamma, args.lam)
 
 
-def _full_placement(args, cnl, initial, fd_requested=False, fd_iters=100):
-    """Poses for every node of the clustered netlist.
+def _scored_design(args):
+    """(clustered netlist, placement, evaluator) of the design, for the
+    commands that score one placement of every node.
 
     Fixed nodes and macros come from the initial placement, a --placement file
     overrides anything it names (including clusters), and clusters default to
-    their bucket centers or an FD pass.
+    their bucket centers or, with --fd, an FD pass.
     """
+    initial, grid, cnl = _clustered_design(args)
     placement = cnl.seed_placement(initial)
-    override = getattr(args, "placement", None)
-    if override:
-        placement.update(read_placement(override, cnl.netlist))
-    if fd_requested:
-        params = FDParams(num_iters=fd_iters, seed=args.seed)
-        placement = fd_place(cnl.netlist, placement, params)
-    return placement
+    if args.placement:
+        placement = PlacementState.of(cnl.netlist.arrays,
+                                      {**placement, **read_placement(args.placement, cnl.netlist)})
+    if args.fd:
+        placement = fd_place(cnl.netlist, placement, FDParams(num_iters=args.fd_iters, seed=args.seed))
+    return cnl, placement, Evaluator(cnl.netlist, grid, _cost_config(args))
 
 
 def _print_kv(pairs):
@@ -311,14 +312,12 @@ def _out_path(args, default_name: str, explicit=None) -> Path:
 
 def cmd_parse(args) -> int:
     netlist, initial = _load_design(args)
-    by_kind = {k: 0 for k in NodeKind}
-    for n in netlist.nodes:
-        by_kind[n.kind] += 1
+    kinds = netlist.arrays.kind.tolist()
     _print_kv([
-        ("nodes", len(netlist.nodes)),
-        ("macros", by_kind[NodeKind.MACRO]),
-        ("stdcells", by_kind[NodeKind.STDCELL]),
-        ("ports", by_kind[NodeKind.PORT]),
+        ("nodes", len(kinds)),
+        ("macros", kinds.count(KIND_CODE[NodeKind.MACRO])),
+        ("stdcells", kinds.count(KIND_CODE[NodeKind.STDCELL])),
+        ("ports", kinds.count(KIND_CODE[NodeKind.PORT])),
         ("nets", len(netlist.arrays.net_names)),
         ("pins", len(netlist.arrays.pin_owner)),
         ("canvas_w", float(netlist.canvas.width)),
@@ -338,7 +337,7 @@ def cmd_cluster(args) -> int:
         ("clusters", len(cnl.members)),
         ("clustered_cells", sum(len(v) for v in cnl.members.values())),
         ("nets", len(cnl.netlist.arrays.net_names)),
-        ("nodes", len(cnl.netlist.nodes)),
+        ("nodes", len(cnl.netlist.arrays.names)),
     ])
     if args.out:
         write_netlist(cnl.netlist, args.out)
@@ -371,9 +370,7 @@ def cmd_fd(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    initial, grid, cnl = _clustered_design(args)
-    placement = _full_placement(args, cnl, initial, fd_requested=args.fd, fd_iters=args.fd_iters)
-    ev = Evaluator(cnl.netlist, grid, _cost_config(args))
+    _, placement, ev = _scored_design(args)
     b = ev.breakdown(placement, _weights(args))
     _print_kv([
         ("wirelength", b.wirelength), ("density", b.density),
@@ -415,31 +412,45 @@ def _action_weights(text: str) -> dict:
 
 
 def _sa_config(args) -> SAConfig:
-    t_init = None if str(args.t_init) == "auto" else float(args.t_init)
+    """The annealing config of the flags that `sa` and `stability` share; the
+    defaults of SAConfig and FDParams stand for the others."""
+    t_init = None
+    if str(args.t_init) != "auto":
+        t_init = _parse_flag("--t-init", args.t_init, float, "a number or 'auto'")
+    return SAConfig(seed=args.seed, max_steps=args.steps, init=args.init, t_init=t_init,
+                    fd_params=FDParams(num_iters=args.fd_iters, seed=args.seed),
+                    weights=_weights(args), cost_config=_cost_config(args))
+
+
+def _sa_command_config(args) -> SAConfig:
+    """`_sa_config` with the cooling, epoch, action weight, FD cadence and
+    force flags that only `sa` has."""
+    config = _sa_config(args)
     action_weights = None
     if args.action_weights:
         action_weights = _parse_flag("--action-weights", args.action_weights, _action_weights,
                                      "action=weight pairs such as swap=0.2,move=0.8")
-    return SAConfig(
-        seed=args.seed,
-        max_steps=args.steps,
-        init=args.init,
-        t_init=t_init,
-        cooling_ratio=args.cooling,
-        epoch_len=args.epoch_len,
-        action_weights=action_weights,
-        fd_interval_multiplier=args.fd_every,
-        fd_params=FDParams(num_iters=args.fd_iters, k_attract=args.ka,
-                           k_repel=args.kr, io_factor=args.io_factor, seed=args.seed),
-        weights=ProxyWeights(args.gamma, args.lam),
-        cost_config=_cost_config(args),
-    )
+    return replace(config, cooling_ratio=args.cooling, epoch_len=args.epoch_len,
+                   action_weights=action_weights, fd_interval_multiplier=args.fd_every,
+                   fd_params=replace(config.fd_params, k_attract=args.ka, k_repel=args.kr,
+                                     io_factor=args.io_factor))
+
+
+def _check_run_flags(args) -> None:
+    """Reject a worker count below one and a budget that is not positive."""
+    if args.workers < 1:
+        raise GridPlaceError(f"bad --workers {args.workers}; expected at least 1")
+    if args.budget is not None and not args.budget > 0:
+        raise GridPlaceError(f"bad --budget-seconds {args.budget}; expected a positive number")
 
 
 def cmd_sa(args) -> int:
+    # Flags are checked before the design loads, so that a bad one fails first.
+    _check_run_flags(args)
+    seeds = _parse_flag("--seeds", str(args.seeds or args.seed), lambda t: _numbers(t, int),
+                        "comma-separated integer seeds such as 0,1")
+    config = _sa_command_config(args)
     initial, grid, cnl = _clustered_design(args)
-    config = _sa_config(args)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
     t0 = time.monotonic()
     result = run_parallel(cnl, initial, config, args.workers, seeds,
                           wall_clock_budget=args.budget,
@@ -481,6 +492,7 @@ def cmd_sa(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    _check_run_flags(args)
     pairs = _parse_flag("--seed-pairs", args.seed_pairs,
                         lambda t: [_numbers(part, int) for part in t.split(";")],
                         "semicolon-separated groups of integer seeds such as 0,1;2,3")
@@ -490,16 +502,8 @@ def cmd_stability(args) -> int:
         if not Path(args.external_metrics).is_file():
             raise MissingFile(args.external_metrics)
         external = read_external_metrics(args.external_metrics)
+    config = _sa_config(args)
     initial, grid, cnl = _clustered_design(args)
-    ns = argparse.Namespace(**vars(args))
-    ns.action_weights = None
-    ns.fd_every = None
-    ns.epoch_len = None
-    ns.cooling = 0.95
-    ns.ka = 1.0
-    ns.kr = 1.0
-    ns.io_factor = 1.0
-    config = _sa_config(ns)
     runs = []
     for seeds in pairs:
         label = "-".join(str(s) for s in seeds)
@@ -522,9 +526,7 @@ def cmd_sweep(args) -> int:
     combos = _parse_flag("--combos", args.combos,
                          lambda t: [_numbers(part, float, 2) for part in t.split(";")],
                          "gamma,lambda pairs such as 0.5,0.5;1,0.5")
-    initial, grid, cnl = _clustered_design(args)
-    placement = _full_placement(args, cnl, initial, fd_requested=args.fd, fd_iters=args.fd_iters)
-    ev = Evaluator(cnl.netlist, grid, _cost_config(args))
+    _, placement, ev = _scored_design(args)
     rows = weight_sweep(ev, placement, combos)
     print("gamma    lambda   wirelength     density        congestion     total")
     for r in rows:
@@ -536,9 +538,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_shuffle(args) -> int:
-    initial, grid, cnl = _clustered_design(args)
-    placement = _full_placement(args, cnl, initial, fd_requested=args.fd, fd_iters=args.fd_iters)
-    ev = Evaluator(cnl.netlist, grid, _cost_config(args))
+    cnl, placement, ev = _scored_design(args)
     before = ev.breakdown(placement, _weights(args))
     shuffled = shuffle_same_size(cnl.netlist, placement, args.seed)
     after = ev.breakdown(shuffled, _weights(args))

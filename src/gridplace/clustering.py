@@ -13,18 +13,18 @@ sensitivity experiments: they funnel all standard cells into a single cluster.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PointOutsideCanvas
 from .geometry import Grid
 from .netlist import (
+    KIND_CODE,
     Netlist,
     NetTable,
-    Node,
     NodeKind,
+    NodeTable,
     Orientation,
     Placement,
     PlacementState,
@@ -44,24 +44,22 @@ class ClusteredNetlist:
     members: dict[str, list[str]]
     cluster_cells: dict[str, tuple[int, int]]
     grid: Grid
-    original: Netlist = field(repr=False, default=None)
 
-    @property
-    def clusters(self) -> list[Node]:
-        return [n for n in self.netlist.nodes if n.kind == NodeKind.CLUSTER]
-
-    def seed_placement(self, initial: Placement) -> Placement:
+    def seed_placement(self, initial: Placement) -> PlacementState:
         """Initial poses for the rewired netlist.
 
         Clusters sit at their bucket centers, orientation N; every other node
         keeps its pose from `initial` when one exists.
         """
-        out = {cid: Pose(*self.grid.cell_center(col, row), Orientation.N)
-               for cid, (col, row) in self.cluster_cells.items()}
-        for node in self.netlist.nodes:
-            if node.kind != NodeKind.CLUSTER and node.name in initial:
-                out[node.name] = initial[node.name]
-        return out
+        a = self.netlist.arrays
+        st = PlacementState.of(a, initial).copy()
+        st.x[a.is_cluster] = st.y[a.is_cluster] = np.nan
+        st.sx[a.is_cluster] = st.sy[a.is_cluster] = 1.0
+        at = [a.index[cid] for cid in self.cluster_cells]
+        col, row = np.array(list(self.cluster_cells.values()), dtype=float).reshape(-1, 2).T
+        st.x[at] = (col + 0.5) * self.grid.cell_w
+        st.y[at] = (row + 0.5) * self.grid.cell_h
+        return st
 
 
 def _cluster_name(row: int, col: int, taken) -> str:
@@ -81,41 +79,52 @@ def _cluster(netlist: Netlist, initial: Placement, grid: Grid, singletons: bool)
     member pin, marked when any member pin was; other pins stay, duplicates
     included. Nets left with fewer than two pins are dropped.
     """
-    nodes, a = netlist.nodes, netlist.arrays
-    stdcell = np.array([n.kind == NodeKind.STDCELL and n.movable for n in nodes], dtype=bool)
+    a = netlist.arrays
+    stdcell = (a.kind == KIND_CODE[NodeKind.STDCELL]) & a.movable
     st = PlacementState.of(a, initial)
     st.require(stdcell, "standard cell")
     cells = np.flatnonzero(stdcell)
     cols, rows = grid.cells_of(st.x[cells], st.y[cells])
     key = np.arange(len(cells)) if singletons else rows * grid.n_cols + cols
     order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    new_nodes, new_index = list(nodes), np.arange(len(nodes))
-    if not singletons:
-        new_nodes = [n for n, s in zip(nodes, stdcell.tolist()) if not s]
-        new_index[~stdcell] = np.arange(len(new_nodes))
-    taken = {n.name for n in nodes}
+    opens = np.diff(key[order], prepend=-1) != 0
+    starts = np.flatnonzero(opens)
+    bucket = np.empty(len(cells), dtype=np.intp)   # each cell's cluster
+    bucket[order] = np.cumsum(opens) - 1
+    # A cluster's side is the square root of its members' area, summed in
+    # node order.
+    side = np.sqrt(np.bincount(bucket, weights=a.width[cells] * a.height[cells], minlength=len(starts)))
+    taken = set(a.names)
     cluster_of, members, cluster_cells = {}, {}, {}
-    for start, group in zip(starts.tolist(), np.split(cells[order], starts[1:])):
+    for start, cell_ids in zip(starts.tolist(), np.split(cells[order], starts[1:])):
         col, row = int(cols[order[start]]), int(rows[order[start]])
-        group = group.tolist()
-        cid = nodes[group[0]].name if singletons else _cluster_name(row, col, taken)
+        cid = a.names[cell_ids[0]] if singletons else _cluster_name(row, col, taken)
         taken.add(cid)
-        side = math.sqrt(sum(nodes[i].area for i in group))
-        cluster = Node(cid, NodeKind.CLUSTER, side, side, movable=True)
-        if singletons:
-            new_nodes[group[0]] = cluster
-        else:
-            new_index[group] = len(new_nodes)
-            new_nodes.append(cluster)
-        members[cid] = [nodes[i].name for i in group]
+        members[cid] = [a.names[i] for i in cell_ids.tolist()]
         cluster_cells[cid] = (col, row)
         cluster_of.update(dict.fromkeys(members[cid], cid))
+
+    # The new nodes as rows of the old nodes stacked on the clusters: a
+    # singleton cluster takes its cell's place, bucket clusters follow the
+    # other nodes. An old node maps to the new place of its row, a member to
+    # that of its cluster's row.
+    n, k = len(a.names), len(starts)
+    stacked = np.arange(n)
+    stacked[cells] = n + bucket
+    take = stacked if singletons else np.concatenate([np.flatnonzero(~stdcell), n + np.arange(k)])
+    place = np.empty(n + k, dtype=np.intp)
+    place[take] = np.arange(len(take))
+    new_index = place[stacked]
+    names = a.names + list(members)
+    nodes = NodeTable([names[i] for i in take.tolist()],
+                      np.concatenate([a.width, side])[take], np.concatenate([a.height, side])[take],
+                      np.concatenate([a.kind, np.full(k, KIND_CODE[NodeKind.CLUSTER])])[take],
+                      np.concatenate([a.movable, np.ones(k, dtype=bool)])[take])
 
     member = stdcell[a.pin_owner]
     owner = new_index[a.pin_owner]
     at = np.flatnonzero(member)
-    _, first, group = np.unique(a.net_of_pin[at] * len(new_nodes) + owner[at],
+    _, first, group = np.unique(a.net_of_pin[at] * len(nodes.names) + owner[at],
                                 return_index=True, return_inverse=True)
     marked = a.pin_marked.copy()
     marked[at[first]] = np.bincount(group, weights=a.pin_marked[at], minlength=len(first)) > 0
@@ -130,8 +139,8 @@ def _cluster(netlist: Netlist, initial: Placement, grid: Grid, singletons: bool)
                     else "clustering dropped %d net(s) with fewer than two pins", dropped)
     log.info("clustered %d standard cells into %d cluster(s); %d net(s) kept",
              len(cluster_of), len(members), len(nets.net_names))
-    rewired = Netlist(nodes=new_nodes, nets=nets, canvas=netlist.canvas)
-    return ClusteredNetlist(rewired, cluster_of, members, cluster_cells, grid, original=netlist)
+    rewired = Netlist(nodes=nodes, nets=nets, canvas=netlist.canvas)
+    return ClusteredNetlist(rewired, cluster_of, members, cluster_cells, grid)
 
 
 def cluster_by_grid(netlist: Netlist, initial: Placement, grid: Grid) -> ClusteredNetlist:
@@ -171,6 +180,7 @@ def apply_vacuous_placement(
         x, y = cv.width, cv.height
     else:
         raise ValueError(f"unknown vacuous mode {mode!r}, expected one of {VACUOUS_MODES}")
-    if not cv.contains_point(x, y):
+    if not (0.0 <= x <= cv.width and 0.0 <= y <= cv.height):
         raise PointOutsideCanvas(f"({x}, {y}) outside canvas {cv.width} x {cv.height}")
-    return {n.name: Pose(x, y, Orientation.N) for n in netlist.nodes if n.movable}
+    a = netlist.arrays
+    return {name: Pose(x, y, Orientation.N) for name, m in zip(a.names, a.movable.tolist()) if m}

@@ -3,13 +3,14 @@
 A netlist is a set of rectangular nodes (hard macros, standard cells, soft
 clusters, zero-area ports) connected by weighted nets. Pin offsets are stored
 relative to the owning node's center, matching the convention of the Bookshelf
-files this tool consumes. A netlist stores its nets once, as the flat pin
-table of `NetlistArrays` that the readers and clustering build; `Net`/`Pin`
-objects exist only where callers hand them in or read them out. Node
-locations are not part of the netlist; they live in separate placements,
-name -> `Pose` maps. Files and the CLI use
-dicts; the placer works on `PlacementState`, the array form of a placement,
-and `PlacementState.of` is the one decoder from a dict to it.
+files this tool consumes. A netlist stores its nodes and nets once, as the
+columns of `NetlistArrays`: the node table (names, input sizes, kinds,
+movable flags) and the flat pin table, which the readers and clustering
+build. `Node`, `Net` and `Pin` objects exist only where callers hand them in
+or read them out. Node locations are not part of the netlist; they live in
+separate placements, name -> `Pose` maps. Files and the CLI use dicts; the
+placer works on `PlacementState`, the array form of a placement, and
+`PlacementState.of` is the one decoder from a dict to it.
 
 Native text format, one record per line (see README for the grammar):
 
@@ -51,6 +52,11 @@ class NodeKind(str, Enum):
     STDCELL = "stdcell"
     CLUSTER = "cluster"
     PORT = "port"
+
+
+# The kind column of a node table holds each kind's position in NodeKind.
+NODE_KINDS = tuple(NodeKind)
+KIND_CODE = {k: np.int8(i) for i, k in enumerate(NODE_KINDS)}
 
 
 class Orientation(str, Enum):
@@ -117,10 +123,6 @@ class Node:
     height: float
     movable: bool
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
 
 @dataclass
 class Canvas:
@@ -132,9 +134,6 @@ class Canvas:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise InvalidDimension(f"canvas must have positive size, got {self.width} x {self.height}")
-
-    def contains_point(self, x: float, y: float) -> bool:
-        return 0.0 <= x <= self.width and 0.0 <= y <= self.height
 
 
 @dataclass(frozen=True)
@@ -161,20 +160,38 @@ class NetTable:
 
 
 @dataclass(frozen=True)
-class NetlistArrays(NetTable):
-    """The netlist as flat arrays: its `NetTable` plus node arrays, one entry
-    per node in netlist order. `driver` is the flat index of each net's
-    driving pin: its first marked pin, else its first pin.
-    """
+class NodeTable:
+    """Nodes as columns, one entry per node: names, widths and heights as
+    given, `kind` codes (positions in `NODE_KINDS`) and movable flags."""
 
     names: list[str]
+    width: np.ndarray
+    height: np.ndarray
+    kind: np.ndarray
+    movable: np.ndarray
+
+
+def node_table(rows) -> NodeTable:
+    """A `NodeTable` from one (name, kind, width, height, movable) row per node."""
+    names, kinds, width, height, movable = zip(*rows) if rows else ((),) * 5
+    return NodeTable(list(names), np.array(width, dtype=float), np.array(height, dtype=float),
+                     np.array([KIND_CODE[k] for k in kinds], dtype=np.int8), np.array(movable, dtype=bool))
+
+
+@dataclass(frozen=True)
+class NetlistArrays(NetTable, NodeTable):
+    """The netlist as flat arrays: its `NodeTable` and `NetTable` plus what
+    derives from them, one entry per node in netlist order. `driver` is the
+    flat index of each net's driving pin: its first marked pin, else its
+    first pin.
+    """
+
     index: dict[str, int]
     half_w: np.ndarray
     half_h: np.ndarray
     is_macro: np.ndarray
     is_cluster: np.ndarray
     is_port: np.ndarray
-    movable: np.ndarray
     driver: np.ndarray
 
 
@@ -253,48 +270,46 @@ class PlacementState(Mapping):
 class Netlist:
     """Nodes, nets and canvas, checked once at construction.
 
-    `nets` is either a `NetTable` over `nodes`, as the readers and clustering
-    build it, or an iterable of `Net` objects, decoded here into one; a net
-    without pins or a pin naming an unknown node is rejected. The table is
-    stored only in `arrays`, and no code changes a netlist after
-    construction.
+    `nodes` is either a `NodeTable` or a list of `Node` objects, and `nets`
+    either a `NetTable` over the nodes, as the readers and clustering build
+    them, or an iterable of `Net` objects; objects are decoded here into
+    tables. Duplicate node names, a net without pins and a pin naming an
+    unknown node are rejected. The tables are stored only in `arrays`, and no
+    code changes a netlist after construction.
     """
 
-    def __init__(self, nodes: list[Node], nets: NetTable | Iterable[Net], canvas: Canvas):
-        if not nodes:
+    def __init__(self, nodes: NodeTable | list[Node], nets: NetTable | Iterable[Net], canvas: Canvas):
+        if not isinstance(nodes, NodeTable):
+            nodes = node_table([(n.name, n.kind, n.width, n.height, n.movable) for n in nodes])
+        if not nodes.names:
             raise EmptyNetlist("netlist has no nodes")
         index: dict[str, int] = {}
-        for i, n in enumerate(nodes):
-            if n.name in index:
-                raise InvalidDimension(f"duplicate node id {n.name!r}")
-            index[n.name] = i
+        for i, name in enumerate(nodes.names):
+            if name in index:
+                raise InvalidDimension(f"duplicate node id {name!r}")
+            index[name] = i
         table = nets if isinstance(nets, NetTable) else _decode_nets(list(nets), index)
-        self.nodes, self.canvas = nodes, canvas
-        kinds = [n.kind for n in nodes]
+        self.canvas = canvas
         n_pins, first = len(table.pin_owner), table.net_start[:-1]
         first_src = np.minimum.reduceat(np.where(table.pin_marked, np.arange(n_pins), n_pins), first)
         self.arrays = NetlistArrays(
             **{f: getattr(table, f) for f in NetTable.__dataclass_fields__},
-            names=[n.name for n in nodes],
+            **{f: getattr(nodes, f) for f in NodeTable.__dataclass_fields__},
             index=index,
-            half_w=np.array([n.width for n in nodes], dtype=float) / 2.0,
-            half_h=np.array([n.height for n in nodes], dtype=float) / 2.0,
-            is_macro=np.array([k == NodeKind.MACRO for k in kinds], dtype=bool),
-            is_cluster=np.array([k == NodeKind.CLUSTER for k in kinds], dtype=bool),
-            is_port=np.array([k == NodeKind.PORT for k in kinds], dtype=bool),
-            movable=np.array([n.movable for n in nodes], dtype=bool),
+            half_w=nodes.width / 2.0,
+            half_h=nodes.height / 2.0,
+            is_macro=nodes.kind == KIND_CODE[NodeKind.MACRO],
+            is_cluster=nodes.kind == KIND_CODE[NodeKind.CLUSTER],
+            is_port=nodes.kind == KIND_CODE[NodeKind.PORT],
             driver=np.where(first_src < n_pins, first_src, first),
         )
 
-    def node(self, name: str) -> Node:
-        return self.nodes[self.arrays.index[name]]
-
-    def has_node(self, name: str) -> bool:
-        return name in self.arrays.index
-
     @property
-    def movable_macros(self) -> list[Node]:
-        return [n for n in self.nodes if n.kind == NodeKind.MACRO and n.movable]
+    def nodes(self) -> list[Node]:
+        """The nodes as `Node` objects, built from the table on each access."""
+        a = self.arrays
+        return [Node(name, NODE_KINDS[k], w, h, m) for name, k, w, h, m in
+                zip(a.names, a.kind.tolist(), a.width.tolist(), a.height.tolist(), a.movable.tolist())]
 
     @property
     def nets(self) -> list[Net]:
@@ -348,11 +363,11 @@ def write_text(path, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def clamp_offsets(t: NetTable, nodes: list[Node], where: str | Path, extents: str) -> NetTable:
+def clamp_offsets(t: NetTable, nodes: NodeTable, where: str | Path, extents: str) -> NetTable:
     """`t` with pin offsets pulled back within their owners' half-extents;
     logs how many pins moved. Offsets inside or on the boundary stay bit for
     bit."""
-    half = (np.array([(n.width, n.height) for n in nodes], dtype=float) / 2.0)[t.pin_owner].T
+    half = np.stack([nodes.width[t.pin_owner], nodes.height[t.pin_owner]]) / 2.0
     d = np.stack([t.pin_dx, t.pin_dy])
     c = np.where(d < -half, -half, np.where(d > half, half, d))
     clamped = int(np.count_nonzero((c != d).any(axis=0)))
@@ -399,10 +414,11 @@ def validate_nets(t: NetTable, where: str = "netlist") -> NetTable:
 
 def write_netlist(netlist: Netlist, path) -> None:
     """Serialize a netlist in the native line format."""
+    a = netlist.arrays
     lines = [f"canvas {netlist.canvas.width!r} {netlist.canvas.height!r}"]
-    for n in netlist.nodes:
-        lines.append(f"node {n.name} {n.kind.value} {n.width!r} {n.height!r} {int(n.movable)}")
-    for name, weight, pins in _net_rows(netlist.arrays):
+    lines += [f"node {name} {NODE_KINDS[k].value} {w!r} {h!r} {int(m)}" for name, k, w, h, m in
+              zip(a.names, a.kind.tolist(), a.width.tolist(), a.height.tolist(), a.movable.tolist())]
+    for name, weight, pins in _net_rows(a):
         lines.append(f"net {name} {weight!r}")
         lines += [f"pin {name} {node} {dx!r} {dy!r}{' s' if m else ''}" for node, dx, dy, m in pins]
     write_text(path, "\n".join(lines) + "\n")
@@ -414,7 +430,7 @@ def read_netlist(path) -> Netlist:
     if not path.exists():
         raise MissingFile(str(path))
     canvas = None
-    nodes: list[Node] = []
+    node_rows: list[tuple] = []   # (name, kind, width, height, movable)
     node_index: dict[str, int] = {}
     net_index: dict[str, int] = {}
     weights: list[float] = []
@@ -442,8 +458,8 @@ def read_netlist(path) -> Netlist:
                         raise ValueError("ports must have zero width and height")
                 elif w <= 0 or h <= 0:
                     raise ValueError(f"{nk} node needs positive size, got {w} x {h}")
-                node_index[name] = len(nodes)
-                nodes.append(Node(name, node_kind, w, h, movable=mv == "1"))
+                node_index[name] = len(node_rows)
+                node_rows.append((name, node_kind, w, h, mv == "1"))
             elif kind == "net":
                 if len(tok) not in (2, 3):
                     raise ValueError("expected: net ID [WEIGHT]")
@@ -475,5 +491,6 @@ def read_netlist(path) -> Netlist:
     rows = rows[np.argsort(rows[:, 0], kind="stable")]
     sizes = np.bincount(rows[:, 0].astype(np.intp), minlength=len(weights))
     table = pin_table(net_index, weights, sizes, rows[:, 1:])
+    nodes = node_table(node_rows)
     table = clamp_offsets(table, nodes, path, "the owner's half-extents")
     return Netlist(nodes=nodes, nets=validate_nets(table, where=str(path)), canvas=canvas)

@@ -142,32 +142,14 @@ def summarize_groups(rows, metrics=None) -> StabilityReport:
     for label, vals in rows:
         groups.setdefault(label, []).append(vals)
     out = []
-    for label in groups:
-        vals = groups[label]
-        means = {}
-        stds = {}
-        for m in metrics:
-            means[m], stds[m] = _mean_std([v[m] for v in vals])
-        out.append(StabilityRow(label, len(vals), means, stds))
-    all_vals = [v for _, v in rows]
-    means = {}
-    stds = {}
-    for m in metrics:
-        means[m], stds[m] = _mean_std([v[m] for v in all_vals])
-    out.append(StabilityRow("AGGR", len(all_vals), means, stds))
+    for label, vals in [*groups.items(), ("AGGR", [v for _, v in rows])]:
+        stats = {m: _mean_std([v[m] for v in vals]) for m in metrics}
+        out.append(StabilityRow(label, len(vals), {m: s[0] for m, s in stats.items()},
+                                {m: s[1] for m, s in stats.items()}))
     return StabilityReport(metrics=list(metrics), rows=out)
 
 
 PROXY_METRICS = ("wirelength", "density", "congestion", "total")
-
-
-def breakdown_metrics(b: ProxyBreakdown) -> dict:
-    return {
-        "wirelength": b.wirelength,
-        "density": b.density,
-        "congestion": b.congestion,
-        "total": b.total,
-    }
 
 
 def stability_study(run_results, external: dict | None = None) -> StabilityReport:
@@ -181,7 +163,7 @@ def stability_study(run_results, external: dict | None = None) -> StabilityRepor
     metrics = list(PROXY_METRICS)
     extra_keys: list = []
     for label, breakdown in run_results:
-        vals = breakdown_metrics(breakdown)
+        vals = {m: getattr(breakdown, m) for m in PROXY_METRICS}
         if external and label in external:
             for k, v in external[label].items():
                 vals[k] = v

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .geometry import Grid
-from .netlist import Netlist, NodeKind, Placement, write_text
+from .netlist import NODE_KINDS, Netlist, NodeKind, Placement, write_text
 
 _STYLE = (
     "<style>"
@@ -50,26 +50,25 @@ def write_svg(netlist: Netlist, placement: Placement, path,
             y = sy(r * grid.cell_h)
             parts.append(f'<line class="gridline" x1="0" y1="{y:.2f}" x2="{width_px:.1f}" y2="{y:.2f}"/>')
     tick = max(3.0, 0.004 * width_px)
-    for node in netlist.nodes:
-        pose = placement.get(node.name)
+    a = netlist.arrays
+    for name, k, width, height, movable in zip(a.names, a.kind.tolist(), a.width.tolist(),
+                                               a.height.tolist(), a.movable.tolist()):
+        pose = placement.get(name)
         if pose is None:
             continue
-        if node.kind == NodeKind.PORT:
+        kind = NODE_KINDS[k]
+        if kind == NodeKind.PORT:
             x, y = sx(pose.x), sy(pose.y)
             parts.append(f'<line class="port" x1="{x - tick:.2f}" y1="{y:.2f}" x2="{x + tick:.2f}" y2="{y:.2f}"/>')
             parts.append(f'<line class="port" x1="{x:.2f}" y1="{y - tick:.2f}" x2="{x:.2f}" y2="{y + tick:.2f}"/>')
             continue
-        cls = {
-            NodeKind.MACRO: "macro" if node.movable else "fixedmacro",
-            NodeKind.CLUSTER: "cluster",
-            NodeKind.STDCELL: "cluster",
-        }[node.kind]
-        x = sx(pose.x - node.width / 2.0)
-        y = sy(pose.y + node.height / 2.0)
-        w = node.width * scale
-        h = node.height * scale
+        cls = ("macro" if movable else "fixedmacro") if kind == NodeKind.MACRO else "cluster"
+        x = sx(pose.x - width / 2.0)
+        y = sy(pose.y + height / 2.0)
+        w = width * scale
+        h = height * scale
         parts.append(f'<rect class="{cls}" x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}"/>')
         if labels:
-            parts.append(f'<text class="label" x="{x + 2:.2f}" y="{y + 11:.2f}">{node.name}</text>')
+            parts.append(f'<text class="label" x="{x + 2:.2f}" y="{y + 11:.2f}">{name}</text>')
     parts.append("</svg>")
     write_text(path, "\n".join(parts) + "\n")

@@ -114,7 +114,7 @@ def _scan_one_cell_at_a_time(netlist, grid, fixed, order, cells):
 def _initializers_match_reference(netlist, grid, fixed) -> bool:
     """Both initializers against the reference scan; True when they place."""
     movable = [n for n in netlist.nodes if n.kind == NodeKind.MACRO and n.movable]
-    by_area = sorted(movable, key=lambda n: (-n.area, movable.index(n)))
+    by_area = sorted(movable, key=lambda n: (-n.width * n.height, movable.index(n)))
     row_major = [(c, r) for r in range(grid.n_rows) for c in range(grid.n_cols)]
     placed_any = False
     for init, order, cells in ((init_spiral, movable, spiral_cells(grid.n_cols, grid.n_rows)),
@@ -246,8 +246,9 @@ def test_zero_steps_with_clusters_reproduces_init():
     cfg = SAConfig(max_steps=0, t_init=0.0, fd_params=_FAST_FD)
     res = anneal(cnl, fixed, cfg)
     assert res.best_cost.total == res.init_cost.total
-    for c in cnl.clusters:
-        assert c.name in res.best_placement
+    a = cnl.netlist.arrays
+    for i in a.is_cluster.nonzero()[0]:
+        assert a.names[i] in res.best_placement
 
 
 def test_determinism_bitwise():
@@ -411,6 +412,15 @@ def test_run_parallel_validates_workers():
     cnl, fixed = _macro_fixture()
     with pytest.raises(ValueError):
         run_parallel(cnl, fixed, SAConfig(max_steps=0), n_workers=0, seeds=[0])
+
+
+def test_run_parallel_zero_budget_is_a_deadline_at_launch():
+    # A budget of 0 s stops every worker before its first step; it does not
+    # mean "no deadline".
+    cnl, fixed = _macro_fixture()
+    result = run_parallel(cnl, fixed, SAConfig(max_steps=50, t_init=0.1), n_workers=1, seeds=[0],
+                          wall_clock_budget=0.0, parallel=False)
+    assert result.best.steps_run == 0
 
 
 def test_write_trace_csv_round_trip(tmp_path):

@@ -1,8 +1,13 @@
 """Command-line interface."""
 
+from dataclasses import replace
+
 import pytest
 
 import gridplace.cli
+from gridplace.annealer import SAConfig
+from gridplace.cost import CostConfig, ProxyWeights
+from gridplace.fd import FDParams
 from gridplace.bookshelf import read_placement
 from gridplace.cli import main
 from gridplace.netlist import read_netlist
@@ -285,6 +290,47 @@ def test_bad_seed_pairs_are_diagnosed(design, capsys):
                      "--seed-pairs", bad, "--steps", "2", "--sequential",
                      "--out-dir", str(tmp)]) == 2
         assert "--seed-pairs" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command, flags, flag", [
+    ("sa", ["--workers", "0"], "--workers"),
+    ("sa", ["--workers", "-2"], "--workers"),
+    ("sa", ["--seeds", "1,x"], "--seeds"),
+    ("sa", ["--seeds", "1,,2"], "--seeds"),
+    ("sa", ["--budget-seconds", "0"], "--budget-seconds"),
+    ("sa", ["--budget-seconds", "-1.5"], "--budget-seconds"),
+    ("sa", ["--budget-seconds", "nan"], "--budget-seconds"),
+    ("sa", ["--t-init", "warm"], "--t-init"),
+    ("stability", ["--workers", "0"], "--workers"),
+    ("stability", ["--budget-seconds", "0"], "--budget-seconds"),
+    ("stability", ["--t-init", "warm"], "--t-init"),
+])
+def test_bad_run_flags_fail_before_the_design_loads(design, monkeypatch, capsys, command, flags, flag):
+    net, pl, tmp = design
+    monkeypatch.setattr(gridplace.cli, "_load_design", _no_anneal)
+    assert main([command, "--netlist", str(net), "--initial", str(pl), "--steps", "2",
+                 "--sequential", *flags, "--out-dir", str(tmp)]) == 2
+    assert flag in _one_line_error(capsys)
+
+
+def test_stability_config_keeps_the_dataclass_defaults():
+    args = gridplace.cli.build_parser().parse_args([
+        "stability", "--netlist", "x.txt", "--seed", "4", "--steps", "7", "--init", "greedy",
+        "--t-init", "0.3", "--fd-iters", "9", "--gamma", "0.25", "--lambda", "0.75",
+        "--smooth-radius", "1", "--macro-h-usage", "0.5", "--macro-v-usage", "0.6"])
+    assert gridplace.cli._sa_config(args) == SAConfig(
+        seed=4, max_steps=7, init="greedy", t_init=0.3, fd_params=FDParams(num_iters=9, seed=4),
+        weights=ProxyWeights(0.25, 0.75), cost_config=CostConfig(1, 0.5, 0.6))
+
+
+def test_sa_config_takes_the_annealing_flags():
+    args = gridplace.cli.build_parser().parse_args([
+        "sa", "--netlist", "x.txt", "--seed", "4", "--cooling", "0.9", "--epoch-len", "5",
+        "--fd-every", "3", "--ka", "2", "--kr", "3", "--io-factor", "4", "--action-weights", "swap=1"])
+    config = gridplace.cli._sa_command_config(args)
+    assert config == replace(gridplace.cli._sa_config(args), cooling_ratio=0.9, epoch_len=5,
+                             fd_interval_multiplier=3, action_weights={"swap": 1.0},
+                             fd_params=FDParams(k_attract=2.0, k_repel=3.0, io_factor=4.0, seed=4))
 
 
 def test_bad_vacuous_point_is_diagnosed(design, capsys):

@@ -23,6 +23,10 @@ from gridplace.netlist import (
 )
 
 
+def _clusters(cnl):
+    return [n for n in cnl.netlist.nodes if n.kind is NodeKind.CLUSTER]
+
+
 def _fixture():
     nodes = [
         Node("s0", NodeKind.STDCELL, 2.0, 3.0, movable=True),
@@ -57,17 +61,16 @@ def test_buckets_name_and_order():
     netlist, initial, grid = _fixture()
     cnl = cluster_by_grid(netlist, initial, grid)
     # s0 and s1 share cell (0, 0); s2 sits in cell (2, 1).
-    assert [c.name for c in cnl.clusters] == ["grp_0_0", "grp_1_2"]
+    assert [c.name for c in _clusters(cnl)] == ["grp_0_0", "grp_1_2"]
     assert cnl.cluster_cells == {"grp_0_0": (0, 0), "grp_1_2": (2, 1)}
     assert cnl.members == {"grp_0_0": ["s0", "s1"], "grp_1_2": ["s2"]}
     assert cnl.cluster_of == {"s0": "grp_0_0", "s1": "grp_0_0", "s2": "grp_1_2"}
-    assert cnl.original is netlist
 
 
 def test_cluster_side_is_sqrt_of_total_area():
     netlist, initial, grid = _fixture()
     cnl = cluster_by_grid(netlist, initial, grid)
-    by_name = {c.name: c for c in cnl.clusters}
+    by_name = {c.name: c for c in _clusters(cnl)}
     side = math.sqrt(2.0 * 3.0 + 1.0 * 4.0)
     assert by_name["grp_0_0"].width == side
     assert by_name["grp_0_0"].height == side
@@ -81,7 +84,7 @@ def test_non_stdcell_nodes_survive_unclustered():
     # Fixed standard cells, macros, and ports pass through untouched.
     assert {"sf", "m0", "p0"} <= names
     assert "s0" not in names and "s1" not in names and "s2" not in names
-    assert cnl.netlist.node("sf").kind is NodeKind.STDCELL
+    assert cnl.netlist.nodes[cnl.netlist.arrays.index["sf"]].kind is NodeKind.STDCELL
 
 
 def test_rewired_pins_collapse_with_source_union():
@@ -105,7 +108,7 @@ def test_cluster_name_collision_appends_underscore():
         canvas=netlist.canvas,
     )
     cnl = cluster_by_grid(clash, initial, grid)
-    assert [c.name for c in cnl.clusters] == ["grp_0_0_", "grp_1_2"]
+    assert [c.name for c in _clusters(cnl)] == ["grp_0_0_", "grp_1_2"]
 
 
 def test_missing_initial_location():
@@ -133,7 +136,7 @@ def test_no_clustering_keeps_ids_and_squares_cells():
     netlist, initial, grid = _fixture()
     cnl = no_clustering(netlist, initial, grid)
     assert sorted(cnl.members) == ["s0", "s1", "s2"]
-    s0 = cnl.netlist.node("s0")
+    s0 = cnl.netlist.nodes[cnl.netlist.arrays.index["s0"]]
     assert s0.kind is NodeKind.CLUSTER
     assert s0.width == pytest.approx(math.sqrt(6.0))
     assert cnl.cluster_cells["s2"] == (2, 1)
@@ -167,5 +170,5 @@ def test_vacuous_placement_funnels_into_single_cluster():
     netlist, _, grid = _fixture()
     initial = apply_vacuous_placement(netlist, "lower-left")
     cnl = cluster_by_grid(netlist, initial, grid)
-    assert [c.name for c in cnl.clusters] == ["grp_0_0"]
+    assert [c.name for c in _clusters(cnl)] == ["grp_0_0"]
     assert sorted(cnl.members["grp_0_0"]) == ["s0", "s1", "s2"]

@@ -154,7 +154,7 @@ def test_native_zero_size_port_allowed(tmp_path):
     path.write_text("canvas 10 10\nnode p port 0 0 0\nnode a macro 2 2 1\n"
                     "net n\npin n p 0 0\npin n a 0 0 s\n")
     nl = read_netlist(path)
-    assert nl.node("p").kind is NodeKind.PORT
+    assert nl.nodes[nl.arrays.index["p"]].kind is NodeKind.PORT
 
 
 def test_validate_nets_drops_short_and_demotes_sources():
@@ -279,7 +279,7 @@ def test_bookshelf_parse_kinds_and_canvas(tmp_path):
     assert kinds["b"] is NodeKind.STDCELL
     assert kinds["pad"] is NodeKind.PORT
     assert kinds["blk"] is NodeKind.MACRO
-    assert not nl.node("blk").movable
+    assert not nl.arrays.movable[nl.arrays.index["blk"]]
     assert len(nl.nets) == 2
 
 
@@ -485,6 +485,20 @@ def test_read_placement_rejects_non_finite_coordinates(tmp_path):
         assert err.value.lineno == 3
 
 
+@pytest.mark.parametrize("body, lineno", [
+    ("a 1 1 : XX\n", 3),
+    ("a 1 1 : N\n\nb 2 2 : XX\npad 0 0 : N\n", 5),
+    ("b 2 2 : XX\na 1 1 : N\nb 2 2 : FE\nblk 3 3 : Q /FIXED\n", 6),
+])
+def test_read_placement_names_the_line_of_an_unsupported_orientation(tmp_path, body, lineno):
+    nl = parse_bookshelf(_write_bookshelf(tmp_path))
+    (tmp_path / "bad.pl").write_text("UCLA pl 1.0\n\n" + body)
+    with pytest.raises(MalformedLine, match="unsupported orientation") as err:
+        read_placement(tmp_path / "bad.pl", nl)
+    assert err.value.lineno == lineno
+    assert f"bad.pl:{lineno}:" in str(err.value)
+
+
 def test_bookshelf_aux_requires_nodes_and_nets(tmp_path):
     (tmp_path / "x.aux").write_text("RowBasedPlacement : x.pl\n")
     with pytest.raises(MalformedLine):
@@ -500,7 +514,7 @@ def test_bookshelf_canvas_inferred_without_scl(tmp_path):
     # plus its 8x8 outline.
     assert nl.canvas.width == 48.0 and nl.canvas.height == 48.0
     # Without row heights every movable node is a macro.
-    assert nl.node("a").kind is NodeKind.MACRO
+    assert nl.nodes[nl.arrays.index["a"]].kind is NodeKind.MACRO
 
 
 def test_bookshelf_pl_round_trip(tmp_path):

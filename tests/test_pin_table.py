@@ -1,11 +1,13 @@
-"""The pin table: the one stored form of a netlist's nets.
+"""The node and pin tables: the one stored form of a netlist.
 
-Digests recorded from the object-based netlist that preceded the table pin
-its contents bit for bit: the seed-7 ibm01 design as parsed and clustered
-both ways, and a rewiring instance from tests/gen.py. The native files that
-`gridplace parse --out` and `cluster --out` write are pinned the same way.
-With `Pin` and `Net` unable to construct, the whole flow from the Bookshelf
-reader to the annealer still runs: no layer goes through the object form.
+Digests recorded from the object-based netlist that preceded the tables pin
+their contents bit for bit: the seed-7 ibm01 design as parsed and clustered
+both ways, and a rewiring instance from tests/gen.py. The files that
+`gridplace parse --out`, `cluster --out`, `cluster --placement-out`,
+`shuffle` and `plot` write are pinned the same way. With `Node`, `Pin` and
+`Net` unable to construct, the whole flow from the Bookshelf reader to the
+annealer and every command on it still runs: no layer goes through the
+object form.
 """
 
 import hashlib
@@ -17,14 +19,14 @@ import pytest
 import oracles
 from fixture_gen import write_synthetic_design
 from gen import rewire_instance
-from gridplace.annealer import SAConfig, anneal
+from gridplace.annealer import SAConfig, anneal, shuffle_same_size
 from gridplace.bookshelf import parse_bookshelf, read_placement
 from gridplace.cli import main
 from gridplace.clustering import cluster_by_grid, no_clustering
 from gridplace.cost import Evaluator
 from gridplace.fd import FDParams, fd_place
 from gridplace.geometry import build_grid
-from gridplace.netlist import Net, Netlist, Pin, validate_nets
+from gridplace.netlist import Net, Netlist, Node, Pin, validate_nets
 
 # Leading 16 hex digits of the sha256 of each field.
 GOLDEN = {
@@ -37,11 +39,15 @@ GOLDEN = {
 }
 
 # Leading 16 hex digits of the sha256 of the native netlists written by `gridplace parse` and `gridplace
-# cluster` (default 32 x 32 grid) from the seed-7 ibm01 design.
+# cluster` (default 32 x 32 grid) from the seed-7 ibm01 design, and of the clustered placement, the
+# shuffled placement and the SVG that `cluster --placement-out`, `shuffle` and `plot` write from it.
 CLI_OUT = {
     "parse": "15d6669bf62c07a7",
     "cluster": "d73819c96b6541d8",
     "cluster_none": "c49e89e2f24cb7cf",
+    "cluster.pl": "d3349cfc69c03e03",
+    "shuffled.pl": "863685010e4577b5",
+    "plot.svg": "619a294b89470159",
 }
 
 
@@ -117,16 +123,18 @@ def test_rewiring_matches_the_loop_reference(seed, cluster):
 def test_flow_runs_without_net_and_pin_objects(ibm01, tmp_path, monkeypatch, capsys):
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} object built")
-    monkeypatch.setattr(Pin, "__init__", refuse)
-    monkeypatch.setattr(Net, "__init__", refuse)
+    for cls in (Node, Pin, Net):
+        monkeypatch.setattr(cls, "__init__", refuse)
 
     netlist = parse_bookshelf(ibm01)
     initial = read_placement(ibm01.with_suffix(".pl"), netlist)
     grid = build_grid(netlist.canvas, 32, 32)
     cnl = cluster_by_grid(netlist, initial, grid)
     seed = cnl.seed_placement(initial)
-    assert np.isfinite(Evaluator(cnl.netlist, grid).breakdown(seed).total)
+    evaluator = Evaluator(cnl.netlist, grid)
+    assert np.isfinite(evaluator.breakdown(seed).total)
     fd_place(cnl.netlist, seed, FDParams(num_iters=3, seed=7))
+    assert np.isfinite(evaluator.breakdown(shuffle_same_size(cnl.netlist, seed, 3)).total)
     result = anneal(cnl, initial, SAConfig(seed=7, max_steps=10, probe_count=10,
                                            fd_params=FDParams(num_iters=3, seed=7)))
     assert result.steps_run == 10
@@ -141,5 +149,13 @@ def test_flow_runs_without_net_and_pin_objects(ibm01, tmp_path, monkeypatch, cap
         kv = dict(ln.split("=", 1) for ln in capsys.readouterr().out.splitlines() if "=" in ln)
         if name in counts:
             a = counts[name].arrays
-            assert kv["nets"] == str(len(a.net_names))
+            assert (kv["nets"], kv["nodes"]) == (str(len(a.net_names)), str(len(a.names)))
             assert kv.get("pins", str(len(a.pin_owner))) == str(len(a.pin_owner))
+    for args, out in ((["cluster", "--placement-out"], "cluster.pl"), (["fd", "--iters", "3", "--out"], "fd.pl"),
+                      (["evaluate"], None), (["shuffle", "--out"], "shuffled.pl"),
+                      (["sa", "--steps", "10", "--fd-iters", "3", "--sequential", "--out"], "best.pl"),
+                      (["plot", "--out"], "plot.svg")):
+        target = [str(tmp_path / out)] if out else []
+        assert main(args + target + ["--netlist", str(ibm01), "--out-dir", str(tmp_path)]) == 0, args
+        if out in CLI_OUT:
+            assert _h((tmp_path / out).read_bytes()) == CLI_OUT[out], out

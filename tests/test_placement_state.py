@@ -59,7 +59,7 @@ def test_round_trip_on_random_instances():
         netlist, placement, grid = small_instance(seed)
         pl = _mixed_placement(netlist, placement, rng)
         st = PlacementState.of(netlist.arrays, pl)
-        inside = {k: v for k, v in pl.items() if netlist.has_node(k)}
+        inside = {k: v for k, v in pl.items() if k in netlist.arrays.index}
         assert dict(st) == inside and st == inside and len(st) == len(inside)
         assert list(st) == [n.name for n in netlist.nodes if n.name in inside]
         for name in [*pl, *(n.name for n in netlist.nodes)]:
