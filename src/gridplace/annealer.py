@@ -56,6 +56,8 @@ class SAConfig:
     probe_count: int = 100
 
     def __post_init__(self):
+        if self.t_init is not None and not (math.isfinite(self.t_init) and self.t_init >= 0):
+            raise OutOfRange(f"t_init must be finite and >= 0, got {self.t_init}")
         if not 0.0 < self.cooling_ratio < 1.0:
             raise OutOfRange(f"cooling_ratio must be in (0, 1), got {self.cooling_ratio}")
         if self.max_steps < 0:

@@ -259,8 +259,8 @@ def _scored_design(args):
     commands that score one placement of every node.
 
     Fixed nodes and macros come from the initial placement, a --placement file
-    overrides anything it names (including clusters), and clusters default to
-    their bucket centers or, with --fd, an FD pass.
+    overrides anything it names (including clusters), and the clusters made
+    here start at their bucket centers or, with --fd, an FD pass.
     """
     initial, grid, cnl = _clustered_design(args)
     placement = cnl.seed_placement(initial)
@@ -334,8 +334,8 @@ def cmd_parse(args) -> int:
 def cmd_cluster(args) -> int:
     initial, grid, cnl = _clustered_design(args)
     _print_kv([
-        ("clusters", len(cnl.members)),
-        ("clustered_cells", sum(len(v) for v in cnl.members.values())),
+        ("clusters", int((cnl.cell_of >= 0).sum())),
+        ("clustered_cells", int((cnl.cluster_of >= 0).sum())),
         ("nets", len(cnl.netlist.arrays.net_names)),
         ("nodes", len(cnl.netlist.arrays.names)),
     ])

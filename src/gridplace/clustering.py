@@ -4,7 +4,8 @@ Movable standard cells are grouped by the grid cell containing their initial
 center. Each non-empty bucket becomes one square soft cluster whose side is
 sqrt of the total member area, pinned at its center. Nets are rewired so that
 all member pins of a cluster collapse to a single center pin per net; nets
-left with fewer than two pins (fully internal nets) are dropped.
+left with fewer than two pins (fully internal nets) are dropped. Index arrays
+record each cell's cluster and each new cluster's cell, not name maps.
 
 Vacuous initial placements (everything at one point) are provided for
 sensitivity experiments: they funnel all standard cells into a single cluster.
@@ -37,35 +38,37 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class ClusteredNetlist:
-    """Rewired netlist plus the bookkeeping to map members to clusters."""
+    """Rewired netlist plus index arrays from members to clusters."""
 
     netlist: Netlist
-    cluster_of: dict[str, str]
-    members: dict[str, list[str]]
-    cluster_cells: dict[str, tuple[int, int]]
+    cluster_of: np.ndarray   # per input node: rewired index of its cluster, or -1
+    cell_of: np.ndarray      # per rewired node: cell row * n_cols + col of a cluster made here, or -1
     grid: Grid
 
-    def seed_placement(self, initial: Placement) -> PlacementState:
-        """Initial poses for the rewired netlist.
+    @property
+    def members(self) -> np.ndarray:
+        """Member count of each cluster made here, in rewired node order."""
+        counts = np.bincount(self.cluster_of[self.cluster_of >= 0], minlength=len(self.cell_of))
+        return counts[self.cell_of >= 0]
 
-        Clusters sit at their bucket centers, orientation N; every other node
-        keeps its pose from `initial` when one exists.
-        """
-        a = self.netlist.arrays
-        st = PlacementState.of(a, initial).copy()
-        st.x[a.is_cluster] = st.y[a.is_cluster] = np.nan
-        st.sx[a.is_cluster] = st.sy[a.is_cluster] = 1.0
-        at = [a.index[cid] for cid in self.cluster_cells]
-        col, row = np.array(list(self.cluster_cells.values()), dtype=float).reshape(-1, 2).T
-        st.x[at] = (col + 0.5) * self.grid.cell_w
-        st.y[at] = (row + 0.5) * self.grid.cell_h
+    def seed_placement(self, initial: Placement) -> PlacementState:
+        """Initial poses for the rewired netlist: clusters made here at their
+        cell centers, orientation N; every other node keeps its pose from
+        `initial` when one exists."""
+        st = PlacementState.of(self.netlist.arrays, initial).copy()
+        made = np.flatnonzero(self.cell_of >= 0)
+        row, col = np.divmod(self.cell_of[made], self.grid.n_cols)
+        st.x[made] = (col + 0.5) * self.grid.cell_w
+        st.y[made] = (row + 0.5) * self.grid.cell_h
+        st.sx[made] = st.sy[made] = 1.0
         return st
 
 
-def _cluster_name(row: int, col: int, taken) -> str:
+def _cluster_name(row: int, col: int, taken: set) -> str:
     name = f"grp_{row}_{col}"
     while name in taken:
         name += "_"
+    taken.add(name)
     return name
 
 
@@ -88,38 +91,34 @@ def _cluster(netlist: Netlist, initial: Placement, grid: Grid, singletons: bool)
     key = np.arange(len(cells)) if singletons else rows * grid.n_cols + cols
     order = np.argsort(key, kind="stable")
     opens = np.diff(key[order], prepend=-1) != 0
-    starts = np.flatnonzero(opens)
+    head = order[opens]                            # each cluster's first member
     bucket = np.empty(len(cells), dtype=np.intp)   # each cell's cluster
     bucket[order] = np.cumsum(opens) - 1
     # A cluster's side is the square root of its members' area, summed in
     # node order.
-    side = np.sqrt(np.bincount(bucket, weights=a.width[cells] * a.height[cells], minlength=len(starts)))
+    side = np.sqrt(np.bincount(bucket, weights=a.width[cells] * a.height[cells], minlength=len(head)))
     taken = set(a.names)
-    cluster_of, members, cluster_cells = {}, {}, {}
-    for start, cell_ids in zip(starts.tolist(), np.split(cells[order], starts[1:])):
-        col, row = int(cols[order[start]]), int(rows[order[start]])
-        cid = a.names[cell_ids[0]] if singletons else _cluster_name(row, col, taken)
-        taken.add(cid)
-        members[cid] = [a.names[i] for i in cell_ids.tolist()]
-        cluster_cells[cid] = (col, row)
-        cluster_of.update(dict.fromkeys(members[cid], cid))
+    made = ([a.names[i] for i in cells[head].tolist()] if singletons
+            else [_cluster_name(r, c, taken) for r, c in zip(rows[head].tolist(), cols[head].tolist())])
 
     # The new nodes as rows of the old nodes stacked on the clusters: a
     # singleton cluster takes its cell's place, bucket clusters follow the
     # other nodes. An old node maps to the new place of its row, a member to
     # that of its cluster's row.
-    n, k = len(a.names), len(starts)
+    n, k = len(a.names), len(head)
     stacked = np.arange(n)
     stacked[cells] = n + bucket
     take = stacked if singletons else np.concatenate([np.flatnonzero(~stdcell), n + np.arange(k)])
     place = np.empty(n + k, dtype=np.intp)
     place[take] = np.arange(len(take))
     new_index = place[stacked]
-    names = a.names + list(members)
+    names = a.names + made
     nodes = NodeTable([names[i] for i in take.tolist()],
                       np.concatenate([a.width, side])[take], np.concatenate([a.height, side])[take],
                       np.concatenate([a.kind, np.full(k, KIND_CODE[NodeKind.CLUSTER])])[take],
                       np.concatenate([a.movable, np.ones(k, dtype=bool)])[take])
+    cell_of = np.full(len(take), -1, dtype=np.intp)
+    cell_of[place[n:]] = rows[head] * grid.n_cols + cols[head]
 
     member = stdcell[a.pin_owner]
     owner = new_index[a.pin_owner]
@@ -138,9 +137,9 @@ def _cluster(netlist: Netlist, initial: Placement, grid: Grid, singletons: bool)
         log.warning("singleton clustering dropped %d net(s)" if singletons
                     else "clustering dropped %d net(s) with fewer than two pins", dropped)
     log.info("clustered %d standard cells into %d cluster(s); %d net(s) kept",
-             len(cluster_of), len(members), len(nets.net_names))
+             len(cells), k, len(nets.net_names))
     rewired = Netlist(nodes=nodes, nets=nets, canvas=netlist.canvas)
-    return ClusteredNetlist(rewired, cluster_of, members, cluster_cells, grid)
+    return ClusteredNetlist(rewired, np.where(stdcell, new_index, -1), cell_of, grid)
 
 
 def cluster_by_grid(netlist: Netlist, initial: Placement, grid: Grid) -> ClusteredNetlist:

@@ -80,6 +80,13 @@ class CostConfig:
     macro_h_usage: float = 1.0     # tracks consumed per unit boundary length
     macro_v_usage: float = 1.0
 
+    def __post_init__(self):
+        if self.smooth_radius < 0:
+            raise OutOfRange(f"smooth_radius must be >= 0, got {self.smooth_radius}")
+        for name, v in (("macro_h_usage", self.macro_h_usage), ("macro_v_usage", self.macro_v_usage)):
+            if not math.isfinite(v) or v < 0:
+                raise OutOfRange(f"{name} must be finite and >= 0, got {v}")
+
 
 @dataclass(frozen=True)
 class ProxyBreakdown:

@@ -88,8 +88,8 @@ def build_grid(
         h_capacity = 10.0 * cell_h
     if v_capacity is None:
         v_capacity = 10.0 * cell_w
-    if h_capacity <= 0 or v_capacity <= 0:
-        raise InvalidDimension(f"capacities must be positive, got {h_capacity}, {v_capacity}")
+    if not all(c > 0 and math.isfinite(c) for c in (h_capacity, v_capacity)):
+        raise InvalidDimension(f"capacities must be positive and finite, got {h_capacity}, {v_capacity}")
     return Grid(canvas, n_cols, n_rows, h_capacity, v_capacity)
 
 

@@ -65,6 +65,8 @@ def kendall_tau(xs, ys) -> float:
     n = len(xs)
     if n < 2:
         raise DegenerateInput("need at least two observations")
+    if any(v != v for v in xs + ys):   # only NaN differs from itself
+        raise DegenerateInput("NaN has no rank")
     n0 = n * (n - 1) // 2
     n1 = _tie_pairs(xs)
     n2 = _tie_pairs(ys)

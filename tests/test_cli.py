@@ -275,6 +275,13 @@ def test_non_numeric_kendall_csv_is_diagnosed(tmp_path, capsys):
         assert "ranks.csv:3" in _one_line_error(capsys)
 
 
+def test_nan_kendall_csv_is_diagnosed(tmp_path, capsys):
+    csv_path = tmp_path / "ranks.csv"
+    csv_path.write_text("x,y\n1,2\nnan,3\n4,1\n")
+    assert main(["kendall", "--csv", str(csv_path), "--x", "x", "--y", "y"]) == 2
+    assert "NaN" in _one_line_error(capsys)
+
+
 def test_bad_combos_are_diagnosed(design, capsys):
     net, pl, tmp = design
     for bad in ("1;x,2", "0.5", "0.5,0.5;1,x", "1,2,3", ""):
@@ -304,6 +311,11 @@ def test_bad_seed_pairs_are_diagnosed(design, capsys):
     ("stability", ["--workers", "0"], "--workers"),
     ("stability", ["--budget-seconds", "0"], "--budget-seconds"),
     ("stability", ["--t-init", "warm"], "--t-init"),
+    ("sa", ["--t-init", "nan"], "t_init"),
+    ("sa", ["--t-init", "inf"], "t_init"),
+    ("sa", ["--t-init", "-1"], "t_init"),
+    ("stability", ["--t-init", "nan"], "t_init"),
+    ("stability", ["--t-init", "-1"], "t_init"),
 ])
 def test_bad_run_flags_fail_before_the_design_loads(design, monkeypatch, capsys, command, flags, flag):
     net, pl, tmp = design
@@ -311,6 +323,20 @@ def test_bad_run_flags_fail_before_the_design_loads(design, monkeypatch, capsys,
     assert main([command, "--netlist", str(net), "--initial", str(pl), "--steps", "2",
                  "--sequential", *flags, "--out-dir", str(tmp)]) == 2
     assert flag in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("flags, what", [
+    (["--h-cap", "nan"], "capacities"),
+    (["--v-cap", "inf"], "capacities"),
+    (["--macro-h-usage", "nan"], "macro_h_usage"),
+    (["--macro-v-usage", "-1"], "macro_v_usage"),
+    (["--smooth-radius", "-1"], "smooth_radius"),
+])
+def test_cost_settings_that_make_nan_costs_are_diagnosed(design, capsys, flags, what):
+    net, pl, tmp = design
+    assert main(["evaluate", "--netlist", str(net), "--initial", str(pl), *flags,
+                 "--out-dir", str(tmp)]) == 2
+    assert what in _one_line_error(capsys)
 
 
 def test_stability_config_keeps_the_dataclass_defaults():
@@ -357,6 +383,21 @@ def test_cluster_outputs(design, capsys):
     poses = read_placement(pout, clustered)
     assert {"grp_0_0", "grp_2_2"} <= set(poses)
     assert (tmp / "cluster.manifest").exists()
+
+
+@pytest.mark.parametrize("mode", ["grid", "none"])
+def test_clustered_design_reads_back(design, capsys, mode):
+    net, pl, tmp = design
+    flags = ["--grid-cols", "3", "--grid-rows", "3", "--cluster", mode, "--out-dir", str(tmp)]
+    cout, pout = tmp / "clustered.txt", tmp / "clustered.pl"
+    assert main(["cluster", "--netlist", str(net), "--initial", str(pl),
+                 "--out", str(cout), "--placement-out", str(pout), *flags]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--netlist", str(net), "--initial", str(pl), *flags]) == 0
+    direct, _ = _kv(capsys)
+    assert main(["evaluate", "--netlist", str(cout), "--initial", str(pout), *flags]) == 0
+    back, _ = _kv(capsys)
+    assert float(back["total"]) == pytest.approx(float(direct["total"]), rel=1e-9, abs=0)
 
 
 def test_fd_command(design, capsys):

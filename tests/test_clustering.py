@@ -62,9 +62,10 @@ def test_buckets_name_and_order():
     cnl = cluster_by_grid(netlist, initial, grid)
     # s0 and s1 share cell (0, 0); s2 sits in cell (2, 1).
     assert [c.name for c in _clusters(cnl)] == ["grp_0_0", "grp_1_2"]
-    assert cnl.cluster_cells == {"grp_0_0": (0, 0), "grp_1_2": (2, 1)}
-    assert cnl.members == {"grp_0_0": ["s0", "s1"], "grp_1_2": ["s2"]}
-    assert cnl.cluster_of == {"s0": "grp_0_0", "s1": "grp_0_0", "s2": "grp_1_2"}
+    # Rewired order: sf, m0, p0, grp_0_0, grp_1_2; flat cells row * 4 + col.
+    assert cnl.cluster_of.tolist() == [3, 3, 4, -1, -1, -1]
+    assert cnl.cell_of.tolist() == [-1, -1, -1, 0, 6]
+    assert cnl.members.tolist() == [2, 1]
 
 
 def test_cluster_side_is_sqrt_of_total_area():
@@ -132,14 +133,30 @@ def test_seed_placement_mixes_centers_and_poses():
     assert "s0" not in seed
 
 
+@pytest.mark.parametrize("cluster", [cluster_by_grid, no_clustering])
+def test_seed_placement_keeps_the_poses_of_input_clusters(cluster):
+    netlist, initial, grid = _fixture()
+    nodes = list(netlist.nodes) + [Node("c0", NodeKind.CLUSTER, 3.0, 3.0, movable=True)]
+    with_c0 = Netlist(nodes=nodes, nets=list(netlist.nets), canvas=netlist.canvas)
+    pose = Pose(21.0, 33.0, Orientation.FS)
+    cnl = cluster(with_c0, {**initial, "c0": pose}, grid)
+    assert cnl.cell_of[cnl.netlist.arrays.index["c0"]] == -1
+    assert cnl.cluster_of[with_c0.arrays.index["c0"]] == -1
+    assert len(cnl.members) == (3 if cluster is no_clustering else 2)
+    assert cnl.seed_placement({**initial, "c0": pose})["c0"] == pose
+    assert "c0" not in cnl.seed_placement(initial)
+
+
 def test_no_clustering_keeps_ids_and_squares_cells():
     netlist, initial, grid = _fixture()
     cnl = no_clustering(netlist, initial, grid)
-    assert sorted(cnl.members) == ["s0", "s1", "s2"]
+    # Singletons keep their cells' places: s0, s1, s2, sf, m0, p0.
+    assert cnl.cluster_of.tolist() == [0, 1, 2, -1, -1, -1]
+    assert cnl.cell_of.tolist() == [0, 0, 6, -1, -1, -1]
+    assert cnl.members.tolist() == [1, 1, 1]
     s0 = cnl.netlist.nodes[cnl.netlist.arrays.index["s0"]]
     assert s0.kind is NodeKind.CLUSTER
     assert s0.width == pytest.approx(math.sqrt(6.0))
-    assert cnl.cluster_cells["s2"] == (2, 1)
     # The internal net still collapses only when members share one cluster;
     # singletons keep both pins.
     assert {n.name for n in cnl.netlist.nets} == {"internal", "mix", "keep"}
@@ -171,4 +188,5 @@ def test_vacuous_placement_funnels_into_single_cluster():
     initial = apply_vacuous_placement(netlist, "lower-left")
     cnl = cluster_by_grid(netlist, initial, grid)
     assert [c.name for c in _clusters(cnl)] == ["grp_0_0"]
-    assert sorted(cnl.members["grp_0_0"]) == ["s0", "s1", "s2"]
+    assert cnl.cluster_of.tolist() == [3, 3, 3, -1, -1, -1]
+    assert cnl.members.tolist() == [3]

@@ -1,5 +1,7 @@
 """Grid geometry, orientation transforms, and legality predicates."""
 
+import math
+
 import pytest
 
 import oracles
@@ -68,6 +70,11 @@ def test_build_grid_validation():
         build_grid(Canvas(100.0, 100.0), 0, 10)
     with pytest.raises(InvalidDimension):
         build_grid(Canvas(100.0, 100.0), 10, 10, h_capacity=-1.0)
+    for cap in (math.nan, math.inf):
+        with pytest.raises(InvalidDimension):
+            build_grid(Canvas(100.0, 100.0), 10, 10, h_capacity=cap)
+        with pytest.raises(InvalidDimension):
+            build_grid(Canvas(100.0, 100.0), 10, 10, v_capacity=cap)
 
 
 def test_grid_tolerance_scales_with_canvas():

@@ -111,13 +111,23 @@ def test_validate_nets_matches_the_loop_reference(seed, caplog):
 def test_rewiring_matches_the_loop_reference(seed, cluster):
     netlist, placement, grid = rewire_instance(seed)
     cnl = cluster(netlist, placement, grid)
-    want, dropped = oracles.rewired_nets(netlist.nets, cnl.cluster_of)
+    new = cnl.netlist.arrays
+    cluster_of = {netlist.arrays.names[i]: new.names[c]
+                  for i, c in enumerate(cnl.cluster_of.tolist()) if c >= 0}
+    want, dropped = oracles.rewired_nets(netlist.nets, cluster_of)
     assert oracles.net_rows(cnl.netlist.nets) == want
     assert len(netlist.nets) - len(want) == dropped
-    # Members sit in their cluster's bucket, listed in node order.
-    for cid, names in cnl.members.items():
-        assert all(grid.cell_of_point(*placement[n][:2]) == cnl.cluster_cells[cid] for n in names)
-        assert names == [n.name for n in netlist.nodes if cnl.cluster_of.get(n.name) == cid]
+    # The clusters made here are exactly the ones with members, each in its
+    # own grid cell unless singleton, and every member sits in its cluster's cell.
+    made = np.flatnonzero(cnl.cell_of >= 0)
+    assert np.array_equal(np.unique(cnl.cluster_of[cnl.cluster_of >= 0]), made)
+    assert new.is_cluster[made].all()
+    assert len(cnl.members) == len(made) and cnl.members.sum() == len(cluster_of)
+    if cluster is cluster_by_grid:
+        assert len(np.unique(cnl.cell_of[made])) == len(made)
+    for name, cid in cluster_of.items():
+        col, row = grid.cell_of_point(*placement[name][:2])
+        assert cnl.cell_of[new.index[cid]] == row * grid.n_cols + col
 
 
 def test_flow_runs_without_net_and_pin_objects(ibm01, tmp_path, monkeypatch, capsys):

@@ -55,6 +55,15 @@ def test_kendall_input_validation():
         kendall_tau([1, 2, 3], [4, 4, 4])
 
 
+def test_kendall_rejects_nan_and_ranks_inf():
+    nan, inf = math.nan, math.inf
+    with pytest.raises(DegenerateInput):
+        kendall_tau([1.0, nan, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(DegenerateInput):
+        kendall_tau([1.0, 2.0, 3.0], [3.0, 2.0, nan])
+    assert kendall_tau([1.0, 2.0, inf], [-inf, 2.0, 3.0]) == 1.0
+
+
 def test_kendall_matches_pair_count_oracle_exactly():
     rng = random.Random(99)
     checked = 0
