@@ -5,19 +5,26 @@ Conventions handled here:
 
   * .pl coordinates are lower-left corners; internally placements hold node
     centers, so read/write shift by the half-extents.
-  * .nets pin offsets are relative to node centers and stay that way.
-  * "terminal" nodes are fixed. Zero-area terminals become ports and their
-    centers are clamped into the canvas on read (pads often sit outside the
-    row region). Nonzero-area terminals become fixed macros and keep their
-    declared coordinates.
+  * .nets pin offsets are relative to node centers and stay that way. An
+    unnamed net section k is named net<k>, with "_" appended while the file
+    gives another section that name; an explicit name may not repeat.
+  * "terminal" nodes are fixed. Zero-area terminals (zero width or height)
+    become ports and their centers are clamped into the canvas on read
+    (pads often sit outside the row region). Other terminals become fixed
+    macros and keep their declared coordinates.
   * Movable nodes taller than the .scl row height are macros, the others are
     standard cells. Without an .scl, every movable node is a macro.
+
+The .nets reader works on the whole file's tokens at once (see
+`parse_nets`); the other files are read line by line.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import re
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +116,7 @@ def parse_nodes(path: Path, row_height: float | None) -> NodeTable:
         if w < 0 or h < 0:
             raise MalformedLine(path, lineno, f"negative node size in {line!r}")
         if len(tok) > 3 and tok[3].lower().startswith("terminal"):
-            rows.append((name, NodeKind.PORT, 0.0, 0.0, False) if w == 0 and h == 0
+            rows.append((name, NodeKind.PORT, 0.0, 0.0, False) if w == 0 or h == 0
                         else (name, NodeKind.MACRO, w, h, False))
         elif w <= 0 or h <= 0:
             raise MalformedLine(path, lineno, f"movable node {name!r} needs positive size")
@@ -122,57 +129,154 @@ def parse_nodes(path: Path, row_height: float | None) -> NodeTable:
 
 
 _NUMBER_CHARS = "+-.0123456789eE"
+_NUMBER_DROP = dict.fromkeys(map(ord, _NUMBER_CHARS + " "))
+# What float() takes of the strings of _NUMBER_CHARS.
+_FLOAT_RE = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
+# The line ends of str.splitlines() that text-mode reading leaves, and the
+# other characters that str.split() splits at, as "\n" and " ".
+_RESPACE = str.maketrans(dict.fromkeys("\v\f\x1c\x1d\x1e\x85\u2028\u2029", "\n") | dict.fromkeys(
+    "\x1f\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u202f\u205f\u3000", " "))
+# A .nets line's code beside a pin owner's node index. _OTHER lines are
+# read one by one: comments, headers and counts stay _OTHER.
+_DEGREE, _OTHER, _UNKNOWN = -1, -2, -3
+_KEYWORDS = {"NetDegree": _DEGREE, "NumNets": _OTHER, "NumPins": _OTHER}
+
+
+def _tokens(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """A file's whitespace-separated tokens as one object array, plus each
+    line's first token and token count, lines as `str.splitlines` counts
+    them, and whether the file is ASCII without "_". The array ends in four
+    "", so that every line can be read four tokens past its first."""
+    if not path.exists():
+        raise MissingFile(str(path))
+    text = path.read_text().translate(_RESPACE)
+    plain = text.isascii() and "_" not in text
+    # Tokens start at non-space bytes after a space or at the start.
+    raw = np.frombuffer(text.encode(), np.uint8)
+    space = np.concatenate(([True], (raw == 32) | ((raw >= 9) & (raw <= 13))))
+    ends = np.searchsorted(np.flatnonzero(space[:-1] > space[1:]), np.append(np.flatnonzero(raw == 10), len(raw)))
+    del raw, space
+    words = text.split()
+    del text
+    words += [""] * 4
+    first = np.append(0, ends[:-1])
+    return np.fromiter(words, object, len(words)), first, ends - first, plain
+
+
+def _respell(words: list[str]) -> list[str] | None:
+    """The tokens after the first of a NetDegree or pin line as usually
+    spelled: ":", the degree and the name if any; or the direction, then ":",
+    dx and dy if given. None if the line is malformed."""
+    before, colon, rest = " ".join(words[1:]).partition(":")
+    if words[0] == "NetDegree":
+        # "NetDegree : 3 name"; the name is optional.
+        rest = rest.lstrip()
+        digits = rest[:len(rest) - len(rest.lstrip("0123456789"))]
+        name = rest[len(digits):].split()
+        return None if before or not colon or not digits or len(name) > 1 else [":", digits, *name]
+    # "nodename I : dx dy" / "nodename O" / "nodename B: dx dy"; O marks the source.
+    offsets = rest.split()
+    if before.rstrip() not in ("I", "O", "B") or colon and len(offsets) != 2:
+        return None
+    return [before[0], ":", *offsets] if colon else [before[0]]
 
 
 def parse_nets(path: Path, nodes: NodeTable) -> NetTable:
     """The .nets sections as a pin table, offsets clamped to the owners'
-    half-extents. Nets are not validated yet."""
-    index = {name: i for i, name in enumerate(nodes.names)}
-    names: list[str] = []
-    sizes: list[int] = []
-    pins: list[tuple] = []   # (owner, dx, dy, marked)
+    half-extents. Nets are not validated yet.
+
+    The file is read as one token array, each line's first five tokens as
+    columns. A dict lookup of the first column finds the pin owners and the
+    NetDegree lines. The lines not spelled the usual way, "NetDegree : 3 n0",
+    "n0 I : 0.5 -1" or "n0 O", are classified and respelled one by one. Bad
+    input raises the error of the first offending line.
+    """
+    tok, first, n_tok, plain = _tokens(path)
+    line = np.flatnonzero(n_tok)
+    first, n_tok = first[line], n_tok[line]
+    col = tok[first + np.arange(5)[:, None]]
+    index = dict(zip(nodes.names, range(len(nodes.names))))
+    # Names that could open a comment or a header line go the per-line way.
+    codes = {k: i for k, i in index.items() if k[0] != "#" and k.upper() != "UCLA"} | _KEYWORDS
+    code = np.array(list(map(codes.get, col[0].tolist(), repeat(_OTHER))), dtype=np.intp)
+    is_deg = code == _DEGREE
+    usual = np.where(is_deg, ((n_tok == 3) | (n_tok == 4)) & (col[1] == ":"), (code >= 0) & (
+        (col[1] == "I") | (col[1] == "O") | (col[1] == "B")) & ((n_tok == 2) | (n_tok == 5) & (col[2] == ":")))
+    usual[is_deg] &= np.array([t.isascii() and t.isdigit() for t in col[2, is_deg].tolist()], dtype=bool)
+    errors = []   # (content line, rank within the line, reason, whether the line text follows)
+
+    def flag(at, failed, rank, reason, line_follows=True):
+        hit = np.flatnonzero(failed)[:1].tolist()
+        if hit:
+            errors.append((at[hit[0]], rank, reason(hit[0]) if callable(reason) else reason, line_follows))
+
     declared = dict.fromkeys(("NumNets", "NumPins"))
-    remaining = 0
-    for lineno, line in _content_lines(path):
-        tok = line.split()
-        head = tok[0]
-        if head in declared:
-            declared[head] = _header_value(tok, path, lineno)
-            continue
-        if head == "NetDegree":
-            if remaining > 0:
-                raise MalformedLine(path, lineno, f"net {names[-1]!r} short by {remaining} pin(s)")
-            # "NetDegree : 3 name"; the name is optional.
-            before, colon, rest = " ".join(tok[1:]).partition(":")
-            rest = rest.lstrip()
-            digits = rest[:len(rest) - len(rest.lstrip("0123456789"))]
-            name = rest[len(digits):].split()
-            if before or not colon or not digits or len(name) > 1:
-                raise MalformedLine(path, lineno, f"bad NetDegree line {line!r}")
-            remaining = int(digits)
-            names.append(name[0] if name else f"net{len(names)}")
-            sizes.append(remaining)
-            continue
-        if remaining == 0:
-            raise MalformedLine(path, lineno, f"pin line outside a net section: {line!r}")
-        # "nodename I : dx dy" / "nodename O" / "nodename B: dx dy"; O marks the source.
-        direction, colon, rest = " ".join(tok[1:]).partition(":")
-        offsets = rest.split()
-        if direction.rstrip() not in ("I", "O", "B") or colon and (
-                len(offsets) != 2 or any(t.strip(_NUMBER_CHARS) for t in offsets)):
-            raise MalformedLine(path, lineno, f"bad pin line {line!r}")
-        i = index.get(head)
-        if i is None:
-            raise MalformedLine(path, lineno, f"pin references unknown node {head!r}")
-        try:
-            pins.append((i, *(map(finite_float, offsets) if colon else (0.0, 0.0)), direction[0] == "O"))
-        except ValueError as exc:
-            raise MalformedLine(path, lineno, f"bad pin offset in {line!r}") from exc
-        remaining -= 1
-    if remaining > 0:
-        raise MalformedLine(path, 0, f"net {names[-1]!r} short by {remaining} pin(s)")
-    _check_counts(path, declared, {"NumNets": len(names), "NumPins": len(pins)})
-    return clamp_offsets(pin_table(names, [1.0] * len(names), sizes, pins), nodes, path, "node half-extents")
+    bad = np.zeros(len(line), dtype=bool)
+    for j in np.flatnonzero(~usual).tolist():
+        words = tok[first[j]:first[j] + n_tok[j]].tolist()
+        if words[0] in declared:
+            try:
+                declared[words[0]] = _header_value(words, path, 0)
+            except MalformedLine as exc:
+                errors.append((j, 1, exc.reason, False))
+        elif not (words[0][0] == "#" or words[0][0] in "Uu" and _HEADER_RE.match(" ".join(words))):
+            if code[j] == _OTHER:
+                code[j] = index.get(words[0], _UNKNOWN)
+            respelled = _respell(words)
+            if respelled:
+                col[1:len(respelled) + 1, j], n_tok[j] = respelled, len(respelled) + 1
+            bad[j] = respelled is None
+
+    deg, pin = np.flatnonzero(code == _DEGREE), np.flatnonzero((code >= 0) | (code == _UNKNOWN))
+    flag(pin, code[pin] == _UNKNOWN, 3, lambda k: f"pin references unknown node {col[0, pin[k]]!r}", False)
+    # A degree beyond the line count is as short as any; messages count from the text.
+    digits, degree = col[2, deg], np.zeros(len(deg), dtype=np.intp)
+    degree[~bad[deg]] = [min(int(t), len(line)) for t in digits[~bad[deg]].tolist()]
+    names = [name if n == 4 else None for name, n in zip(col[3, deg].tolist(), np.where(bad[deg], 0, n_tok[deg]))]
+    mark = col[1, pin] == "O"
+    texts = col[3:, pin]
+    texts[:, n_tok[pin] == 2] = "0"
+    del tok, col
+    try:
+        off = texts.astype(float)
+    except ValueError:
+        off = np.reshape([float(t) if _FLOAT_RE.fullmatch(t) else math.nan for t in texts.flat], texts.shape)
+    # Beyond _NUMBER_CHARS, float() reads only "_", non-ASCII digits, "inf" and
+    # "nan": in a plain file, offsets that read as finite numbers pass.
+    if not (plain and np.isfinite(off).all()) and " ".join(texts.flat).translate(_NUMBER_DROP):
+        bad[pin] |= np.reshape([bool(t.strip(_NUMBER_CHARS)) for t in texts.flat], texts.shape).any(axis=0)
+    del texts
+
+    explicit: set = set()
+    for k, name in enumerate(names):
+        if name is not None and name in explicit:
+            errors.append((deg[k], 2, f"duplicate net name {name!r}", False))
+        explicit.add(name)
+    for k in [k for k, name in enumerate(names) if name is None]:
+        names[k] = f"net{k}"
+        while names[k] in explicit:
+            names[k] += "_"
+    # Sections: pin lines past a section's degree lie outside it; a section
+    # short of its degree fails at the next NetDegree line or at the end.
+    is_pin = np.zeros(len(line), dtype=bool)
+    is_pin[pin] = True
+    pins_before, sec = np.cumsum(is_pin) - is_pin, np.cumsum(is_deg)[pin] - 1
+    start = np.append(pins_before[deg], 0)   # the last entry is for pins before any section
+    got = np.diff(np.append(start[:-1], len(pin)))
+    flag(pin, pins_before[pin] - start[sec] >= np.append(degree, 0)[sec], 0, "pin line outside a net section: ")
+    flag(np.append(deg[1:], len(line)), got < degree, 0,
+         lambda k: f"net {names[k]!r} short by {int(digits[k]) - int(got[k])} pin(s)", False)
+    flag(deg, bad[deg], 1, "bad NetDegree line ")
+    flag(pin, bad[pin], 1, "bad pin line ")
+    flag(pin, ~np.isfinite(off).all(axis=0), 4, "bad pin offset in ")
+    if errors:   # a short last section fails past the last line, as line 0
+        j, _, reason, line_follows = min(errors)
+        if line_follows:
+            reason += repr(path.read_text().splitlines()[line[j]].strip())
+        raise MalformedLine(path, int(line[j]) + 1 if j < len(line) else 0, reason)
+    _check_counts(path, declared, {"NumNets": len(names), "NumPins": len(pin)})
+    pins = np.column_stack([code[pin], off.T, mark])
+    return clamp_offsets(pin_table(names, np.ones(len(names)), degree, pins), nodes, path, "node half-extents")
 
 
 def parse_scl(path: Path) -> tuple[float, float, float, float, float]:

@@ -415,3 +415,59 @@ def rewire_instance(seed):
                 for n in members]
         nets.append(Net(f"net{j}", pins, weight=rng.choice((0.5, 1.0, 2.0))))
     return Netlist(nodes=nodes, nets=nets, canvas=canvas), placement, grid
+
+
+# The nodes of `nets_text`: (name, width, height). "pad" is a port.
+NETS_NODES = (("a", 4.0, 4.0), ("b", 6.0, 12.0), ("pad", 0.0, 0.0), ("blk", 8.0, 8.0),
+              ("c0", 2.0, 3.0), ("c1", 10.0, 1.5), ("u_2", 1.0, 1.0))
+
+
+def _nets_number(rng, value):
+    return rng.choice((f"{value:.2f}", repr(value), f"{value:.3e}", f"{value:+g}", f"{value:.1f}",
+                       "0", "-0", ".5", "5.", "-1E1"))
+
+
+def nets_text(seed, inserted=""):
+    """The text of a .nets file over NETS_NODES in the spellings that the
+    reader accepts, and its section and pin counts.
+
+    Sections may be unnamed, or named net<k> where an unnamed one would be
+    called so, and may hold several O pins, or 0 or 1 pins. Pins come with
+    and without offsets, some past their owner's half-extents. The colons'
+    spacing, the separators (spaces, tabs, no-break spaces), comments, blank
+    lines and line ends (\\n, \\r\\n, \\r, form feed, U+2028) vary.
+    `inserted`, whole sections with \\n line ends, goes between two random
+    sections and is counted in the header, which is then always present.
+    """
+    rng = random.Random(seed)
+    sections = []
+    for k in range(rng.randint(1, 10)):
+        degree = rng.choice((0, 1, 2, 2, 3, 4, 6))
+        name = rng.choice(("", f"g{k}", f"net{k + 1}"))
+        lines = [rng.choice(("NetDegree : {d} {n}", "NetDegree :{d} {n}", "NetDegree\t:\t{d}\t{n}",
+                             "  NetDegree : {d}{n}  ")).format(d=degree, n=name)]
+        for _ in range(degree):
+            owner, w, h = rng.choice(NETS_NODES)
+            direction = rng.choice("IIIOB")
+            sep = rng.choice((" ", " ", "\t", "  ", "\xa0"))
+            if rng.random() < 0.3:
+                lines.append(rng.choice(("", "  ", "\t")) + f"{owner}{sep}{direction}")
+                continue
+            dx = _nets_number(rng, rng.uniform(-0.7 * w, 0.7 * w))
+            dy = _nets_number(rng, rng.uniform(-0.7 * h, 0.7 * h))
+            lines.append(rng.choice(("  {o}{s}{d} : {x} {y}", "{o}{s}{d}:{x}{s}{y}", "\t{o}{s}{d} :{x}   {y}",
+                                     "{o}{s}{d}: {x} {y}  ", "{o}{s}{d} : {x}{s}{y}")).format(
+                o=owner, s=sep, d=direction, x=dx, y=dy))
+        sections.append(lines)
+    if inserted:
+        sections.insert(rng.randint(0, len(sections)), inserted.splitlines())
+    body = [line for lines in sections for line in lines]
+    n_nets = sum(line.split()[0].startswith("NetDegree") for line in body)
+    n_pins = len(body) - n_nets
+    for _ in range(rng.randint(0, 4)):
+        body.insert(rng.randint(0, len(body)), rng.choice(("", "  ", "# a comment", "   #x : 1 2")))
+    header = ["UCLA nets 1.0", rng.choice(("", "# Created by nets_text"))]
+    if inserted or rng.random() < 0.8:
+        header += [f"NumNets : {n_nets}", f"NumPins : {n_pins}"]
+    end = rng.choice(("\n", "\n", "\r\n", "\r", "\x0c", "\u2028"))
+    return end.join(header + body) + rng.choice((end, "")), n_nets, n_pins

@@ -7,7 +7,9 @@ nodes/nets, grids, poses, and FD's parameter and per-iteration snapshot
 records) are shared with the package; nothing is imported from its cost,
 force, legality or annealing code.
 The force-directed reference, `fd_place_dense`, is the dense O(n^2) numpy
-definition: every node pair is tested for overlap in (n, n) arrays.
+definition: every node pair is tested for overlap in (n, n) arrays. The
+.nets reference, `parse_nets`, reads a file one line at a time; it shares
+only the package's line iterator and header-count helpers.
 
 Grids are nested lists indexed [col][row]; cell (0, 0) is the lower-left
 cell; h[c][r] is demand on the right boundary of cell (c, r), v[c][r] on the
@@ -21,9 +23,10 @@ import math
 
 import numpy as np
 
-from gridplace.errors import MissingLocation, OutOfRange
+from gridplace.bookshelf import _NUMBER_CHARS, _check_counts, _content_lines, _header_value
+from gridplace.errors import MalformedLine, MissingLocation, OutOfRange
 from gridplace.fd import FDIterationInfo, FDParams
-from gridplace.netlist import ORIENT_SIGNS, NodeKind, Orientation, Pose
+from gridplace.netlist import ORIENT_SIGNS, NodeKind, Orientation, Pose, clamp_offsets, finite_float, pin_table
 
 log = logging.getLogger(__name__)
 
@@ -113,6 +116,81 @@ def validated_nets(nets):
             pins[i] = pins[i][:3] + (False,)
         rows.append((name, weight, pins))
     return rows, warnings
+
+
+def _net_degree(tok):
+    """(degree, name or None) of a NetDegree line's tokens, None if malformed."""
+    # "NetDegree : 3 name"; the name is optional.
+    before, colon, rest = " ".join(tok[1:]).partition(":")
+    rest = rest.lstrip()
+    digits = rest[:len(rest) - len(rest.lstrip("0123456789"))]
+    name = rest[len(digits):].split()
+    if before or not colon or not digits or len(name) > 1:
+        return None
+    return int(digits), name[0] if name else None
+
+
+def parse_nets(path, nodes):
+    """bookshelf.parse_nets as a loop over the file's lines, error for error.
+
+    An unnamed section k is named net<k>, with "_" appended while the file
+    names another section so; an explicit name may not repeat.
+    """
+    index = {name: i for i, name in enumerate(nodes.names)}
+    lines = list(_content_lines(path))
+    explicit = set()
+    for _, line in lines:
+        tok = line.split()
+        fields = _net_degree(tok) if tok[0] == "NetDegree" else None
+        if fields and fields[1] is not None:
+            explicit.add(fields[1])
+    names, sizes, pins = [], [], []   # pins: (owner, dx, dy, marked)
+    seen = set()
+    declared = dict.fromkeys(("NumNets", "NumPins"))
+    remaining = 0
+    for lineno, line in lines:
+        tok = line.split()
+        head = tok[0]
+        if head in declared:
+            declared[head] = _header_value(tok, path, lineno)
+            continue
+        if head == "NetDegree":
+            if remaining > 0:
+                raise MalformedLine(path, lineno, f"net {names[-1]!r} short by {remaining} pin(s)")
+            fields = _net_degree(tok)
+            if fields is None:
+                raise MalformedLine(path, lineno, f"bad NetDegree line {line!r}")
+            remaining, name = fields
+            if name is None:
+                name = f"net{len(names)}"
+                while name in explicit:
+                    name += "_"
+            elif name in seen:
+                raise MalformedLine(path, lineno, f"duplicate net name {name!r}")
+            seen.add(name)
+            names.append(name)
+            sizes.append(remaining)
+            continue
+        if remaining == 0:
+            raise MalformedLine(path, lineno, f"pin line outside a net section: {line!r}")
+        # "nodename I : dx dy" / "nodename O" / "nodename B: dx dy"; O marks the source.
+        direction, colon, rest = " ".join(tok[1:]).partition(":")
+        offsets = rest.split()
+        if direction.rstrip() not in ("I", "O", "B") or colon and (
+                len(offsets) != 2 or any(t.strip(_NUMBER_CHARS) for t in offsets)):
+            raise MalformedLine(path, lineno, f"bad pin line {line!r}")
+        i = index.get(head)
+        if i is None:
+            raise MalformedLine(path, lineno, f"pin references unknown node {head!r}")
+        try:
+            pins.append((i, *(map(finite_float, offsets) if colon else (0.0, 0.0)), direction[0] == "O"))
+        except ValueError as exc:
+            raise MalformedLine(path, lineno, f"bad pin offset in {line!r}") from exc
+        remaining -= 1
+    if remaining > 0:
+        raise MalformedLine(path, 0, f"net {names[-1]!r} short by {remaining} pin(s)")
+    _check_counts(path, declared, {"NumNets": len(names), "NumPins": len(pins)})
+    return clamp_offsets(pin_table(names, [1.0] * len(names), sizes, pins), nodes, path, "node half-extents")
 
 
 def rewired_nets(nets, cluster_of):

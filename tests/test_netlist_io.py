@@ -6,12 +6,16 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from gen import NETS_NODES, nets_text
+from gridplace import bookshelf
 from gridplace.bookshelf import (
     parse_aux,
     parse_bookshelf,
     read_placement,
     write_placement,
 )
+from gridplace.cli import main
 from gridplace.errors import (
     DanglingPinReference,
     DegenerateNet,
@@ -31,6 +35,7 @@ from gridplace.netlist import (
     Orientation,
     Pin,
     Pose,
+    node_table,
     read_netlist,
     validate_nets,
     write_netlist,
@@ -218,6 +223,17 @@ def test_readers_drop_empty_nets(tmp_path):
 # Bookshelf
 
 
+# The sections of the .nets file that _write_bookshelf writes, from line 5.
+NETS_SECTIONS = (
+    "NetDegree : 3 n0\n"
+    "  a O : 1.0 1.0\n"
+    "  b I : -2.0 0.5\n"
+    "  pad I\n"
+    "NetDegree : 2 n1\n"
+    "  a I : 0.0 0.0\n"
+    "  blk O : 1.0 -1.0\n")
+
+
 def _write_bookshelf(tmp_path, scl=True, pl_extra="", nodes_extra="",
                      num_nodes=4, num_terminals=2, num_nets=2, num_pins=5):
     (tmp_path / "d.nodes").write_text(
@@ -233,13 +249,7 @@ def _write_bookshelf(tmp_path, scl=True, pl_extra="", nodes_extra="",
         "UCLA nets 1.0\n\n"
         f"NumNets : {num_nets}\n"
         f"NumPins : {num_pins}\n"
-        "NetDegree : 3 n0\n"
-        "  a O : 1.0 1.0\n"
-        "  b I : -2.0 0.5\n"
-        "  pad I\n"
-        "NetDegree : 2 n1\n"
-        "  a I : 0.0 0.0\n"
-        "  blk O : 1.0 -1.0\n")
+        + NETS_SECTIONS)
     (tmp_path / "d.pl").write_text(
         "UCLA pl 1.0\n\n"
         "a 10 10 : N\n"
@@ -400,6 +410,206 @@ def test_bookshelf_nets_spacing_variants(tmp_path):
     assert _table(parse_bookshelf(tmp_path / "d.aux")) == want
     nets.write_text(text.replace("NetDegree : 2 n1", "NetDegree : 2"))
     assert [n.name for n in parse_bookshelf(tmp_path / "d.aux").nets] == ["n0", "net1"]
+
+
+def _read_nets(parse, path, caplog):
+    """(table, warnings, error) of reading a .nets file over NETS_NODES with
+    `parse` and validating its nets; the arrays as dtype and bytes."""
+    nodes = node_table([(name, NodeKind.PORT if w == 0 else NodeKind.MACRO, w, h, w > 0)
+                        for name, w, h in NETS_NODES])
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="gridplace"):
+        try:
+            t = validate_nets(parse(path, nodes), where="w")
+        except MalformedLine as exc:
+            return None, _warnings(caplog), (type(exc), exc.lineno, exc.reason)
+    arrays = (t.net_weight, t.net_start, t.pin_owner, t.pin_dx, t.pin_dy, t.pin_marked)
+    return [t.net_names] + [(a.dtype, a.tobytes()) for a in arrays], _warnings(caplog), None
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_parse_nets_matches_the_loop_reference(tmp_path, caplog, seed):
+    path = tmp_path / "g.nets"
+    path.write_text(nets_text(seed)[0])
+    got = _read_nets(bookshelf.parse_nets, path, caplog)
+    assert got[2] is None
+    assert got == _read_nets(oracles.parse_nets, path, caplog)
+
+
+# More edits of NETS_SECTIONS: several faults on one line, and lines that
+# look like what they are not. Some leave the file readable.
+NETS_EDITS = [
+    ("  b I : -2.0 0.5", "  ghost X : -2.0 0.5"),
+    ("  b I : -2.0 0.5", "  ghost I : 1_0 0.5"),
+    ("  b I : -2.0 0.5", "  ghost I : 1e 0.5"),
+    ("  b I : -2.0 0.5", "  b I 0.5 : -2.0"),
+    ("  b I : -2.0 0.5", "  b I : -2.0 0.5 # note"),
+    ("  pad I", "  pad I :"),
+    ("  pad I", "  pad O O"),
+    ("  pad I", "  # pad I"),
+    ("  pad I", "  pad\tB:1e-3\t+.5E+1"),
+    ("NetDegree : 2 n1", "NetDegree x 2 n1"),
+    ("NetDegree : 2 n1", "NetDegree :: 2 n1"),
+    ("NetDegree : 2 n1", "NetDegree : 2n1"),
+    ("NetDegree : 2 n1", "NetDegree : 2 n1 # c"),
+    ("NetDegree : 2 n1", "NetDegree : 0002 n1"),
+    ("NetDegree : 3 n0", "NetDegree : 3 n1"),
+    ("NetDegree : 3 n0", "NetDegree : 3x n0"),
+    ("NetDegree : 2 n1", "UCLA nets 1.0\nNetDegree : 2 n1"),
+    ("NetDegree : 2 n1", "NumPins : 5\nNetDegree : 2 n1"),
+    ("NetDegree : 2 n1", "NetDegree : 2 n1\nNetDegree : 0"),
+]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parse_nets_errors_match_the_loop_reference(tmp_path, caplog, seed):
+    # Each edit of NETS_ERRORS and NETS_EDITS, made in NETS_SECTIONS placed
+    # among random sections; an edit of a header count shifts the file's
+    # true count.
+    path = tmp_path / "g.nets"
+    for old, new, *expected in NETS_ERRORS + NETS_EDITS:
+        if old.startswith("Num"):
+            text, n_nets, n_pins = nets_text(seed, NETS_SECTIONS)
+            key, was = old.split(" : ")
+            count, value = {"NumNets": n_nets, "NumPins": n_pins}[key], new.split(" : ")[1]
+            value = count + int(value) - int(was) if value.isdigit() else value
+            text = text.replace(f"{key} : {count}", f"{key} : {value}", 1)
+        else:
+            text = nets_text(seed, NETS_SECTIONS.replace(old, new, 1))[0]
+        path.write_text(text)
+        got = _read_nets(bookshelf.parse_nets, path, caplog)
+        assert got == _read_nets(oracles.parse_nets, path, caplog), (old, new)
+        assert got[2] is not None or not expected   # every NETS_ERRORS edit fails
+
+
+@pytest.mark.parametrize("old, lineno, missing", [("NetDegree : 3 n0", 9, "'n0' short by 99999999999999999996"),
+                                                  ("NetDegree : 2 n1", 0, "'n1' short by 99999999999999999997")])
+def test_bookshelf_nets_huge_degree_is_a_short_net(tmp_path, old, lineno, missing):
+    aux = _write_bookshelf(tmp_path)
+    nets = tmp_path / "d.nets"
+    nets.write_text(nets.read_text().replace(old, old[:-4] + "99999999999999999999" + old[-3:]))
+    with pytest.raises(MalformedLine, match=missing) as err:
+        parse_bookshelf(aux)
+    assert err.value.lineno == lineno
+
+
+def test_respace_covers_what_split_and_splitlines_split_at():
+    spaces = {c for c in map(chr, range(0x110000)) if c.isspace()} - set(" \t\n\r")
+    assert {chr(c) for c in bookshelf._RESPACE} == spaces
+    for c, to in bookshelf._RESPACE.items():
+        assert len(f"a{chr(c)}b".splitlines()) == (2 if to == "\n" else 1)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n", "UCLA nets 1.0\n", "NumNets : 0\nNumPins : 0", "NetDegree : 0", "a I", "\x01NetDegree : 1\na I",
+    "NetDegree : 1\n  UCLA I : 1 1", "NetDegree : 2\n  UCLA nets 1.0\n a O", "NetDegree : 1\n#x I",
+    "NetDegree : 1\nNumNets I : 1 1", "NetDegree : 1\nNetDegree I", "NetDegree : 1\n a I : 1 1\x85",
+    "NetDegree : 1\n a\xa0I\u3000:\u20001 1", "NetDegree : 1 n\u00e9\n a I : \u0661 1", "NetDegree : 1\n a I : inf 1",
+    "NetDegree : 1\n a I : 1e5 1e-400", "NetDegree : 1\n\x00a I", "NetDegree : 1\na I\x1f: 1\x1f2",
+    "NetDegree : \u0661 n", "NetDegree : 1 n\nNetDegree : 1 n\na I",
+])
+def test_parse_nets_edge_cases_match_the_loop_reference(tmp_path, text):
+    # Node names that are keywords or open comments and headers, empty
+    # files, and the other characters that split lines and tokens.
+    nodes = node_table([(name, NodeKind.MACRO, 4.0, 4.0, True) for name in ("a", "UCLA", "#x", "NumNets", "NetDegree")])
+    path = tmp_path / "e.nets"
+    path.write_text(text)
+    got = []
+    for parse in (bookshelf.parse_nets, oracles.parse_nets):
+        try:
+            t = parse(path, nodes)
+            got.append([t.net_names] + [a.tobytes() for a in (t.net_start, t.pin_owner, t.pin_dx, t.pin_dy, t.pin_marked)])
+        except MalformedLine as exc:
+            got.append((exc.lineno, exc.reason))
+    assert got[0] == got[1]
+
+
+def test_bookshelf_duplicate_net_names(tmp_path, capsys):
+    aux = _write_bookshelf(tmp_path)
+    nets = tmp_path / "d.nets"
+    text = nets.read_text()
+    nets.write_text(text.replace("NetDegree : 2 n1", "NetDegree : 2 n0"))
+    with pytest.raises(MalformedLine, match="duplicate net name 'n0'") as err:
+        parse_bookshelf(aux)
+    assert err.value.lineno == 9
+    assert main(["parse", "--netlist", str(aux)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {nets}:9: duplicate net name 'n0'"]
+    # An unnamed section skips the names the file gives.
+    nets.write_text(text.replace("3 n0", "3 net1").replace("2 n1", "2"))
+    assert parse_bookshelf(aux).arrays.net_names == ["net1", "net1_"]
+    out = tmp_path / "rt.txt"
+    assert main(["parse", "--netlist", str(aux), "--out", str(out)]) == 0
+    assert read_netlist(out).arrays.net_names == ["net1", "net1_"]
+
+
+@pytest.mark.parametrize("size", ["0 4", "4 0", "0 0"])
+def test_bookshelf_zero_area_terminals_are_ports(tmp_path, size):
+    aux = _write_bookshelf(tmp_path, nodes_extra=f"  c {size} terminal\n", num_nodes=5, num_terminals=3)
+    a = parse_bookshelf(aux).arrays
+    i = a.index["c"]
+    assert a.is_port[i] and not a.movable[i] and a.width[i] == 0 and a.height[i] == 0
+    out = tmp_path / "rt.txt"
+    assert main(["parse", "--netlist", str(aux), "--out", str(out)]) == 0
+    back = read_netlist(out).arrays
+    assert back.is_port[back.index["c"]]
+
+
+# Edits of the .nodes file that _write_bookshelf writes, as NETS_ERRORS.
+# Lines 5-8 hold nodes a, b, pad and blk.
+NODES_ERRORS = [
+    ("  b 6 12", "  b 6", 6, "expected 'name width height [terminal]'"),
+    ("  b 6 12", "  b six 12", 6, "bad node size"),
+    ("  b 6 12", "  b 6 inf", 6, "bad node size"),
+    ("  b 6 12", "  b -6 12", 6, "negative node size"),
+    ("  blk 8 8 terminal", "  blk 8 -8 terminal", 8, "negative node size"),
+    ("  b 6 12", "  b 0 12", 6, "movable node 'b' needs positive size"),
+    ("  a 4 4", "  a 4 0", 5, "movable node 'a' needs positive size"),
+    ("NumNodes : 4", "NumNodes : four", 3, "bad count line"),
+    ("NumNodes : 4", "NumNodes : 5", 0, "NumNodes=5 but parsed 4"),
+    ("NumTerminals : 2", "NumTerminals : 1", 0, "NumTerminals=1 but parsed 2"),
+]
+
+
+@pytest.mark.parametrize("old, new, lineno, reason", NODES_ERRORS)
+def test_bookshelf_nodes_errors_name_line_and_reason(tmp_path, old, new, lineno, reason):
+    aux = _write_bookshelf(tmp_path)
+    nodes = tmp_path / "d.nodes"
+    text = nodes.read_text()
+    assert old in text
+    nodes.write_text(text.replace(old, new, 1))
+    with pytest.raises(MalformedLine) as err:
+        parse_bookshelf(aux)
+    assert err.value.lineno == lineno
+    assert reason in err.value.reason
+
+
+# Edits of the .pl file that _write_bookshelf writes, as NETS_ERRORS. Lines
+# 3-6 place a, b, pad and blk.
+PL_ERRORS = [
+    ("b 30 4 : FS", "b 30", 4, "bad placement line"),
+    ("b 30 4 : FS", "b 30 4 : FS 7", 4, "bad placement line"),
+    ("b 30 4 : FS", "b x 4 : FS", 4, "bad placement line"),
+    ("pad -8 20 : N /FIXED", "pad -8 20 N /FIXED", 5, "bad placement line"),
+    ("b 30 4 : FS", "b 3e 4 : FS", 4, "bad coordinate"),
+    ("b 30 4 : FS", "b 30 -1e999 : FS", 4, "bad coordinate"),
+    ("blk 40 40 : N /FIXED", "blk 40 4-0 : N /FIXED", 6, "bad coordinate"),
+]
+
+
+@pytest.mark.parametrize("old, new, lineno, reason", PL_ERRORS)
+def test_bookshelf_pl_errors_name_line_and_reason(tmp_path, old, new, lineno, reason):
+    nl = parse_bookshelf(_write_bookshelf(tmp_path))
+    aux = _write_bookshelf(tmp_path, scl=False)   # the canvas then comes from the .pl
+    pl = tmp_path / "d.pl"
+    text = pl.read_text()
+    assert old in text
+    pl.write_text(text.replace(old, new, 1))
+    for read in (lambda: read_placement(pl, nl), lambda: parse_bookshelf(aux)):
+        with pytest.raises(MalformedLine) as err:
+            read()
+        assert err.value.lineno == lineno
+        assert reason in err.value.reason
 
 
 def _table(netlist):
