@@ -12,6 +12,12 @@ record, each side's source line count (`wc -l src/gridplace/*.py`), the
 median and quartiles of every end-to-end metric per workload and side, how
 many pairs the head side won per metric, the traced per-layer metrics and the
 failed operation counts.
+
+Next to `sa_steps_per_s`, the slowest anneal of a run, the file holds
+`sa_steps_per_s_median`, the median anneal of a run (its steps over each
+anneal's seconds, from the run record). A run fits more anneals when setup
+or rounds get faster, and the slowest of more samples tends to be slower, so
+the median shows a change of anneal speed more directly.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent
 BUILD = ROOT / ".bench_build"
 SEED = 7
+MEDIAN_ANNEAL = {"name": "sa_steps_per_s_median", "unit": "1/s", "better": "higher"}
 
 
 def git(*args: str) -> str:
@@ -59,7 +66,12 @@ def run_one(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
     result = json.loads(lines[-1])
     record = next((ln.split(":", 1)[1].strip() for ln in lines if ln.startswith("# record:")), None)
     if record:
-        result["machine"] = json.loads((checkout / record).read_text())["machine"]
+        rec = json.loads((checkout / record).read_text())
+        result["machine"] = rec["machine"]
+        if not trace:
+            steps = rec["counts"]["sa_steps"]
+            result["metrics"][MEDIAN_ANNEAL["name"]] = {
+                "value": statistics.median(steps / dt for dt in rec["samples_s"]["anneal"])}
     return result
 
 
@@ -83,6 +95,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
+    names = [m["name"] for m in spec["end_to_end"]]
+    at = names.index("sa_steps_per_s") + 1
+    end_to_end = spec["end_to_end"][:at] + [MEDIAN_ANNEAL] + spec["end_to_end"][at:]
     workloads = [w["name"] for w in spec["workloads"]]
     sides = {"base": extract(args.base), "head": ROOT}
     revs = {"base": git("rev-parse", args.base),
@@ -114,14 +129,14 @@ def main(argv=None) -> int:
             counted = ok + ([t] if t["failed"] is not None else [])
             entry[side] = {
                 "end_to_end": {m["name"]: summary([r["metrics"][m["name"]]["value"] for r in ok])
-                               for m in spec["end_to_end"]} if ok else {},
+                               for m in end_to_end} if ok else {},
                 "per_layer": {k: v["value"] for k, v in t.get("metrics", {}).items()},
                 "failed": sum(r["failed"] for r in counted),
                 "attempted": sum(r["attempted"] for r in counted),
                 "runs_without_result": [r["error"] for r in runs[w][side] + [t] if r["failed"] is None],
             }
         wins = {}
-        for m in spec["end_to_end"]:
+        for m in end_to_end:
             sign = 1.0 if m["better"] == "lower" else -1.0
             wins[m["name"]] = sum(
                 sign * (b["metrics"][m["name"]]["value"] - h["metrics"][m["name"]]["value"]) > 0

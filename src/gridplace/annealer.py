@@ -56,6 +56,8 @@ class SAConfig:
     probe_count: int = 100
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise OutOfRange(f"seed must be >= 0, got {self.seed}")
         if self.t_init is not None and not (math.isfinite(self.t_init) and self.t_init >= 0):
             raise OutOfRange(f"t_init must be finite and >= 0, got {self.t_init}")
         if not 0.0 < self.cooling_ratio < 1.0:
@@ -118,25 +120,35 @@ def spiral_cells(n_cols: int, n_rows: int) -> list:
     return out
 
 
-_SCAN_BLOCK = 64
+_SCAN_BLOCK = 8
 
 
 def _place_macros(netlist: Netlist, grid: Grid, fixed: Placement, order: np.ndarray, cells) -> PlacementState:
     """`fixed` plus each macro of `order`, an array of node indices, at the
     center of the first cell of `cells` where it is legal, checking the cells
-    a block at a time."""
-    placement = PlacementState.of(netlist.arrays, fixed).copy()
+    a block at a time.
+
+    A scan skips a cell where a macro placed here sits with half extents
+    above the grid tolerance: (hw_m + hw_i) - 0 >= hw_m > tol, so no later
+    macro is legal there.
+    """
+    a = netlist.arrays
+    placement = PlacementState.of(a, fixed).copy()
     st = MacroState(netlist, grid, placement)
     xs, ys = np.array([grid.cell_center(col, row) for col, row in cells]).reshape(-1, 2).T
+    taken = np.zeros(xs.size, dtype=bool)
     for i in order.tolist():
-        for start in range(0, len(xs), _SCAN_BLOCK):
-            ok = st.legal_centers(i, xs[start:start + _SCAN_BLOCK], ys[start:start + _SCAN_BLOCK])
+        free = np.flatnonzero(~taken)
+        for start in range(0, free.size, _SCAN_BLOCK):
+            block = free[start:start + _SCAN_BLOCK]
+            ok = st.legal_centers(i, xs[block], ys[block])
             if ok.any():
-                k = start + int(np.argmax(ok))
+                k = block[np.argmax(ok)]
                 placement.x[i], placement.y[i] = xs[k], ys[k]
+                taken[k] = min(a.half_w[i], a.half_h[i]) > grid.tol
                 break
         else:
-            raise Unplaceable(netlist.arrays.names[i])
+            raise Unplaceable(a.names[i])
     return placement
 
 
@@ -446,6 +458,8 @@ def shuffle_same_size(netlist: Netlist, placement: Placement, seed: int) -> Plac
     """Randomly permute poses within groups of identically sized placed
     movable macros. A macro receives both the location and the orientation
     of the macro whose spot it takes, so legality is preserved exactly."""
+    if seed < 0:
+        raise OutOfRange(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     a = netlist.arrays
     st = PlacementState.of(a, placement)

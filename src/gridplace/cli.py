@@ -262,13 +262,14 @@ def _scored_design(args):
     overrides anything it names (including clusters), and the clusters made
     here start at their bucket centers or, with --fd, an FD pass.
     """
+    params = FDParams(num_iters=args.fd_iters, seed=args.seed) if args.fd else None
     initial, grid, cnl = _clustered_design(args)
     placement = cnl.seed_placement(initial)
     if args.placement:
         placement = PlacementState.of(cnl.netlist.arrays,
                                       {**placement, **read_placement(args.placement, cnl.netlist)})
-    if args.fd:
-        placement = fd_place(cnl.netlist, placement, FDParams(num_iters=args.fd_iters, seed=args.seed))
+    if params is not None:
+        placement = fd_place(cnl.netlist, placement, params)
     return cnl, placement, Evaluator(cnl.netlist, grid, _cost_config(args))
 
 
@@ -348,10 +349,10 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_fd(args) -> int:
-    initial, grid, cnl = _clustered_design(args)
     ka = 0.0 if args.repulsive_only else args.ka
     params = FDParams(num_iters=args.iters, k_attract=ka, k_repel=args.kr,
                       io_factor=args.io_factor, seed=args.seed)
+    initial, grid, cnl = _clustered_design(args)
     placement = cnl.seed_placement(initial)
     placed = fd_place(cnl.netlist, placement, params)
     out = _out_path(args, "fd.pl", args.out)
@@ -391,6 +392,14 @@ def _parse_flag(flag: str, text: str, parse, expected: str):
         return parse(text)
     except ValueError as exc:
         raise GridPlaceError(f"bad {flag} {text!r} ({exc}); expected {expected}") from exc
+
+
+def _seed(text: str) -> int:
+    """int(text), with a ValueError for a negative seed."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError("negative seed")
+    return seed
 
 
 def _numbers(text: str, kind, count: int | None = None) -> tuple:
@@ -447,7 +456,7 @@ def _check_run_flags(args) -> None:
 def cmd_sa(args) -> int:
     # Flags are checked before the design loads, so that a bad one fails first.
     _check_run_flags(args)
-    seeds = _parse_flag("--seeds", str(args.seeds or args.seed), lambda t: _numbers(t, int),
+    seeds = _parse_flag("--seeds", str(args.seeds or args.seed), lambda t: _numbers(t, _seed),
                         "comma-separated integer seeds such as 0,1")
     config = _sa_command_config(args)
     initial, grid, cnl = _clustered_design(args)
@@ -494,7 +503,7 @@ def cmd_sa(args) -> int:
 def cmd_stability(args) -> int:
     _check_run_flags(args)
     pairs = _parse_flag("--seed-pairs", args.seed_pairs,
-                        lambda t: [_numbers(part, int) for part in t.split(";")],
+                        lambda t: [_numbers(part, _seed) for part in t.split(";")],
                         "semicolon-separated groups of integer seeds such as 0,1;2,3")
     # Parsed before the design loads, so that a bad file fails before any anneal.
     external = None
@@ -650,6 +659,7 @@ def main(argv=None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
             stream=sys.stderr,
         )
+        _parse_flag("--seed", str(args.seed), _seed, "an integer >= 0")
         if args.command in WRITES_OUT_DIR:
             try:
                 Path(args.out_dir).mkdir(parents=True, exist_ok=True)

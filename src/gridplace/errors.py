@@ -80,6 +80,10 @@ class InitFailed(GridPlaceError):
     """Annealer could not build a feasible starting state."""
 
 
+class UnwritableName(GridPlaceError):
+    """A node or net name that a file format cannot hold."""
+
+
 class IncompletePlacement(GridPlaceError):
     """A placement to be written does not cover every movable node."""
 

@@ -15,6 +15,12 @@ nodes and scaled to max_move_distance = max(canvas_w, canvas_h) / num_iters,
 which is also f_r_max. A move that would push a cluster outside the canvas is
 canceled whole. Clusters always start at the canvas center.
 
+So in iteration 0 the stack, the nodes at the center with a positive width
+and height, overlaps itself pair by pair with coincident centers. Those pairs
+are built directly in the row-major order of their random draws; any other
+coincident pair (a zero-width node at the center, say) joins them at its
+row-major place, so pairs, draws and sums stay the dense definition's.
+
 Overlapping pairs are found by a sort-and-sweep on the x extents (the
 sweep-and-prune of I-COLLIDE, Cohen et al. 1995), with the intervals widened
 by a tiny slack so that no pair is missed, and then filtered by the same float
@@ -37,6 +43,7 @@ netlist; each call reads only the locations and orientation signs of the
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,6 +62,16 @@ class FDParams:
     k_repel: float = 1.0
     io_factor: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.num_iters < 1:
+            raise OutOfRange(f"num_iters must be >= 1, got {self.num_iters}")
+        for name in ("k_attract", "k_repel", "io_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise OutOfRange(f"{name} must be finite and >= 0, got {value}")
+        if self.seed < 0:
+            raise OutOfRange(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -101,6 +118,7 @@ def _star_pairs(netlist: Netlist, placement: Placement, io_factor: float):
 _BLOCK = 128
 _LANES = 8
 _PASSES = _BLOCK // _LANES
+_NO_PAIRS = (np.empty(0, dtype=np.intp),) * 2
 
 
 class _RowSums:
@@ -187,6 +205,11 @@ class _RowSums:
         return row_sums
 
 
+def _ranges(first, count):
+    """The ranges first[k], ..., first[k] + count[k] - 1, one after another."""
+    return np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
+
+
 def _overlap_pairs(x, y, hw, hh, slack):
     """Node pairs (i, j), i < j, whose outlines overlap with positive area.
 
@@ -204,30 +227,56 @@ def _overlap_pairs(x, y, hw, hh, slack):
     end = np.searchsorted(lo, (xs + hws) + slack, side="right")
     after = np.arange(1, n + 1)
     count = end - after
-    k = np.repeat(np.arange(n), count)
-    m = np.arange(k.size) + np.repeat(after - (np.cumsum(count) - count), count)
-    # Both operand orders give the same float: + commutes and |a-b| = |b-a|.
-    keep = (hhs[k] + hhs[m]) - np.abs(ys[m] - ys[k]) > 0.0
-    k, m = k[keep], m[keep]
-    keep = (hws[k] + hws[m]) - np.abs(xs[m] - xs[k]) > 0.0
-    a, b = order[k[keep]], order[m[keep]]
+    k, m = _filter_overlaps(np.repeat(np.arange(n), count), _ranges(after, count), xs, ys, hws, hhs)
+    a, b = order[k], order[m]
     return np.minimum(a, b), np.maximum(a, b)
 
 
-def _add_repulsion(fx, fy, x, y, hw, hh, slack, mag, row_sums, rng):
-    """fx, fy plus the repulsion, of magnitude `mag`, between every pair of
-    nodes whose outlines overlap, summed as the dense definition sums it."""
+def _filter_overlaps(k, m, x, y, hw, hh):
+    """The candidate pairs (k, m) that pass the dense predicate."""
+    # Both operand orders give the same float: + commutes and |a-b| = |b-a|.
+    keep = (hh[k] + hh[m]) - np.abs(y[m] - y[k]) > 0.0
+    k, m = k[keep], m[keep]
+    keep = (hw[k] + hw[m]) - np.abs(x[m] - x[k]) > 0.0
+    return k[keep], m[keep]
+
+
+def _stacked_pairs(x, y, hw, hh, slack, cx, cy):
+    """The overlapping pairs when every mover sits at (cx, cy): (ii, jj),
+    i < j, and (si, sj), the pairs of the stack in row-major order. The stack,
+    the nodes at (cx, cy) with a positive width and height, overlaps itself
+    pair by pair with coincident centers."""
+    stack = (x == cx) & (y == cy) & (hw > 0.0) & (hh > 0.0)
+    s, o = np.flatnonzero(stack), np.flatnonzero(~stack)
+    a, b = _overlap_pairs(x[o], y[o], hw[o], hh[o], slack)
+    # (hw[s] + hw[o]) - |x[o] - cx| grows with hw[s], so the stack nodes that
+    # may overlap node o are a suffix of the stack sorted by half width.
+    by_w = s[np.argsort(hw[s], kind="stable")]
+    start = np.searchsorted(hw[by_w], (np.abs(x[o] - cx) - hw[o]) - slack)
+    count = by_w.size - start
+    k, m = _filter_overlaps(np.repeat(o, count), by_w[_ranges(start, count)], x, y, hw, hh)
+    ii, jj = np.concatenate((o[a], np.minimum(k, m))), np.concatenate((o[b], np.maximum(k, m)))
+    count = np.arange(s.size - 1, -1, -1)
+    return ii, jj, np.repeat(s, count), s[_ranges(np.arange(1, s.size + 1), count)]
+
+
+def _add_repulsion(fx, fy, x, y, pairs, mag, row_sums, rng):
+    """fx, fy plus the repulsion, of magnitude `mag`, between the overlapping
+    pairs (ii, jj, si, sj), as `_stacked_pairs` returns them, summed as the
+    dense definition sums it."""
     n = x.size
-    ii, jj = _overlap_pairs(x, y, hw, hh, slack)
+    ii, jj, si, sj = pairs
     dx = x[jj] - x[ii]   # points i -> j
     dy = y[jj] - y[ii]
     dist = np.sqrt(dx * dx + dy * dy)
     apart = dist > 0.0
-    drawn = None
     if not apart.all():
         # Coincident centers draw their directions pair by pair in row-major
-        # (i, j) order.
+        # (i, j) order; those found here join (si, sj) at their places.
         drawn = np.sort(ii[~apart].astype(np.intp) * n + jj[~apart])
+        at = np.searchsorted(si * n + sj, drawn)
+        ic, jc = np.divmod(drawn, n)
+        si, sj = np.insert(si, at, ic), np.insert(sj, at, jc)
         ii, jj, dx, dy, dist = ii[apart], jj[apart], dx[apart], dy[apart], dist[apart]
     if ii.size:
         inv = np.divide(1.0, dist, out=dist)
@@ -237,18 +286,20 @@ def _add_repulsion(fx, fy, x, y, hw, hh, slack, mag, row_sums, rng):
         sums = row_sums(n, np.concatenate((ii, jj)), np.concatenate((jj, ii)))
         fx = fx - mag * sums(np.concatenate((dx, -dx)))
         fy = fy - mag * sums(np.concatenate((dy, -dy)))
-    if drawn is not None:
-        ic, jc = np.divmod(drawn, n)
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=drawn.size)
-        px = mag * np.cos(theta)
-        py = mag * np.sin(theta)
+    if si.size:
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=si.size)
         # Each node adds its own force, then its draws as i, then as j: two
         # bincounts that each start from the sum so far.
-        ids = np.arange(n)
-        fx = np.bincount(np.concatenate((ids, ic)), np.concatenate((fx, px)), n)
-        fy = np.bincount(np.concatenate((ids, ic)), np.concatenate((fy, py)), n)
-        fx = np.bincount(np.concatenate((ids, jc)), np.concatenate((fx, -px)), n)
-        fy = np.bincount(np.concatenate((ids, jc)), np.concatenate((fy, -py)), n)
+        at_i, at_j = (np.concatenate((np.arange(n), s)) for s in (si, sj))
+        v = np.empty(n + si.size)
+        def spread(f, turn):
+            turn(theta, out=v[n:])
+            v[n:] *= mag     # the dense mag * cos(theta), as * commutes
+            v[:n] = f
+            v[:n] = np.bincount(at_i, v, n)
+            np.negative(v[n:], out=v[n:])
+            return np.bincount(at_j, v, n)
+        fx, fy = spread(fx, np.cos), spread(fy, np.sin)
     return fx, fy
 
 
@@ -268,10 +319,6 @@ def fd_place(
     (with a warning).
     """
     params = params or FDParams()
-    if params.num_iters < 1:
-        raise OutOfRange(f"num_iters must be >= 1, got {params.num_iters}")
-    if params.k_attract < 0 or params.k_repel < 0 or params.io_factor < 0:
-        raise OutOfRange("force factors must be nonnegative")
 
     arrays = netlist.arrays
     out = PlacementState.of(arrays, placement).copy()
@@ -314,8 +361,9 @@ def fd_place(
             fx = np.zeros(n)
             fy = np.zeros(n)
         if params.k_repel > 0:
-            fx, fy = _add_repulsion(fx, fy, x, y, hw, hh, slack, params.k_repel * f_r_max,
-                                    row_sums, rng)
+            pairs = (_stacked_pairs(x, y, hw, hh, slack, cv.width / 2.0, cv.height / 2.0) if it == 0
+                     else _overlap_pairs(x, y, hw, hh, slack) + _NO_PAIRS)
+            fx, fy = _add_repulsion(fx, fy, x, y, pairs, params.k_repel * f_r_max, row_sums, rng)
 
         max_fx = np.max(np.abs(fx))
         max_fy = np.max(np.abs(fy))

@@ -42,6 +42,7 @@ from .errors import (
     MissingFile,
     MissingLocation,
     OutOfRange,
+    UnwritableName,
 )
 
 log = logging.getLogger(__name__)
@@ -413,8 +414,14 @@ def validate_nets(t: NetTable, where: str = "netlist") -> NetTable:
 
 
 def write_netlist(netlist: Netlist, path) -> None:
-    """Serialize a netlist in the native line format."""
+    """Serialize a netlist in the native line format. Raises UnwritableName,
+    before writing, for the first node or net name that would not read back
+    as itself: one with whitespace, or with the comment mark '#'."""
     a = netlist.arrays
+    for what, names in (("node", a.names), ("net", a.net_names)):
+        bad = next((n for n in names if "#" in n or n.split() != [n]), None)
+        if bad is not None:
+            raise UnwritableName(f"{what} name {bad!r} cannot be written to the native format")
     lines = [f"canvas {netlist.canvas.width!r} {netlist.canvas.height!r}"]
     lines += [f"node {name} {NODE_KINDS[k].value} {w!r} {h!r} {int(m)}" for name, k, w, h, m in
               zip(a.names, a.kind.tolist(), a.width.tolist(), a.height.tolist(), a.movable.tolist())]

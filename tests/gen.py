@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from gridplace.geometry import build_grid
@@ -197,6 +198,89 @@ def fd_contact_instance(seed):
         nets.append(Net(f"net{j}", pins, weight=rng.choice((0.5, 1.0, 2.0))))
     netlist = Netlist(nodes=nodes, nets=nets, canvas=Canvas(width, height))
     return netlist, placement
+
+
+def fd_stacked_instance(seed):
+    """Clusters that start stacked at the canvas center, among fixed nodes
+    that make iteration 0's boundary cases.
+
+    Clusters may have zero width or height, and some instances have a single
+    cluster. Fixed macros and ports sit exactly at the center, one float step
+    off it, in pairs that share a center elsewhere, or anywhere. One instance
+    in four has a canvas of about 1e-158, where a node one step off the
+    center has dx * dx + dy * dy == 0 against the stack although dx != 0.
+    """
+    rng = random.Random(seed)
+    scale = 1e-160 if seed % 4 == 3 else 1.0
+    width = rng.uniform(60.0, 150.0) * scale
+    height = rng.uniform(60.0, 150.0) * scale
+    cx, cy = width / 2, height / 2
+    nodes = []
+    placement = {}
+
+    def side(high):
+        return 0.0 if rng.random() < 0.2 else rng.uniform(1.0, high) * scale
+
+    for i in range(1 if seed % 5 == 0 else rng.randint(2, 12)):
+        nodes.append(Node(f"g{i}", NodeKind.CLUSTER, side(20.0), side(20.0), movable=True))
+    spots = [(cx, cy), (math.nextafter(cx, math.inf), cy), (cx, math.nextafter(cy, 0.0))]
+    shared = (rng.uniform(0.0, width), rng.uniform(0.0, height))
+    spots += [shared, shared]
+    for i in range(rng.randint(2, 6)):
+        x, y = spots[i] if i < len(spots) and rng.random() < 0.7 else (
+            rng.uniform(0.0, width), rng.uniform(0.0, height))
+        if rng.random() < 0.3:
+            nodes.append(Node(f"f{i}", NodeKind.PORT, 0.0, 0.0, movable=False))
+        else:
+            nodes.append(Node(f"f{i}", NodeKind.MACRO, side(30.0), side(30.0), movable=False))
+        placement[f"f{i}"] = Pose(x, y)
+    names = [n.name for n in nodes]
+    nets = []
+    for j in range(rng.randint(0, 5)):
+        members = rng.sample(names, rng.randint(2, min(4, len(names))))
+        nets.append(Net(f"net{j}", [Pin(m, 0.0, 0.0, is_source=t == 0) for t, m in enumerate(members)]))
+    netlist = Netlist(nodes=nodes, nets=nets, canvas=Canvas(width, height))
+    return netlist, placement
+
+
+def initializer_instance(seed):
+    """Macros for the initializers on a small grid.
+
+    Fixed macros sit on cell centers or anywhere. Macro sides are zero, at
+    most a tolerance, random, one cell, one cell plus half a tolerance (so
+    that neighbours overlap by less than it), one cell plus three tolerances,
+    or up to two and a half cells. Some movable macros also have a stale
+    location in the placement, which blocks others until they are placed.
+    Crowded grids make some instances unplaceable.
+    """
+    rng = random.Random(seed)
+    n_cols, n_rows = rng.randint(1, 7), rng.randint(1, 7)
+    cell_w, cell_h = rng.choice((1.0, 4.0, rng.uniform(2.0, 20.0))), rng.uniform(2.0, 20.0)
+    canvas = Canvas(cell_w * n_cols, cell_h * n_rows)
+    grid = build_grid(canvas, n_cols, n_rows)
+    tol = grid.tol
+
+    def side(cell):
+        return rng.choice((0.0, tol, 2.5 * tol, rng.uniform(0.0, cell), cell, cell + tol / 2,
+                           cell + 3 * tol, rng.uniform(cell, 2.5 * cell)))
+
+    def center():
+        return Pose(*grid.cell_center(rng.randrange(n_cols), rng.randrange(n_rows)))
+
+    nodes = []
+    placement = {}
+    for i in range(rng.randint(0, 3)):
+        nodes.append(Node(f"f{i}", NodeKind.MACRO, side(cell_w), side(cell_h), movable=False))
+        placement[f"f{i}"] = center() if rng.random() < 0.6 else Pose(
+            rng.uniform(0.0, canvas.width), rng.uniform(0.0, canvas.height))
+    for i in range(rng.randint(1, n_cols * n_rows)):
+        nodes.append(Node(f"m{i}", NodeKind.MACRO, side(cell_w), side(cell_h), movable=True))
+        if rng.random() < 0.2:
+            placement[f"m{i}"] = center()
+    nodes.append(Node("p", NodeKind.PORT, 0.0, 0.0, movable=False))
+    placement["p"] = Pose(*grid.cell_center(0, 0))
+    netlist = Netlist(nodes=nodes, nets=[], canvas=canvas)
+    return netlist, placement, grid
 
 
 def enumerable_instance(seed):

@@ -9,7 +9,8 @@ force, legality or annealing code.
 The force-directed reference, `fd_place_dense`, is the dense O(n^2) numpy
 definition: every node pair is tested for overlap in (n, n) arrays. The
 .nets reference, `parse_nets`, reads a file one line at a time; it shares
-only the package's line iterator and header-count helpers.
+only the package's line iterator and header-count helpers. The initializers'
+reference, `place_macros`, tests the grid cells one at a time.
 
 Grids are nested lists indexed [col][row]; cell (0, 0) is the lower-left
 cell; h[c][r] is demand on the right boundary of cell (c, r), v[c][r] on the
@@ -24,7 +25,7 @@ import math
 import numpy as np
 
 from gridplace.bookshelf import _NUMBER_CHARS, _check_counts, _content_lines, _header_value
-from gridplace.errors import MalformedLine, MissingLocation, OutOfRange
+from gridplace.errors import MalformedLine, MissingLocation, OutOfRange, Unplaceable
 from gridplace.fd import FDIterationInfo, FDParams
 from gridplace.netlist import ORIENT_SIGNS, NodeKind, Orientation, Pose, clamp_offsets, finite_float, pin_table
 
@@ -90,6 +91,40 @@ def placement_is_legal(netlist, placement, grid):
                     and min(y2, b[3]) - max(y1, b[1]) > tol):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Initial placements, one cell at a time
+
+
+def place_macros(netlist, grid, fixed, order, cells):
+    """The initializers' scan: each macro of `order` (nodes) at the first of
+    `cells` where the scalar in-canvas and overlap comparisons pass, testing
+    the cells one by one; returns `fixed` plus the placed macros."""
+    macros = [n for n in netlist.nodes if n.kind == NodeKind.MACRO]
+    index = {n.name: i for i, n in enumerate(macros)}
+    hw = np.array([n.width / 2.0 for n in macros])
+    hh = np.array([n.height / 2.0 for n in macros])
+    x = np.array([fixed[n.name].x if n.name in fixed else np.nan for n in macros])
+    y = np.array([fixed[n.name].y if n.name in fixed else np.nan for n in macros])
+    cv, t = netlist.canvas, grid.tol
+    placed = dict(fixed)
+    for node in order:
+        i = index[node.name]
+        for col, row in cells:
+            cx, cy = grid.cell_center(col, row)
+            if not (cx - hw[i] >= -t and cx + hw[i] <= cv.width + t
+                    and cy - hh[i] >= -t and cy + hh[i] <= cv.height + t):
+                continue
+            hit = ((hw + hw[i]) - np.abs(x - cx) > t) & ((hh + hh[i]) - np.abs(y - cy) > t)
+            hit[i] = False
+            if not hit.any():
+                x[i], y[i] = cx, cy
+                placed[node.name] = Pose(cx, cy, Orientation.N)
+                break
+        else:
+            raise Unplaceable(node.name)
+    return placed
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import gridplace.annealer as annealer
-from gen import small_instance
+import oracles
+from gen import initializer_instance, small_instance
 from gridplace.annealer import (
     ParallelResult,
     SAConfig,
@@ -81,36 +82,6 @@ def test_init_unplaceable():
         init_spiral(netlist, grid, {})
 
 
-def _scan_one_cell_at_a_time(netlist, grid, fixed, order, cells):
-    """Reference initializer: test the cells one by one, in order, with the
-    scalar in-canvas and overlap comparisons; returns `fixed` plus the placed
-    macros."""
-    macros = [n for n in netlist.nodes if n.kind == NodeKind.MACRO]
-    index = {n.name: i for i, n in enumerate(macros)}
-    hw = np.array([n.width / 2.0 for n in macros])
-    hh = np.array([n.height / 2.0 for n in macros])
-    x = np.array([fixed[n.name].x if n.name in fixed else np.nan for n in macros])
-    y = np.array([fixed[n.name].y if n.name in fixed else np.nan for n in macros])
-    cv, t = netlist.canvas, grid.tol
-    placed = dict(fixed)
-    for node in order:
-        i = index[node.name]
-        for col, row in cells:
-            cx, cy = grid.cell_center(col, row)
-            if not (cx - hw[i] >= -t and cx + hw[i] <= cv.width + t
-                    and cy - hh[i] >= -t and cy + hh[i] <= cv.height + t):
-                continue
-            hit = ((hw + hw[i]) - np.abs(x - cx) > t) & ((hh + hh[i]) - np.abs(y - cy) > t)
-            hit[i] = False
-            if not hit.any():
-                x[i], y[i] = cx, cy
-                placed[node.name] = Pose(cx, cy, Orientation.N)
-                break
-        else:
-            raise Unplaceable(node.name)
-    return placed
-
-
 def _initializers_match_reference(netlist, grid, fixed) -> bool:
     """Both initializers against the reference scan; True when they place."""
     movable = [n for n in netlist.nodes if n.kind == NodeKind.MACRO and n.movable]
@@ -120,7 +91,7 @@ def _initializers_match_reference(netlist, grid, fixed) -> bool:
     for init, order, cells in ((init_spiral, movable, spiral_cells(grid.n_cols, grid.n_rows)),
                                (init_greedy_pack, by_area, row_major)):
         try:
-            want = _scan_one_cell_at_a_time(netlist, grid, fixed, order, cells)
+            want = oracles.place_macros(netlist, grid, fixed, order, cells)
         except Unplaceable as exc:
             with pytest.raises(Unplaceable) as got:
                 init(netlist, grid, fixed)
@@ -148,6 +119,20 @@ def test_initializers_match_cell_by_cell_scan_small_instances():
     assert placed >= 10
 
 
+def test_initializers_match_cell_by_cell_scan_on_crowded_grids():
+    # Fixed macros on cell centers, zero-width, tolerance-sized and
+    # wider-than-a-cell macros, neighbours that overlap by less than the
+    # tolerance, stale locations, and unplaceable macros.
+    placed = taken = 0
+    for seed in range(400):
+        netlist, placement, grid = initializer_instance(seed)
+        placed += _initializers_match_reference(netlist, grid, placement)
+        centers = {grid.cell_center(c, r) for c in range(grid.n_cols) for r in range(grid.n_rows)}
+        taken += any(n.kind == NodeKind.MACRO and not n.movable and min(n.width, n.height) > 2 * grid.tol
+                     and placement[n.name][:2] in centers for n in netlist.nodes)
+    assert 100 <= placed <= 300 and taken >= 50
+
+
 def test_config_validation():
     with pytest.raises(OutOfRange):
         SAConfig(cooling_ratio=0.0)
@@ -159,6 +144,8 @@ def test_config_validation():
         SAConfig(epoch_len=0)
     with pytest.raises(OutOfRange):
         SAConfig(fd_interval_multiplier=0)
+    with pytest.raises(OutOfRange, match="seed"):
+        SAConfig(seed=-1)
 
 
 def _macro_fixture():
@@ -508,6 +495,12 @@ def test_shuffle_all_distinct_sizes_is_identity():
     netlist = _bare(nodes, canvas=(50.0, 50.0))
     placement = {"a": Pose(10.0, 10.0, Orientation.N), "b": Pose(30.0, 30.0, Orientation.S)}
     assert shuffle_same_size(netlist, placement, 0) == placement
+
+
+def test_shuffle_rejects_a_negative_seed():
+    netlist, placement = _shuffle_fixture()
+    with pytest.raises(OutOfRange, match="seed"):
+        shuffle_same_size(netlist, placement, -1)
 
 
 def test_shuffle_keeps_legality():

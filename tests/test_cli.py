@@ -316,6 +316,12 @@ def test_bad_seed_pairs_are_diagnosed(design, capsys):
     ("sa", ["--t-init", "-1"], "t_init"),
     ("stability", ["--t-init", "nan"], "t_init"),
     ("stability", ["--t-init", "-1"], "t_init"),
+    ("sa", ["--seed", "-5"], "--seed"),
+    ("sa", ["--seeds", "0,-1"], "--seeds"),
+    ("sa", ["--ka", "nan"], "k_attract"),
+    ("sa", ["--kr", "inf"], "k_repel"),
+    ("sa", ["--io-factor", "-1"], "io_factor"),
+    ("stability", ["--seed-pairs", "0,1;2,-3"], "--seed-pairs"),
 ])
 def test_bad_run_flags_fail_before_the_design_loads(design, monkeypatch, capsys, command, flags, flag):
     net, pl, tmp = design
@@ -323,6 +329,23 @@ def test_bad_run_flags_fail_before_the_design_loads(design, monkeypatch, capsys,
     assert main([command, "--netlist", str(net), "--initial", str(pl), "--steps", "2",
                  "--sequential", *flags, "--out-dir", str(tmp)]) == 2
     assert flag in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["fd", "--ka", "nan"], "k_attract"),
+    (["fd", "--kr", "inf"], "k_repel"),
+    (["fd", "--io-factor", "nan"], "io_factor"),
+    (["fd", "--iters", "0"], "num_iters"),
+    (["fd", "--seed", "-1"], "--seed"),
+    (["evaluate", "--fd", "--seed", "-1"], "--seed"),
+    (["evaluate", "--fd", "--fd-iters", "0"], "num_iters"),
+    (["shuffle", "--seed", "-1"], "--seed"),
+])
+def test_bad_fd_and_seed_flags_fail_before_the_design_loads(design, monkeypatch, capsys, argv, what):
+    net, pl, tmp = design
+    monkeypatch.setattr(gridplace.cli, "_load_design", _no_anneal)
+    assert main([*argv, "--netlist", str(net), "--initial", str(pl), "--out-dir", str(tmp)]) == 2
+    assert what in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("flags, what", [

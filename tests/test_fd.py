@@ -24,7 +24,7 @@ from gridplace.netlist import (
 )
 
 import oracles
-from gen import fd_contact_instance, fd_instance, fd_lattice_instance, stacked_pair
+from gen import fd_contact_instance, fd_instance, fd_lattice_instance, fd_stacked_instance, stacked_pair
 
 
 def test_decompose_star_pairs():
@@ -165,6 +165,19 @@ def test_param_validation():
         fd_place(netlist, placement, FDParams(num_iters=0))
     with pytest.raises(OutOfRange):
         fd_place(netlist, placement, FDParams(k_attract=-1.0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_iters", 0), ("num_iters", -3),
+    ("k_attract", math.nan), ("k_attract", -1.0), ("k_repel", math.inf), ("k_repel", -0.5),
+    ("io_factor", math.nan), ("io_factor", -math.inf), ("seed", -1),
+])
+def test_params_reject_values_that_cannot_run(field, value):
+    # A NaN or infinite factor would make every force NaN, and numpy's
+    # generator takes no negative seed.
+    with pytest.raises(OutOfRange, match=field):
+        FDParams(**{field: value})
+    FDParams(**{field: 1})
 
 
 def test_missing_fixed_location():
@@ -350,6 +363,50 @@ def test_fd_matches_dense_on_random_instances():
             _assert_matches_dense(netlist, placement, replace(params, k_repel=0.0))
     for seed in range(50):
         _assert_matches_dense(*stacked_pair(seed), FDParams(num_iters=20, seed=seed))
+
+
+def _stacked_start_cases(netlist, placement):
+    """Which of iteration 0's boundary cases the instance has: a fixed node
+    at the center, a zero-width or zero-height cluster, a single cluster,
+    coincident pairs outside the stack of clusters, and among them pairs
+    whose squared distance underflows to 0."""
+    cv = netlist.canvas
+    cx, cy = cv.width / 2, cv.height / 2
+    cluster = np.array([n.kind == NodeKind.CLUSTER for n in netlist.nodes])
+    hw = np.array([n.width / 2 for n in netlist.nodes])
+    hh = np.array([n.height / 2 for n in netlist.nodes])
+    x = np.array([cx if c else placement[n.name].x for n, c in zip(netlist.nodes, cluster)])
+    y = np.array([cy if c else placement[n.name].y for n, c in zip(netlist.nodes, cluster)])
+    dx = x[None, :] - x[:, None]
+    dy = y[None, :] - y[:, None]
+    overlap = ((hw[:, None] + hw[None, :]) - np.abs(dx) > 0) & ((hh[:, None] + hh[None, :]) - np.abs(dy) > 0)
+    drawn = np.triu(overlap & (dx * dx + dy * dy == 0.0), k=1)
+    stack = (x == cx) & (y == cy) & (hw > 0) & (hh > 0)
+    other = drawn & ~(stack[:, None] & stack[None, :])
+    return {
+        "fixed at center": bool(np.any(~cluster & (x == cx) & (y == cy))),
+        "zero-size cluster": bool(np.any(cluster & ((hw == 0) | (hh == 0)))),
+        "single cluster": int(cluster.sum()) == 1,
+        "other draws": bool(other.any()),
+        "underflow draws": bool(np.any(other & ((dx != 0) | (dy != 0)))),
+    }
+
+
+def test_fd_matches_dense_from_the_stacked_start():
+    # Iteration 0 builds the stacked clusters' pairs directly; every other
+    # coincident pair, such as a fixed pair sharing a center or a node whose
+    # distance to the stack underflows, merges into the draws' row-major order.
+    seen = dict.fromkeys(_stacked_start_cases(*fd_stacked_instance(0)), 0)
+    for seed in range(200):
+        netlist, placement = fd_stacked_instance(seed)
+        for case, present in _stacked_start_cases(netlist, placement).items():
+            seen[case] += present
+        params = FDParams(num_iters=4, seed=seed)
+        _assert_matches_dense(netlist, placement, params)
+        if seed % 4 == 0:
+            _assert_matches_dense(netlist, placement, replace(params, k_repel=0.0))
+            _assert_matches_dense(netlist, placement, replace(params, k_attract=0.0))
+    assert min(seen.values()) >= 10, seen
 
 
 def test_fd_matches_dense_at_full_scale(synth_aux):

@@ -2,6 +2,7 @@
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from gridplace.errors import (
     IoFailure,
     MalformedLine,
     MissingFile,
+    UnwritableName,
 )
 from gridplace.netlist import (
     Canvas,
@@ -177,6 +179,43 @@ def test_validate_nets_drops_short_and_demotes_sources():
     dual = Netlist(nodes=nodes, nets=kept, canvas=Canvas(10.0, 10.0))
     assert dual.arrays.driver.tolist() == [0]
     assert [p.is_source for p in dual.nets[0].pins] == [True, False, False]
+
+
+@pytest.mark.parametrize("node, net, what", [
+    ("a#b", "n1", "node name 'a#b'"),
+    ("a b", "n#1", "node name 'a b'"),
+    ("fix", "n#1", "net name 'n#1'"),
+    ("fix", "n\t1", "net name 'n\\t1'"),
+])
+def test_write_netlist_rejects_names_it_cannot_read_back(tmp_path, node, net, what):
+    # The native reader cuts a line at '#' and splits it at whitespace, so a
+    # name holding either would not read back; nothing is written.
+    nl = _sample_netlist()
+    nodes = [replace(n, name=node) if n.name == "fix" else n for n in nl.nodes]
+    nets = [Net(net if n.name == "n1" else n.name,
+                [replace(p, node=node) if p.node == "fix" else p for p in n.pins], n.weight)
+            for n in nl.nets]
+    path = tmp_path / "design.txt"
+    with pytest.raises(UnwritableName) as err:
+        write_netlist(Netlist(nodes=nodes, nets=nets, canvas=nl.canvas), path)
+    assert str(err.value).startswith(what)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("old, new", [("n1", "n#1"), ("blk", "b#k")])
+def test_parse_out_rejects_names_it_cannot_read_back(tmp_path, capsys, old, new):
+    # Bookshelf names may hold '#'; `parse --out` then fails before writing.
+    aux = _write_bookshelf(tmp_path)
+    for name in ("d.nodes", "d.nets", "d.pl"):
+        f = tmp_path / name
+        f.write_text(f.read_text().replace(old, new))
+    a = parse_bookshelf(aux).arrays
+    assert new in a.names + a.net_names
+    out = tmp_path / "rt.txt"
+    assert main(["parse", "--netlist", str(aux), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and repr(new) in err[0]
+    assert not out.exists()
 
 
 def test_write_netlist_io_failure():
