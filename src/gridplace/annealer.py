@@ -130,13 +130,18 @@ def _place_macros(netlist: Netlist, grid: Grid, fixed: Placement, order: np.ndar
 
     A scan skips a cell where a macro placed here sits with half extents
     above the grid tolerance: (hw_m + hw_i) - 0 >= hw_m > tol, so no later
-    macro is legal there.
+    macro is legal there. For the same reason it skips from the start every
+    cell whose center a macro outside `order` covers with hw_m - |x_m - cx|
+    > tol and hh_m - |y_m - cy| > tol.
     """
     a = netlist.arrays
     placement = PlacementState.of(a, fixed).copy()
     st = MacroState(netlist, grid, placement)
     xs, ys = np.array([grid.cell_center(col, row) for col, row in cells]).reshape(-1, 2).T
     taken = np.zeros(xs.size, dtype=bool)
+    for m in np.setdiff1d(st.macros, order).tolist():
+        taken |= ((a.half_w[m] - np.abs(placement.x[m] - xs) > grid.tol)
+                  & (a.half_h[m] - np.abs(placement.y[m] - ys) > grid.tol))
     for i in order.tolist():
         free = np.flatnonzero(~taken)
         for start in range(0, free.size, _SCAN_BLOCK):

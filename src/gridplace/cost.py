@@ -27,23 +27,38 @@ fixed per-cell order, so its grids equal those of routing net by net in that
 order. The per-net cell walker `route_demand` in tests/oracles.py is the
 reference it is tested against.
 
+Density and macro congestion are built from sparse entries: one per
+(node, cell) overlap for density, one per crossed cell boundary and
+overlapped row (column) for the horizontal (vertical) macro surface. Each
+surface is one `np.bincount` over its entries in node order, which adds the
+same products in the same order as the dense clip-and-`einsum` form
+(tests/oracles.py), so the grids are the same floats, and memory grows with
+the cells plus the overlaps rather than with nodes x columns.
+
 One `Evaluator` that scores a sequence of placements, as the annealer's does,
-re-scores only what changed. Wirelength and net congestion each keep a
-private memo of their last inputs and results. A call compares the new node
-arrays with the memo's by bit pattern (so -0.0 and 0.0 differ) and finds,
-through a node->net index built once, the nets with a pin on a moved node:
-  * wirelength recomputes those nets' HPWL and takes the same weighted sum
-    over all nets;
-  * net congestion routes those nets with the one router at their old and at
-    their new positions, subtracts the old difference-array entries and adds
-    the new ones. With integer net weights, which covers all Bookshelf input,
-    these sums are exact in any order, so the grids equal a full routing.
-    With any other weight it always routes all nets.
-Density and macro congestion, about 1.5 ms of a 5-7 ms memoised breakdown
-on the benchmark designs, keep no memo and are computed in full each time.
-A component makes a full pass, which refreshes its memo, when it has no memo
-or when the touched nets hold more than MEMO_PIN_SHARE of all pins, as after
-an FD pass. Every result equals a fresh `Evaluator`'s bit for bit.
+re-scores only what changed. Every component keeps a private memo of its
+last inputs and results. `components` compares the new node arrays with the
+last ones it scored by bit pattern (so -0.0 and 0.0 differ) once and hands
+the moved nodes to all four components; a component called on its own, or
+whose memo holds other inputs, compares its memo's inputs itself.
+  * Wirelength recomputes the HPWL of the nets with a pin on a moved node
+    (found through a node->net index built once) and takes the same
+    weighted sum over all nets.
+  * Density and macro congestion keep each node's entries and build again
+    only the moved nodes' entries; clusters, which stay put between FD
+    passes, keep theirs.
+  * Net congestion routes the touched nets at their new positions only. A
+    route store holds, per pin, the ends of at most one L route of the last
+    routing (4 integers per pin), so the old entries are read back rather
+    than routed again: one `np.bincount` per direction adds the new entries
+    to the memo's difference arrays and takes the old ones out. With
+    integer net weights, which covers all Bookshelf input, these sums are
+    exact in any order, so the grids equal a full routing. With any other
+    weight it always routes all nets.
+Wirelength and net congestion make a full pass, which refreshes the memo,
+when there is no memo or when the touched nets hold more than
+MEMO_PIN_SHARE of all pins, as after an FD pass. Every result equals a
+fresh `Evaluator`'s bit for bit.
 
 Grids are numpy arrays indexed [col, row]; cell (0, 0) is lower-left.
 """
@@ -52,12 +67,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyCellSet, OutOfRange
 from .geometry import Grid
-from .netlist import Netlist, Placement, PlacementState
+from .netlist import Netlist, Placement, PlacementState, index_ranges
 
 DEFAULT_GAMMA = 0.5
 DEFAULT_LAMBDA = 0.5
@@ -151,52 +167,126 @@ _SECOND = np.array([1, 2, 2, 1])
 _THIRD = np.array([2, 1, 0, 2])
 
 
-def _three_cell_entries(cells: np.ndarray, weight: np.ndarray, n_rows: int):
-    """Difference-array entries of many three-cell routes at once.
+def _three_cell_routes(cells: np.ndarray, n_rows: int):
+    """The two L routes of each of many three-cell routes.
 
     `cells` is an (m, 3) array of flat cell ids (col * n_rows + row), the
-    source first and the two sinks in (col, row) order; `weight` has length m.
-    Each row takes the three-cell pattern of the module docstring, its pairs
-    tested in the order (0, 1), (0, 2), (1, 2): the straight segment of the
-    first pair sharing a row (tested before a shared column), then an L to
-    the third cell from the nearer end of that segment (ties to its first
-    cell), or a source star when no pair shares a line.
+    source first and the two sinks in (col, row) order. Each row takes the
+    three-cell pattern of the module docstring, its pairs tested in the order
+    (0, 1), (0, 2), (1, 2): the straight segment of the first pair sharing a
+    row (tested before a shared column), then an L to the third cell from the
+    nearer end of that segment (ties to its first cell), or a source star
+    when no pair shares a line.
 
-    Returns ((h_idx, h_w), (v_idx, v_w)): flat indices into the (n_cols + 1, n_rows)
-    and (n_cols, n_rows + 1) difference arrays with their +w/-w values, net by
-    net, each net's segments in routing order as +w at the low end then -w at
-    the high end. Zero-length arms are dropped.
+    Returns (c0, r0, c1, r1), each (m, 2): the start and end cells of the
+    two L routes of each net, in routing order.
     """
     col, row = np.divmod(cells, n_rows)
     line = [(row[:, i] == row[:, j]) | (col[:, i] == col[:, j]) for i, j in ((0, 1), (0, 2), (1, 2))]
     pick = np.argmax(np.stack(line + [np.ones(len(cells), dtype=bool)], axis=1), axis=1)
 
-    def at(a, k):
-        return np.take_along_axis(a, k[:, None], axis=1)[:, 0]
-
+    m = np.arange(len(cells))
     a, b, t = _FIRST[pick], _SECOND[pick], _THIRD[pick]
-    ca, ra, cb, rb, ct, rt = at(col, a), at(row, a), at(col, b), at(row, b), at(col, t), at(row, t)
+    ca, ra, cb, rb, ct, rt = col[m, a], row[m, a], col[m, b], row[m, b], col[m, t], row[m, t]
     near_a = (np.abs(ct - ca) + np.abs(rt - ra) <= np.abs(ct - cb) + np.abs(rt - rb)) | (pick == 3)
-    # Two L routes per net, (m, 2): horizontal arm in the start row, then the
-    # vertical arm in the end column.
-    c0 = np.stack([ca, np.where(near_a, ca, cb)], axis=1)
-    r0 = np.stack([ra, np.where(near_a, ra, rb)], axis=1)
-    c1 = np.stack([cb, ct], axis=1)
-    r1 = np.stack([rb, rt], axis=1)
-    signed = np.stack([weight, -weight], axis=1)[:, None, :]     # (m, 1, 2)
-    h_idx = np.stack([np.minimum(c0, c1), np.maximum(c0, c1)], axis=2) * n_rows + r0[:, :, None]
-    v_idx = c1[:, :, None] * (n_rows + 1) + np.stack([np.minimum(r0, r1), np.maximum(r0, r1)], axis=2)
-    h_on = np.broadcast_to((c0 != c1)[:, :, None], h_idx.shape)
-    v_on = np.broadcast_to((r0 != r1)[:, :, None], v_idx.shape)
-    h_w = np.broadcast_to(signed, h_idx.shape)
-    v_w = np.broadcast_to(signed, v_idx.shape)
-    return (h_idx[h_on], h_w[h_on]), (v_idx[v_on], v_w[v_on])
+    return (np.stack([ca, np.where(near_a, ca, cb)], axis=1), np.stack([ra, np.where(near_a, ra, rb)], axis=1),
+            np.stack([cb, ct], axis=1), np.stack([rb, rt], axis=1))
 
 
-def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The index ranges start[i] : start[i] + size[i], concatenated."""
-    end = np.cumsum(size)
-    return np.arange(end[-1] if end.size else 0) + np.repeat(start + size - end, size)
+def _ordered_diff(lo, hi, w, k: int, size: int) -> np.ndarray:
+    """A flat difference array from the low and high ends of routes, summed
+    by one `np.bincount` in a fixed per-cell order: the low ends of the first
+    k routes (+w), then their high ends (-w), then each later route's segment
+    as +w then -w where it has nonzero length. That is the order in which
+    entries were added one at a time when the three-cell nets, whose routes
+    come after the first k, were routed net by net, so the grids are
+    bit-identical to it, even for non-integer weights."""
+    on = lo[k:] != hi[k:]
+    return np.bincount(np.concatenate([lo[:k], hi[:k], np.stack([lo[k:], hi[k:]], axis=1)[on].ravel()]),
+                       np.concatenate([w[:k], -w[:k], np.stack([w[k:], -w[k:]], axis=1)[on].ravel()]),
+                       minlength=size)
+
+
+def _l_ends(c0, r0, c1, r1, n_rows: int):
+    """Difference-array indices of the L routes from cell (c0, r0) to (c1, r1):
+    the low and high ends of the horizontal arm in row r0, flat into the
+    (n_cols + 1, n_rows) array, then those of the vertical arm in column c1,
+    flat into the (n_cols, n_rows + 1) array. A zero-length arm has equal
+    ends."""
+    return (np.minimum(c0, c1) * n_rows + r0, np.maximum(c0, c1) * n_rows + r0,
+            c1 * (n_rows + 1) + np.minimum(r0, r1), c1 * (n_rows + 1) + np.maximum(r0, r1))
+
+
+# ---------------------------------------------------------------------------
+# Rasterising outlines: one entry per (node, cell), summed per cell in node order
+
+
+def _cell_spans(lo: np.ndarray, hi: np.ndarray, edges: np.ndarray):
+    """Each interval [lo, hi] against the cells between consecutive `edges`:
+    (how many cells it meets, their ids, and its overlap with each), interval
+    by interval. The overlap is the dense form's clamp-and-difference,
+    clip(edges[c + 1]) - clip(edges[c]), so it is the same float; the cells
+    left out would all get 0.0."""
+    n = edges.size - 1
+    first = np.minimum(np.maximum(np.searchsorted(edges, lo, "right") - 1, 0), n - 1)
+    count = np.minimum(np.searchsorted(edges, hi, "left"), n) - first
+    cells = index_ranges(first, count)
+    lo, hi = np.repeat(lo, count), np.repeat(hi, count)
+    # np.clip(e, lo, hi) is np.minimum(np.maximum(e, lo), hi), without its wrapper.
+    return count, cells, (np.minimum(np.maximum(edges[cells + 1], lo), hi)
+                          - np.minimum(np.maximum(edges[cells], lo), hi))
+
+
+def _crossed_spans(lo: np.ndarray, hi: np.ndarray, edges: np.ndarray):
+    """Each interval (lo, hi) against the far edges edges[1:] of the cells:
+    (how many far edges lie strictly inside it, the ids of their cells, and
+    1.0 for each), interval by interval."""
+    first = np.maximum(np.searchsorted(edges, lo, "right"), 1) - 1
+    count = np.maximum(np.searchsorted(edges, hi, "left") - 1 - first, 0)
+    cells = index_ranges(first, count)
+    return count, cells, np.ones(cells.size)
+
+
+def _products(ids: np.ndarray, cols, rows, n_rows: int):
+    """One entry per node of `ids` and (column, row) pair of its column and
+    row spans: (the node, the flat cell id col * n_rows + row, the column
+    value times the row value), node by node."""
+    nx, cx, fx = cols
+    ny, cy, fy = rows
+    per = np.repeat(ny, nx)
+    ix = np.repeat(np.arange(cx.size), per)
+    iy = index_ranges(np.repeat(np.cumsum(ny) - ny, nx), per)
+    return np.repeat(ids, nx * ny), cx[ix] * n_rows + cy[iy], fx[ix] * fy[iy]
+
+
+def _spliced(old, new, gone: np.ndarray):
+    """The (node, cell, value) entries `old` without those of the nodes where
+    `gone` is set, plus `new`, in node order."""
+    keep = ~gone[old[0]]
+    merged = [np.concatenate((o[keep], n)) for o, n in zip(old, new)]
+    order = np.argsort(merged[0], kind="stable")
+    return tuple(m[order] for m in merged)
+
+
+def _changed(before, arrays):
+    """The ids of the nodes whose entry in any of `arrays` differs from
+    `before`'s by bit pattern, so that -0.0 and 0.0 differ; None when the
+    shapes differ."""
+    if any(np.shape(a) != b.shape for a, b in zip(arrays, before)):
+        return None
+    moved = np.zeros(before[0].shape, dtype=bool)
+    for a, b in zip(arrays, before):
+        moved |= np.asarray(a, dtype=float).view(np.int64) != b.view(np.int64)
+    return np.flatnonzero(moved)
+
+
+class _Step(NamedTuple):
+    """One `components` call: copies of the arrays it scores, those of the
+    call before, and the ids of the nodes that moved in between (`before` is
+    None when the two do not compare)."""
+    before: tuple | None
+    moved: np.ndarray | None
+    after: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +295,18 @@ def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
 
 # A memoised component re-scores the nets of the moved nodes only while their
 # pins are at most this share of all pins. On the ibm01 and fanout benchmark
-# designs a memoised breakdown costs as much as a full one at about half the
-# pins (12.97 vs 12.74 ms at 56 %, 32.4 vs 34.0 ms at 50 %).
-MEMO_PIN_SHARE = 0.4
+# designs, memoised wirelength plus net congestion costs as much as a full
+# pass at about 70 % of the pins (12.3 vs 13.2 ms and 30.2 vs 32.1 ms at 70 %,
+# 13.8 vs 10.9 ms and 35.3 vs 32.3 ms at 80 %).
+MEMO_PIN_SHARE = 0.6
 
 
 class Evaluator:
     """Vectorized proxy-cost evaluation for a fixed netlist and grid.
 
-    Wirelength and net congestion each keep a private memo of their last
-    inputs and results and recompute only what the node arrays changed since
-    then (module docstring). Results are those of a full pass, bit for bit.
+    Every component keeps a private memo of its last inputs and results and
+    recomputes only what the node arrays changed since then (module
+    docstring). Results are those of a full pass, bit for bit.
     """
 
     def __init__(self, netlist: Netlist, grid: Grid, config: CostConfig | None = None):
@@ -235,12 +326,15 @@ class Evaluator:
         self._node_nets = self._pin_net[np.argsort(a.pin_owner)]
         # Difference-array sums of integer weights are exact in any order while
         # every partial sum stays below 2**53. A net's route entries come to
-        # at most 2 * |weight| per pin in absolute value, which bounds them all.
+        # at most 2 * |weight| per pin and direction in absolute value, so a
+        # memo step (the memo's entries, then the old and the new ones of the
+        # moved nets) stays below 6 * |weight| per pin.
         w = a.net_weight
         self._exact_sums = bool(np.all(w == np.round(w))
-                                and 2.0 * float(np.dot(np.abs(w), self._net_size)) < 2.0 ** 53)
+                                and 6.0 * float(np.dot(np.abs(w), self._net_size)) < 2.0 ** 53)
         self._memo: dict = {}
-        # Column/row edge coordinates for separable overlap accumulation.
+        self._last = None        # the arrays the last `components` call scored
+        self._routes = None      # per pin, the ends of one L route; built by a full routing
         self._col_edges = np.arange(grid.n_cols + 1) * grid.cell_w
         self._row_edges = np.arange(grid.n_rows + 1) * grid.cell_h
 
@@ -265,7 +359,7 @@ class Evaluator:
         size = self._net_size[nets]
         first = np.zeros(nets.size + 1, dtype=np.intp)
         np.cumsum(size, out=first[1:])
-        return _ranges(a.net_start[nets], size), np.repeat(np.arange(nets.size), size), first
+        return index_ranges(a.net_start[nets], size), np.repeat(np.arange(nets.size), size), first
 
     def _pin_xy(self, x, y, sx, sy, pins=slice(None)):
         a = self._arrays
@@ -276,36 +370,45 @@ class Evaluator:
 
     # -- the memo
 
-    def _moved(self, key: str, arrays):
-        """(memo, moved): the memo `key` and the ids of the nodes whose entry
-        in any of `arrays` differs from its inputs by bit pattern, so that
-        -0.0 and 0.0 differ; (None, None) when there is no such memo."""
-        memo = self._memo.get(key)
-        if memo is None or any(a.shape != b.shape for a, b in zip(arrays, memo["inputs"])):
-            return None, None
-        moved = np.zeros(arrays[0].shape, dtype=bool)
-        for a, b in zip(arrays, memo["inputs"]):
-            moved |= np.asarray(a, dtype=float).view(np.int64) != b.view(np.int64)
-        return memo, np.flatnonzero(moved)
+    def _step(self, arrays) -> _Step:
+        """Copy `arrays` and find the nodes that moved since the last call."""
+        before = self._last
+        self._last = after = tuple(np.array(a, dtype=float) for a in arrays)
+        moved = None if before is None else _changed(before, arrays)
+        return _Step(None if moved is None else before, moved, after)
 
-    def _touched(self, key: str, arrays):
+    def _moved(self, key: str, arrays, step: _Step | None):
+        """(memo, moved): the memo `key` and the ids of the nodes whose entry
+        in any of `arrays` differs from its inputs, or (None, None) when there
+        is no such memo. A memo of the arrays `step` starts from takes its
+        ids; any other compares its inputs."""
+        memo = self._memo.get(key)
+        if memo is None:
+            return None, None
+        if step is not None and memo["inputs"] is step.before:
+            return memo, step.moved
+        moved = _changed(memo["inputs"], arrays)
+        return (None, None) if moved is None else (memo, moved)
+
+    def _touched(self, key: str, arrays, step: _Step | None):
         """(memo, nets): the memo `key` and the ascending ids of the nets with
         a pin on a moved node, or (None, None) for a full pass: there is no
         memo, or those nets hold more than MEMO_PIN_SHARE of all pins."""
-        memo, nodes = self._moved(key, arrays)
+        memo, nodes = self._moved(key, arrays, step)
         limit = MEMO_PIN_SHARE * self._pin_net.size
         # The moved nodes' own pins bound their nets' pins from below.
         if memo is None or self._node_pins[nodes].sum() > limit:
             return None, None
         touched = np.zeros(self._n_nets, dtype=bool)
-        touched[self._node_nets[_ranges(self._node_start[nodes], self._node_pins[nodes])]] = True
+        touched[self._node_nets[index_ranges(self._node_start[nodes], self._node_pins[nodes])]] = True
         nets = np.flatnonzero(touched)
         if self._net_size[nets].sum() > limit:
             return None, None
         return memo, nets
 
-    def _remember(self, key: str, arrays, **results) -> None:
-        self._memo[key] = {"inputs": [np.array(a, dtype=float) for a in arrays], **results}
+    def _remember(self, key: str, arrays, step: _Step | None, **results) -> None:
+        inputs = step.after if step is not None else tuple(np.array(a, dtype=float) for a in arrays)
+        self._memo[key] = {"inputs": inputs, **results}
 
     # -- components
 
@@ -317,81 +420,85 @@ class Evaluator:
         return (np.maximum.reduceat(px, starts) - np.minimum.reduceat(px, starts)
                 + np.maximum.reduceat(py, starts) - np.minimum.reduceat(py, starts))
 
-    def wirelength_from_arrays(self, x, y, sx, sy) -> float:
+    def wirelength_from_arrays(self, x, y, sx, sy, step: _Step | None = None) -> float:
         if self._n_nets == 0:
             return 0.0
-        memo, nets = self._touched("wirelength", (x, y, sx, sy))
+        memo, nets = self._touched("wirelength", (x, y, sx, sy), step)
         if memo is None:
             hp = self._net_hpwl(x, y, sx, sy)
         else:
             hp = memo["hp"].copy()
             if nets.size:
                 hp[nets] = self._net_hpwl(x, y, sx, sy, nets)
-        self._remember("wirelength", (x, y, sx, sy), hp=hp)
+        self._remember("wirelength", (x, y, sx, sy), step, hp=hp)
         norm = self.netlist.canvas.width + self.netlist.canvas.height
         # numpy's pairwise sum, not np.dot: BLAS rounds by its thread count.
         return float(np.add.reduce(self._arrays.net_weight * hp) / norm / self._n_nets)
 
-    def density_grid_from_arrays(self, x, y) -> np.ndarray:
-        g = self.grid
-        m = self._density_mask
-        if not m.any():
-            return np.zeros((g.n_cols, g.n_rows))
-        a = self._arrays
-        x1 = (x - a.half_w)[m]
-        x2 = (x + a.half_w)[m]
-        y1 = (y - a.half_h)[m]
-        y2 = (y + a.half_h)[m]
-        # Overlap of [x1, x2] with column i is the difference of the clamped
-        # cumulative coverage at consecutive column edges (separable in x/y).
-        cx = np.clip(self._col_edges[None, :], x1[:, None], x2[:, None])
-        wx = np.diff(cx, axis=1)
-        cy = np.clip(self._row_edges[None, :], y1[:, None], y2[:, None])
-        wy = np.diff(cy, axis=1)
-        return np.einsum("ni,nj->ij", wx, wy) / (g.cell_w * g.cell_h)
+    def _outlines(self, ids, x, y):
+        x, y, hw, hh = x[ids], y[ids], self._arrays.half_w[ids], self._arrays.half_h[ids]
+        return x - hw, x + hw, y - hh, y + hh
 
-    def macro_congestion_from_arrays(self, x, y):
+    def _density_entries(self, ids, x, y):
+        """Overlap area entries of the nodes `ids`, one per (node, cell)."""
+        x1, x2, y1, y2 = self._outlines(ids, x, y)
+        return [_products(ids, _cell_spans(x1, x2, self._col_edges), _cell_spans(y1, y2, self._row_edges),
+                          self.grid.n_rows)]
+
+    def _macro_entries(self, ids, x, y):
+        """Macro congestion entries of the nodes `ids`: the overlap with each
+        row of every right cell boundary the outline crosses, then the
+        overlap with each column of every top boundary it crosses."""
+        x1, x2, y1, y2 = self._outlines(ids, x, y)
+        cols, rows = _cell_spans(x1, x2, self._col_edges), _cell_spans(y1, y2, self._row_edges)
+        n = self.grid.n_rows
+        return [_products(ids, _crossed_spans(x1, x2, self._col_edges), rows, n),
+                _products(ids, cols, _crossed_spans(y1, y2, self._row_edges), n)]
+
+    def _surfaces(self, key: str, mask, x, y, step, entries):
+        """The per-cell sums, in node order, of each entry set that `entries`
+        builds for the nodes of `mask`. With a memo only the moved nodes'
+        entries are built again."""
         g = self.grid
-        m = self._arrays.is_macro
-        h = np.zeros((g.n_cols, g.n_rows))
-        v = np.zeros((g.n_cols, g.n_rows))
-        if not m.any():
-            return h, v
-        a = self._arrays
-        x1 = (x - a.half_w)[m]
-        x2 = (x + a.half_w)[m]
-        y1 = (y - a.half_h)[m]
-        y2 = (y + a.half_h)[m]
-        # Right boundaries sit at the interior + far column edges.
-        bx = self._col_edges[1:]
-        cross_h = (x1[:, None] < bx[None, :]) & (bx[None, :] < x2[:, None])
-        cy = np.clip(self._row_edges[None, :], y1[:, None], y2[:, None])
-        wy = np.diff(cy, axis=1)
-        h = np.einsum("mc,mr->cr", cross_h.astype(float), wy)
-        h *= self.config.macro_h_usage / g.h_capacity
-        by = self._row_edges[1:]
-        cross_v = (y1[:, None] < by[None, :]) & (by[None, :] < y2[:, None])
-        cx = np.clip(self._col_edges[None, :], x1[:, None], x2[:, None])
-        wx = np.diff(cx, axis=1)
-        v = np.einsum("mr,mc->cr", cross_v.astype(float), wx)
-        v *= self.config.macro_v_usage / g.v_capacity
-        return h, v
+        memo, moved = self._moved(key, (x, y), step)
+        if memo is None:
+            sets = entries(np.flatnonzero(mask), x, y)
+        else:
+            ids = moved[mask[moved]]
+            sets = memo["sets"]
+            if ids.size:
+                gone = np.zeros(mask.size, dtype=bool)
+                gone[ids] = True
+                sets = [_spliced(old, new, gone) for old, new in zip(sets, entries(ids, x, y))]
+        self._remember(key, (x, y), step, sets=sets)
+        return [np.bincount(cell, value, minlength=g.n_cells).reshape(g.n_cols, g.n_rows)
+                for _, cell, value in sets]
+
+    def density_grid_from_arrays(self, x, y, step: _Step | None = None) -> np.ndarray:
+        g = self.grid
+        (area,) = self._surfaces("density", self._density_mask, x, y, step, self._density_entries)
+        return area / (g.cell_w * g.cell_h)
+
+    def macro_congestion_from_arrays(self, x, y, step: _Step | None = None):
+        g = self.grid
+        h, v = self._surfaces("macro_congestion", self._arrays.is_macro, x, y, step, self._macro_entries)
+        return h * (self.config.macro_h_usage / g.h_capacity), v * (self.config.macro_v_usage / g.v_capacity)
 
     def _route(self, x, y, sx, sy, nets=slice(None)):
-        """Net routing demand of `nets` (ascending ids, or all nets) as the
-        (hdiff, vdiff) difference arrays.
+        """Route `nets` (ascending ids, or all nets) and record their routes
+        in the route store.
 
-        Every net is routed at once on whole arrays. Each boundary-crossing
-        segment adds +w at its low end and -w at its high end of a difference
-        array (`hdiff` along columns, `vdiff` along rows), and a cumulative sum
-        turns the differences into per-boundary demand. Both difference
-        arrays are filled by one `np.bincount` whose per-cell summation order
-        is fixed: the low ends of all source-anchored L routes in (net, cell)
-        order, then their high ends, then the segments of the three-cell nets
-        in net order, each as +w then -w. That is the order in which entries
-        were added one at a time when the three-cell nets were routed net by
-        net, so the grids are bit-identical to it, even for non-integer
-        weights.
+        Every net is routed at once on whole arrays, as L routes: k == 2 and
+        k > 3 nets as a star of source-anchored L routes, three-cell nets as
+        two L routes each. Returns (ends, w, k): the four index arrays of the
+        routes' ends from `_l_ends`, each route's net weight, and the number
+        k of source-anchored routes, which come first in (net, cell) order;
+        the three-cell nets' routes follow, net by net.
+
+        The store holds one route per pin, from each routed net's first pin
+        on: the route to the net's j-th distinct cell at pin j, a three-cell
+        net's two routes at its first two pins, and equal ends, a route of
+        length zero, at every other pin.
         """
         g = self.grid
         a = self._arrays
@@ -408,65 +515,83 @@ class Evaluator:
         np.not_equal(keys[1:], keys[:-1], out=keep[1:])
         uniq = keys[keep]
         unet = uniq // g.n_cells
-        ucell = uniq % g.n_cells
+        ucell = uniq - unet * g.n_cells
         # Distinct-cell count per net, aligned to unique order.
         counts = np.bincount(unet, minlength=first.size - 1)
         src_cell = cell[first[:-1] + self._driver_offset[nets]]
         k_of = counts[unet]
         src_of = src_cell[unet]
         w_of = a.net_weight[nets][unet]
-        # k == 2 and k > 3 decompose into source-anchored L pairs.
+        # k == 2 and k > 3 decompose into source-anchored L routes.
         lmask = (ucell != src_of) & ((k_of == 2) | (k_of >= 4))
         cs, rs = np.divmod(src_of[lmask], g.n_rows)
         ct, rt = np.divmod(ucell[lmask], g.n_rows)
-        w = w_of[lmask]
         # Three-cell nets: their three distinct cells are adjacent in unique
         # order, sorted by (col, row); the source goes first.
         tri = k_of == 3
         cells3 = ucell[tri].reshape(-1, 3)
         src3 = src_of[tri][::3, None]
         ordered = np.concatenate([src3, cells3[cells3 != src3].reshape(-1, 2)], axis=1)
-        (h3, h3_w), (v3, v3_w) = _three_cell_entries(ordered, w_of[tri][::3], g.n_rows)
-        h_idx = [np.minimum(cs, ct) * g.n_rows + rs, np.maximum(cs, ct) * g.n_rows + rs, h3]
-        v_idx = [ct * (g.n_rows + 1) + np.minimum(rs, rt), ct * (g.n_rows + 1) + np.maximum(rs, rt), v3]
-        hdiff = np.bincount(np.concatenate(h_idx), np.concatenate([w, -w, h3_w]),
-                            minlength=(g.n_cols + 1) * g.n_rows).reshape(g.n_cols + 1, g.n_rows)
-        vdiff = np.bincount(np.concatenate(v_idx), np.concatenate([w, -w, v3_w]),
-                            minlength=g.n_cols * (g.n_rows + 1)).reshape(g.n_cols, g.n_rows + 1)
-        return hdiff, vdiff
+        ends3 = _l_ends(*_three_cell_routes(ordered, g.n_rows), g.n_rows)
+        ends = [np.concatenate([e, e3.ravel()]) for e, e3 in zip(_l_ends(cs, rs, ct, rt, g.n_rows), ends3)]
+        w3 = w_of[tri][::3]
+        net_first = a.net_start[:-1][nets]
+        rank = np.arange(uniq.size) - (np.cumsum(counts) - counts)[unet]
+        slots = np.concatenate([net_first[unet[lmask]] + rank[lmask],
+                                (net_first[unet[tri][::3], None] + np.arange(2)).ravel()])
+        if self._routes is None:
+            small = (g.n_cols + 1) * (g.n_rows + 1) < 2 ** 31
+            self._routes = np.zeros((a.pin_owner.size, 4), dtype=np.int32 if small else np.intp)
+        # Each row is written as one item: fancy indexing of rows costs
+        # several times as much.
+        rows = self._routes.view(f"V{4 * self._routes.itemsize}")[:, 0]
+        rows[pins] = np.zeros(4, dtype=self._routes.dtype).view(rows.dtype)
+        rows[slots] = np.stack(ends, axis=1, dtype=self._routes.dtype).view(rows.dtype)[:, 0]
+        return ends, np.concatenate([w_of[lmask], np.repeat(w3, 2)]), int(lmask.sum())
 
-    def net_congestion_from_arrays(self, x, y, sx, sy):
+    def net_congestion_from_arrays(self, x, y, sx, sy, step: _Step | None = None):
         """Unsmoothed net routing demand / capacity.
 
         With a memo, only the nets of the moved nodes are routed, at their
-        old and at their new positions: their old entries are subtracted from
-        the memo's difference arrays and the new ones added. This path needs
+        new positions. Their old routes come from the route store: one
+        `np.bincount` per direction adds the new routes' entries to the
+        memo's difference arrays and takes the old ones out. This path needs
         integer net weights, whose sums are exact in any order.
         """
         g = self.grid
         if self._n_nets == 0:
             return np.zeros((g.n_cols, g.n_rows)), np.zeros((g.n_cols, g.n_rows))
-        memo, nets = (self._touched("net_congestion", (x, y, sx, sy)) if self._exact_sums
+        memo, nets = (self._touched("net_congestion", (x, y, sx, sy), step) if self._exact_sums
                       else (None, None))
+        h_shape, v_shape = (g.n_cols + 1, g.n_rows), (g.n_cols, g.n_rows + 1)
         if memo is None:
-            hdiff, vdiff = self._route(x, y, sx, sy)
+            (h_lo, h_hi, v_lo, v_hi), w, k = self._route(x, y, sx, sy)
+            hdiff = _ordered_diff(h_lo, h_hi, w, k, h_shape[0] * h_shape[1]).reshape(h_shape)
+            vdiff = _ordered_diff(v_lo, v_hi, w, k, v_shape[0] * v_shape[1]).reshape(v_shape)
         elif nets.size == 0:
             hdiff, vdiff = memo["hdiff"], memo["vdiff"]
         else:
-            old_h, old_v = self._route(*memo["inputs"], nets)
-            new_h, new_v = self._route(x, y, sx, sy, nets)
-            hdiff = memo["hdiff"] - old_h + new_h
-            vdiff = memo["vdiff"] - old_v + new_v
-        self._remember("net_congestion", (x, y, sx, sy), hdiff=hdiff, vdiff=vdiff)
+            pins = self._net_pins(nets)[0]
+            old = np.take(self._routes, pins, axis=0)
+            ends, w, _ = self._route(x, y, sx, sy, nets)
+            old_w = self._arrays.net_weight[self._pin_net[pins]]
+            wts = np.concatenate([w, -w, -old_w, old_w])
+
+            def delta(lo, hi, shape):
+                idx = np.concatenate([ends[lo], ends[hi], old[:, lo], old[:, hi]])
+                return np.bincount(idx, wts, minlength=shape[0] * shape[1]).reshape(shape)
+            hdiff = memo["hdiff"] + delta(0, 1, h_shape)
+            vdiff = memo["vdiff"] + delta(2, 3, v_shape)
+        self._remember("net_congestion", (x, y, sx, sy), step, hdiff=hdiff, vdiff=vdiff)
         h = np.cumsum(hdiff, axis=0)[:g.n_cols]
         v = np.cumsum(vdiff, axis=1)[:, :g.n_rows]
         return h / g.h_capacity, v / g.v_capacity
 
-    def congestion_surfaces_from_arrays(self, x, y, sx, sy):
+    def congestion_surfaces_from_arrays(self, x, y, sx, sy, step: _Step | None = None):
         """(hc, vc): macro demand plus net demand smoothed along its routing
         direction, per boundary, both as demand / capacity."""
-        hm, vm = self.macro_congestion_from_arrays(x, y)
-        hn, vn = self.net_congestion_from_arrays(x, y, sx, sy)
+        hm, vm = self.macro_congestion_from_arrays(x, y, step)
+        hn, vn = self.net_congestion_from_arrays(x, y, sx, sy, step)
         r = self.config.smooth_radius
         return hm + smooth_grid(hn, r, axis=0), vm + smooth_grid(vn, r, axis=1)
 
@@ -474,9 +599,10 @@ class Evaluator:
 
     def components(self, placement: Placement) -> tuple[float, float, float]:
         x, y, sx, sy = self.node_arrays(placement)
-        wl = self.wirelength_from_arrays(x, y, sx, sy)
-        dens = top_fraction_mean(self.density_grid_from_arrays(x, y), 0.10)
-        hc, vc = self.congestion_surfaces_from_arrays(x, y, sx, sy)
+        step = self._step((x, y, sx, sy))
+        wl = self.wirelength_from_arrays(x, y, sx, sy, step)
+        dens = top_fraction_mean(self.density_grid_from_arrays(x, y, step), 0.10)
+        hc, vc = self.congestion_surfaces_from_arrays(x, y, sx, sy, step)
         cong = top_fraction_mean(np.concatenate([hc.ravel(), vc.ravel()]), 0.05)
         return wl, dens, cong
 

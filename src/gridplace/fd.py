@@ -50,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OutOfRange
-from .netlist import Netlist, Placement, PlacementState
+from .netlist import Netlist, Placement, PlacementState, index_ranges
 
 log = logging.getLogger(__name__)
 
@@ -205,11 +205,6 @@ class _RowSums:
         return row_sums
 
 
-def _ranges(first, count):
-    """The ranges first[k], ..., first[k] + count[k] - 1, one after another."""
-    return np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
-
-
 def _overlap_pairs(x, y, hw, hh, slack):
     """Node pairs (i, j), i < j, whose outlines overlap with positive area.
 
@@ -227,7 +222,7 @@ def _overlap_pairs(x, y, hw, hh, slack):
     end = np.searchsorted(lo, (xs + hws) + slack, side="right")
     after = np.arange(1, n + 1)
     count = end - after
-    k, m = _filter_overlaps(np.repeat(np.arange(n), count), _ranges(after, count), xs, ys, hws, hhs)
+    k, m = _filter_overlaps(np.repeat(np.arange(n), count), index_ranges(after, count), xs, ys, hws, hhs)
     a, b = order[k], order[m]
     return np.minimum(a, b), np.maximum(a, b)
 
@@ -254,10 +249,10 @@ def _stacked_pairs(x, y, hw, hh, slack, cx, cy):
     by_w = s[np.argsort(hw[s], kind="stable")]
     start = np.searchsorted(hw[by_w], (np.abs(x[o] - cx) - hw[o]) - slack)
     count = by_w.size - start
-    k, m = _filter_overlaps(np.repeat(o, count), by_w[_ranges(start, count)], x, y, hw, hh)
+    k, m = _filter_overlaps(np.repeat(o, count), by_w[index_ranges(start, count)], x, y, hw, hh)
     ii, jj = np.concatenate((o[a], np.minimum(k, m))), np.concatenate((o[b], np.maximum(k, m)))
     count = np.arange(s.size - 1, -1, -1)
-    return ii, jj, np.repeat(s, count), s[_ranges(np.arange(1, s.size + 1), count)]
+    return ii, jj, np.repeat(s, count), s[index_ranges(np.arange(1, s.size + 1), count)]
 
 
 def _add_repulsion(fx, fy, x, y, pairs, mag, row_sums, rng):

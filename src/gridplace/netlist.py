@@ -327,6 +327,12 @@ def _net_rows(a: NetlistArrays) -> list[tuple[str, float, list[tuple]]]:
             for k, (name, weight) in enumerate(zip(a.net_names, a.net_weight.tolist()))]
 
 
+def index_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The index ranges first[k], ..., first[k] + count[k] - 1, concatenated."""
+    end = np.cumsum(count)
+    return np.arange(end[-1] if end.size else 0) + np.repeat(first + count - end, count)
+
+
 def pin_table(names: Iterable[str], weights, sizes, pins) -> NetTable:
     """A `NetTable` from each net's name, weight and pin count, and one
     (owner, dx, dy, marked) row per pin, net by net."""

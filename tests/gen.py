@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+from gridplace.cost import CostConfig
 from gridplace.geometry import build_grid
 from gridplace.netlist import (
     Canvas,
@@ -348,6 +349,55 @@ def shuffle_instance(seed):
             for t, n in enumerate(nodes[: min(4, len(nodes))])]
     netlist = Netlist(nodes=nodes, nets=[Net("net0", pins)], canvas=canvas)
     return netlist, placement, grid
+
+
+def edge_coordinate(rng, pitch, n, half):
+    """A center coordinate that puts an outline of half extent `half` on one
+    of the n + 1 cell edges `pitch` apart, its center on an edge or a cell
+    center, partly or wholly past either canvas edge, or anywhere."""
+    k = rng.randint(0, n)
+    return rng.choice((k * pitch - half, k * pitch + half, k * pitch, (k + 0.5) * pitch,
+                       -half / 2, n * pitch + half / 2, -3 * half - pitch, n * pitch + 2 * half + pitch,
+                       rng.uniform(-pitch, (n + 1) * pitch)))
+
+
+def raster_instance(seed):
+    """Macros, clusters, standard cells and ports whose outlines meet the
+    density and macro-congestion rasteriser's boundary cases.
+
+    Cell pitches and sides are mostly exact binary fractions, so that an
+    outline placed on a cell edge lands on it exactly. Sides are zero, whole
+    or half cells, or random; centers come from `edge_coordinate`. The cost
+    config scales each macro-congestion surface separately, one of them
+    possibly by zero. Net weights are integers, so the memo runs. Returns
+    (netlist, placement, grid, cost config).
+    """
+    rng = random.Random(seed)
+    n_cols, n_rows = rng.randint(1, 9), rng.randint(1, 9)
+    pitch_w = rng.choice((1.0, 2.5, 4.0, rng.uniform(0.5, 10.0)))
+    pitch_h = rng.choice((1.0, 2.5, 4.0, rng.uniform(0.5, 10.0)))
+    grid = build_grid(Canvas(pitch_w * n_cols, pitch_h * n_rows), n_cols, n_rows)
+
+    def side(pitch):
+        return rng.choice((0.0, pitch, 0.5 * pitch, 2.0 * pitch, rng.uniform(0.0, 3.0 * pitch)))
+
+    kinds = (NodeKind.MACRO, NodeKind.MACRO, NodeKind.MACRO, NodeKind.CLUSTER, NodeKind.CLUSTER,
+             NodeKind.STDCELL, NodeKind.PORT)
+    nodes, placement = [], {}
+    for i in range(rng.randint(1, 14)):
+        kind = rng.choice(kinds)
+        w, h = (0.0, 0.0) if kind is NodeKind.PORT else (side(grid.cell_w), side(grid.cell_h))
+        nodes.append(Node(f"n{i}", kind, w, h, movable=kind is not NodeKind.PORT and rng.random() < 0.8))
+        placement[f"n{i}"] = Pose(edge_coordinate(rng, grid.cell_w, n_cols, w / 2),
+                                  edge_coordinate(rng, grid.cell_h, n_rows, h / 2), rng.choice(ORIENTS))
+    nets = []
+    for j in range(rng.randint(0, 6) if len(nodes) > 1 else 0):
+        members = rng.sample(nodes, rng.randint(2, min(5, len(nodes))))
+        nets.append(Net(f"net{j}", [Pin(m.name, rng.uniform(-m.width, m.width) / 2,
+                                        rng.uniform(-m.height, m.height) / 2, is_source=t == 0)
+                                    for t, m in enumerate(members)], weight=float(rng.randint(1, 3))))
+    config = CostConfig(macro_h_usage=rng.choice((1.0, 0.0, 2.5)), macro_v_usage=rng.choice((1.0, 0.0, 0.75)))
+    return Netlist(nodes=nodes, nets=nets, canvas=grid.canvas), placement, grid, config
 
 
 THREE_CELL_SHAPES = ("row", "col", "row+col", "tie-row", "tie-col", "star", "any")

@@ -10,7 +10,10 @@ The force-directed reference, `fd_place_dense`, is the dense O(n^2) numpy
 definition: every node pair is tested for overlap in (n, n) arrays. The
 .nets reference, `parse_nets`, reads a file one line at a time; it shares
 only the package's line iterator and header-count helpers. The initializers'
-reference, `place_macros`, tests the grid cells one at a time.
+reference, `place_macros`, tests the grid cells one at a time. The density
+and macro-congestion references `density_grid_dense` and
+`macro_congestion_dense` are the dense numpy definitions: every node against
+every column and row edge, contracted with `einsum`.
 
 Grids are nested lists indexed [col][row]; cell (0, 0) is the lower-left
 cell; h[c][r] is demand on the right boundary of cell (c, r), v[c][r] on the
@@ -368,6 +371,57 @@ def macro_demand(netlist, placement, grid, h_usage=1.0, v_usage=1.0):
                 ov = min(x2, lo + grid.cell_w) - max(x1, lo)
                 if ov > 0.0:
                     v[c][r] += ov * v_usage / grid.v_capacity
+    return h, v
+
+
+# ---------------------------------------------------------------------------
+# The dense numpy forms of density and macro congestion: every node clipped
+# against every column and row edge, contracted with `einsum`, which adds the
+# terms of each cell in node order. The Evaluator sums one entry per
+# (node, cell) overlap in that order, so the two agree bit for bit.
+
+
+def _clipped_widths(lo, hi, edges):
+    return np.diff(np.clip(edges[None, :], lo[:, None], hi[:, None]), axis=1)
+
+
+def _dense_outlines(arrays, mask, x, y):
+    return ((x - arrays.half_w)[mask], (x + arrays.half_w)[mask],
+            (y - arrays.half_h)[mask], (y + arrays.half_h)[mask])
+
+
+def _edges(grid):
+    return np.arange(grid.n_cols + 1) * grid.cell_w, np.arange(grid.n_rows + 1) * grid.cell_h
+
+
+def density_grid_dense(netlist, grid, x, y):
+    """Per-cell overlap area of the macros and clusters / cell area."""
+    a = netlist.arrays
+    m = a.is_macro | a.is_cluster
+    if not m.any():
+        return np.zeros((grid.n_cols, grid.n_rows))
+    x1, x2, y1, y2 = _dense_outlines(a, m, x, y)
+    col_edges, row_edges = _edges(grid)
+    wx, wy = _clipped_widths(x1, x2, col_edges), _clipped_widths(y1, y2, row_edges)
+    return np.einsum("ni,nj->ij", wx, wy) / (grid.cell_w * grid.cell_h)
+
+
+def macro_congestion_dense(netlist, grid, x, y, h_usage=1.0, v_usage=1.0):
+    """(h, v) macro demand / capacity: each right (top) cell boundary strictly
+    inside a macro takes its overlap with the boundary's row (column)."""
+    a = netlist.arrays
+    m = a.is_macro
+    if not m.any():
+        return np.zeros((grid.n_cols, grid.n_rows)), np.zeros((grid.n_cols, grid.n_rows))
+    x1, x2, y1, y2 = _dense_outlines(a, m, x, y)
+    col_edges, row_edges = _edges(grid)
+    bx, by = col_edges[1:], row_edges[1:]
+    cross_h = (x1[:, None] < bx[None, :]) & (bx[None, :] < x2[:, None])
+    h = np.einsum("mc,mr->cr", cross_h.astype(float), _clipped_widths(y1, y2, row_edges))
+    h *= h_usage / grid.h_capacity
+    cross_v = (y1[:, None] < by[None, :]) & (by[None, :] < y2[:, None])
+    v = np.einsum("mr,mc->cr", cross_v.astype(float), _clipped_widths(x1, x2, col_edges))
+    v *= v_usage / grid.v_capacity
     return h, v
 
 

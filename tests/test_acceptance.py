@@ -158,7 +158,7 @@ def test_criterion_05():
     assert time.monotonic() - t0 < 300.0
 
 
-def _sa_instance(offset=0.0):
+def _sa_instance(offset=0.0, cluster=cluster_by_grid):
     """Criterion 06's instance; `offset` moves the macro pins off center, so
     that mirroring a macro changes the cost."""
     nodes = [
@@ -184,7 +184,7 @@ def _sa_instance(offset=0.0):
         "blk": Pose(50.0, 50.0, Orientation.N),
         "p0": Pose(0.0, 30.0, Orientation.N),
     }
-    cnl = cluster_by_grid(netlist, initial, grid)
+    cnl = cluster(netlist, initial, grid)
     fixed = {"blk": initial["blk"], "p0": initial["p0"]}
     return cnl, fixed
 

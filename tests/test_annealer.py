@@ -120,18 +120,23 @@ def test_initializers_match_cell_by_cell_scan_small_instances():
 
 
 def test_initializers_match_cell_by_cell_scan_on_crowded_grids():
-    # Fixed macros on cell centers, zero-width, tolerance-sized and
-    # wider-than-a-cell macros, neighbours that overlap by less than the
-    # tolerance, stale locations, and unplaceable macros.
-    placed = fixed_on_center = 0
+    # Fixed macros on cell centers, or off them covering other centers,
+    # zero-width, tolerance-sized and wider-than-a-cell macros, neighbours
+    # that overlap by less than the tolerance, stale locations, and
+    # unplaceable macros.
+    placed = fixed_on_center = fixed_covering = 0
     for seed in range(400):
         netlist, placement, grid = initializer_instance(seed)
         placed += _initializers_match_reference(netlist, grid, placement)
         centers = {grid.cell_center(c, r) for c in range(grid.n_cols) for r in range(grid.n_rows)}
-        fixed_on_center += any(n.kind == NodeKind.MACRO and not n.movable
-                               and min(n.width, n.height) > 2 * grid.tol
-                               and placement[n.name][:2] in centers for n in netlist.nodes)
-    assert 100 <= placed <= 300 and fixed_on_center >= 50
+        fixed = [n for n in netlist.nodes if n.kind == NodeKind.MACRO and not n.movable]
+        fixed_on_center += any(min(n.width, n.height) > 2 * grid.tol
+                               and placement[n.name][:2] in centers for n in fixed)
+        fixed_covering += any(placement[n.name][:2] != c
+                              and n.width / 2 - abs(placement[n.name].x - c[0]) > grid.tol
+                              and n.height / 2 - abs(placement[n.name].y - c[1]) > grid.tol
+                              for n in fixed for c in centers)
+    assert 100 <= placed <= 300 and fixed_on_center >= 50 and fixed_covering >= 50
 
 
 def test_config_validation():

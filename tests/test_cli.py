@@ -121,6 +121,17 @@ def test_evaluate_breakdown(design, capsys):
     assert "grid_cols = 3" in manifest
 
 
+def test_evaluate_on_a_fine_grid(design, capsys):
+    """A 100,000-column grid scores like any other: one result, no traceback."""
+    net, pl, tmp = design
+    assert main([
+        "evaluate", "--netlist", str(net), "--initial", str(pl),
+        "--grid-cols", "100000", "--grid-rows", "3", "--out-dir", str(tmp),
+    ]) == 0
+    kv, err = _kv(capsys)
+    assert float(kv["total"]) > 0.0 and "Traceback" not in err
+
+
 def test_evaluate_vacuous_override(design, capsys):
     net, pl, tmp = design
     assert main([
