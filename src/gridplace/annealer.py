@@ -27,7 +27,7 @@ import numpy as np
 
 from .clustering import ClusteredNetlist
 from .cost import CostConfig, Evaluator, ProxyBreakdown, ProxyWeights
-from .errors import InitFailed, OutOfRange, Unplaceable
+from .errors import InitFailed, InvalidSetting, OutOfRange, Unplaceable
 from .fd import FDParams, fd_place
 from .geometry import Grid, MacroState
 from .netlist import Netlist, Placement, PlacementState, write_text
@@ -68,6 +68,7 @@ class SAConfig:
             raise OutOfRange(f"epoch_len must be >= 1, got {self.epoch_len}")
         if self.fd_interval_multiplier is not None and self.fd_interval_multiplier < 1:
             raise OutOfRange(f"fd_interval_multiplier must be >= 1, got {self.fd_interval_multiplier}")
+        _action_probs(self.action_weights)
 
 
 @dataclass
@@ -187,11 +188,17 @@ def _action_probs(weights: dict | None) -> np.ndarray:
         return np.full(len(ACTIONS), 1.0 / len(ACTIONS))
     bad = set(weights) - set(ACTIONS)
     if bad:
-        raise ValueError(f"unknown action(s) {sorted(bad)}; valid: {ACTIONS}")
-    p = np.array([max(0.0, float(weights.get(a, 0.0))) for a in ACTIONS])
-    s = p.sum()
+        raise InvalidSetting(f"unknown action(s) {sorted(bad)}; valid: {ACTIONS}")
+    raw = [float(weights.get(a, 0.0)) for a in ACTIONS]
+    if not all(map(math.isfinite, raw)):
+        raise InvalidSetting(f"action weights must be finite, got {weights}")
+    p = np.array([max(0.0, w) for w in raw])
+    with np.errstate(over="ignore"):
+        s = p.sum()
+    if not math.isfinite(s):
+        raise InvalidSetting("action weights sum to more than the largest float")
     if s <= 0:
-        raise ValueError("action weights sum to zero")
+        raise InvalidSetting("action weights sum to zero")
     return p / s
 
 
@@ -400,7 +407,7 @@ def derive_worker_seeds(seeds, n_workers: int) -> list:
     """Block-split seeds over workers: two seeds -> half/half, one per worker
     when counts match, contiguous blocks otherwise."""
     if not seeds:
-        raise ValueError("need at least one seed")
+        raise InvalidSetting("need at least one seed")
     return [seeds[i * len(seeds) // n_workers] for i in range(n_workers)]
 
 
@@ -415,7 +422,7 @@ def run_parallel(cnl: ClusteredNetlist, fixed: Placement, base_config: SAConfig,
     window measured from launch.
     """
     if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
+        raise InvalidSetting("n_workers must be >= 1")
     worker_seeds = derive_worker_seeds(list(seeds), n_workers)
     configs = [replace(base_config, seed=s) for s in worker_seeds]
     deadline = time.monotonic() + wall_clock_budget if wall_clock_budget is not None else None

@@ -230,7 +230,8 @@ def _load_design(args):
                                lambda t: _numbers(t[len("point:"):], float, 2), "point:X,Y")
             base.update(apply_vacuous_placement(netlist, "point", (x, y)))
         else:
-            base.update(apply_vacuous_placement(netlist, args.vacuous))
+            base.update(_parse_flag("--vacuous", args.vacuous, lambda m: apply_vacuous_placement(netlist, m),
+                                    "lower-left, upper-right or point:X,Y"))
     return netlist, base
 
 

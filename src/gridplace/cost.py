@@ -36,29 +36,28 @@ same products in the same order as the dense clip-and-`einsum` form
 the cells plus the overlaps rather than with nodes x columns.
 
 One `Evaluator` that scores a sequence of placements, as the annealer's does,
-re-scores only what changed. Every component keeps a private memo of its
-last inputs and results. `components` compares the new node arrays with the
-last ones it scored by bit pattern (so -0.0 and 0.0 differ) once and hands
-the moved nodes to all four components; a component called on its own, or
-whose memo holds other inputs, compares its memo's inputs itself.
-  * Wirelength recomputes the HPWL of the nets with a pin on a moved node
-    (found through a node->net index built once) and takes the same
+re-scores only what changed. It keeps one memo: the node arrays the last
+`components` call scored and each component's results. `components` compares
+the new arrays with the memo's by bit pattern (so -0.0 and 0.0 differ) once,
+which gives the moved nodes and, through a node->net index built once, the
+nets with a pin on one. It hands both to the four components:
+  * Wirelength recomputes the HPWL of those nets and takes the same
     weighted sum over all nets.
   * Density and macro congestion keep each node's entries and build again
     only the moved nodes' entries; clusters, which stay put between FD
     passes, keep theirs.
-  * Net congestion routes the touched nets at their new positions only. A
-    route store holds, per pin, the ends of at most one L route of the last
+  * Net congestion routes those nets at their new positions only. A route
+    store holds, per pin, the ends of at most one L route of the last
     routing (4 integers per pin), so the old entries are read back rather
     than routed again: one `np.bincount` per direction adds the new entries
     to the memo's difference arrays and takes the old ones out. With
     integer net weights, which covers all Bookshelf input, these sums are
     exact in any order, so the grids equal a full routing. With any other
     weight it always routes all nets.
-Wirelength and net congestion make a full pass, which refreshes the memo,
-when there is no memo or when the touched nets hold more than
-MEMO_PIN_SHARE of all pins, as after an FD pass. Every result equals a
-fresh `Evaluator`'s bit for bit.
+Every component makes a full pass when there is no memo or when the nets
+hold more than MEMO_PIN_SHARE of all pins, as after an FD pass. Every result
+equals a fresh `Evaluator`'s bit for bit. A component called on its own is a
+plain full pass: it neither reads nor writes the memo or the route store.
 
 Grids are numpy arrays indexed [col, row]; cell (0, 0) is lower-left.
 """
@@ -268,25 +267,28 @@ def _spliced(old, new, gone: np.ndarray):
     return tuple(m[order] for m in merged)
 
 
-def _changed(before, arrays):
-    """The ids of the nodes whose entry in any of `arrays` differs from
-    `before`'s by bit pattern, so that -0.0 and 0.0 differ; None when the
-    shapes differ."""
-    if any(np.shape(a) != b.shape for a, b in zip(arrays, before)):
-        return None
-    moved = np.zeros(before[0].shape, dtype=bool)
-    for a, b in zip(arrays, before):
-        moved |= np.asarray(a, dtype=float).view(np.int64) != b.view(np.int64)
-    return np.flatnonzero(moved)
+@dataclass
+class _Memo:
+    """A copy of the (x, y, sx, sy) arrays one `components` call scored, and
+    what each component keeps of its results: each net's HPWL, the density
+    and macro-congestion entry sets, and the net routes' horizontal and
+    vertical difference arrays."""
+    arrays: tuple = ()
+    hp: np.ndarray | None = None
+    density: list | None = None
+    macro: list | None = None
+    diffs: tuple | None = None
 
 
 class _Step(NamedTuple):
-    """One `components` call: copies of the arrays it scores, those of the
-    call before, and the ids of the nodes that moved in between (`before` is
-    None when the two do not compare)."""
-    before: tuple | None
-    moved: np.ndarray | None
-    after: tuple
+    """One `components` call: the memo this call fills in, the memo of the
+    call before, and the ascending ids of the nodes moved since then and of
+    the nets with a pin on one. A full pass reads the empty memo, which no
+    one writes."""
+    memo: _Memo
+    last: _Memo = _Memo()
+    moved: np.ndarray | None = None
+    nets: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +306,10 @@ MEMO_PIN_SHARE = 0.6
 class Evaluator:
     """Vectorized proxy-cost evaluation for a fixed netlist and grid.
 
-    Every component keeps a private memo of its last inputs and results and
+    `components` keeps one memo of the last placement it scored and
     recomputes only what the node arrays changed since then (module
-    docstring). Results are those of a full pass, bit for bit.
+    docstring); a component called on its own is a pure full pass. Results
+    are those of a full pass, bit for bit.
     """
 
     def __init__(self, netlist: Netlist, grid: Grid, config: CostConfig | None = None):
@@ -332,8 +335,7 @@ class Evaluator:
         w = a.net_weight
         self._exact_sums = bool(np.all(w == np.round(w))
                                 and 6.0 * float(np.dot(np.abs(w), self._net_size)) < 2.0 ** 53)
-        self._memo: dict = {}
-        self._last = None        # the arrays the last `components` call scored
+        self._memo: _Memo | None = None   # None while a `components` call runs
         self._routes = None      # per pin, the ends of one L route; built by a full routing
         self._col_edges = np.arange(grid.n_cols + 1) * grid.cell_w
         self._row_edges = np.arange(grid.n_rows + 1) * grid.cell_h
@@ -371,44 +373,26 @@ class Evaluator:
     # -- the memo
 
     def _step(self, arrays) -> _Step:
-        """Copy `arrays` and find the nodes that moved since the last call."""
-        before = self._last
-        self._last = after = tuple(np.array(a, dtype=float) for a in arrays)
-        moved = None if before is None else _changed(before, arrays)
-        return _Step(None if moved is None else before, moved, after)
-
-    def _moved(self, key: str, arrays, step: _Step | None):
-        """(memo, moved): the memo `key` and the ids of the nodes whose entry
-        in any of `arrays` differs from its inputs, or (None, None) when there
-        is no such memo. A memo of the arrays `step` starts from takes its
-        ids; any other compares its inputs."""
-        memo = self._memo.get(key)
-        if memo is None:
-            return None, None
-        if step is not None and memo["inputs"] is step.before:
-            return memo, step.moved
-        moved = _changed(memo["inputs"], arrays)
-        return (None, None) if moved is None else (memo, moved)
-
-    def _touched(self, key: str, arrays, step: _Step | None):
-        """(memo, nets): the memo `key` and the ascending ids of the nets with
-        a pin on a moved node, or (None, None) for a full pass: there is no
-        memo, or those nets hold more than MEMO_PIN_SHARE of all pins."""
-        memo, nodes = self._moved(key, arrays, step)
-        limit = MEMO_PIN_SHARE * self._pin_net.size
-        # The moved nodes' own pins bound their nets' pins from below.
-        if memo is None or self._node_pins[nodes].sum() > limit:
-            return None, None
-        touched = np.zeros(self._n_nets, dtype=bool)
-        touched[self._node_nets[index_ranges(self._node_start[nodes], self._node_pins[nodes])]] = True
-        nets = np.flatnonzero(touched)
-        if self._net_size[nets].sum() > limit:
-            return None, None
-        return memo, nets
-
-    def _remember(self, key: str, arrays, step: _Step | None, **results) -> None:
-        inputs = step.after if step is not None else tuple(np.array(a, dtype=float) for a in arrays)
-        self._memo[key] = {"inputs": inputs, **results}
+        """Take the memo, so that a call that raises leaves none and the
+        components may update its arrays in place, and find the nodes moved
+        since it and the nets with a pin on one: a full pass when there is
+        no memo or those nets hold more than MEMO_PIN_SHARE of all pins."""
+        last, self._memo = self._memo, None
+        arrays = tuple(np.array(a, dtype=float) for a in arrays)
+        if last is not None:
+            moved = np.zeros(arrays[0].size, dtype=bool)
+            for a, b in zip(arrays, last.arrays):
+                moved |= a.view(np.int64) != b.view(np.int64)
+            nodes = np.flatnonzero(moved)
+            limit = MEMO_PIN_SHARE * self._pin_net.size
+            # The moved nodes' own pins bound their nets' pins from below.
+            if self._node_pins[nodes].sum() <= limit:
+                touched = np.zeros(self._n_nets, dtype=bool)
+                touched[self._node_nets[index_ranges(self._node_start[nodes], self._node_pins[nodes])]] = True
+                nets = np.flatnonzero(touched)
+                if self._net_size[nets].sum() <= limit:
+                    return _Step(_Memo(arrays), last, nodes, nets)
+        return _Step(_Memo(arrays))
 
     # -- components
 
@@ -423,14 +407,13 @@ class Evaluator:
     def wirelength_from_arrays(self, x, y, sx, sy, step: _Step | None = None) -> float:
         if self._n_nets == 0:
             return 0.0
-        memo, nets = self._touched("wirelength", (x, y, sx, sy), step)
-        if memo is None:
+        step = step or _Step(_Memo())
+        hp = step.last.hp
+        if hp is None:
             hp = self._net_hpwl(x, y, sx, sy)
-        else:
-            hp = memo["hp"].copy()
-            if nets.size:
-                hp[nets] = self._net_hpwl(x, y, sx, sy, nets)
-        self._remember("wirelength", (x, y, sx, sy), step, hp=hp)
+        elif step.nets.size:
+            hp[step.nets] = self._net_hpwl(x, y, sx, sy, step.nets)
+        step.memo.hp = hp
         norm = self.netlist.canvas.width + self.netlist.canvas.height
         # numpy's pairwise sum, not np.dot: BLAS rounds by its thread count.
         return float(np.add.reduce(self._arrays.net_weight * hp) / norm / self._n_nets)
@@ -455,38 +438,37 @@ class Evaluator:
         return [_products(ids, _crossed_spans(x1, x2, self._col_edges), rows, n),
                 _products(ids, cols, _crossed_spans(y1, y2, self._row_edges), n)]
 
-    def _surfaces(self, key: str, mask, x, y, step, entries):
-        """The per-cell sums, in node order, of each entry set that `entries`
-        builds for the nodes of `mask`. With a memo only the moved nodes'
-        entries are built again."""
+    def _surfaces(self, mask, x, y, sets, moved, entries):
+        """(sets, sums): each entry set that `entries` builds for the nodes
+        of `mask`, and its per-cell sums in node order. Given the last
+        call's `sets`, only the `moved` nodes' entries are built again."""
         g = self.grid
-        memo, moved = self._moved(key, (x, y), step)
-        if memo is None:
+        if sets is None:
             sets = entries(np.flatnonzero(mask), x, y)
-        else:
-            ids = moved[mask[moved]]
-            sets = memo["sets"]
-            if ids.size:
-                gone = np.zeros(mask.size, dtype=bool)
-                gone[ids] = True
-                sets = [_spliced(old, new, gone) for old, new in zip(sets, entries(ids, x, y))]
-        self._remember(key, (x, y), step, sets=sets)
-        return [np.bincount(cell, value, minlength=g.n_cells).reshape(g.n_cols, g.n_rows)
-                for _, cell, value in sets]
+        elif (ids := moved[mask[moved]]).size:
+            gone = np.zeros(mask.size, dtype=bool)
+            gone[ids] = True
+            sets = [_spliced(old, new, gone) for old, new in zip(sets, entries(ids, x, y))]
+        return sets, [np.bincount(cell, value, minlength=g.n_cells).reshape(g.n_cols, g.n_rows)
+                      for _, cell, value in sets]
 
     def density_grid_from_arrays(self, x, y, step: _Step | None = None) -> np.ndarray:
         g = self.grid
-        (area,) = self._surfaces("density", self._density_mask, x, y, step, self._density_entries)
+        step = step or _Step(_Memo())
+        step.memo.density, (area,) = self._surfaces(self._density_mask, x, y, step.last.density, step.moved,
+                                                    self._density_entries)
         return area / (g.cell_w * g.cell_h)
 
     def macro_congestion_from_arrays(self, x, y, step: _Step | None = None):
         g = self.grid
-        h, v = self._surfaces("macro_congestion", self._arrays.is_macro, x, y, step, self._macro_entries)
+        step = step or _Step(_Memo())
+        step.memo.macro, (h, v) = self._surfaces(self._arrays.is_macro, x, y, step.last.macro, step.moved,
+                                                 self._macro_entries)
         return h * (self.config.macro_h_usage / g.h_capacity), v * (self.config.macro_v_usage / g.v_capacity)
 
-    def _route(self, x, y, sx, sy, nets=slice(None)):
-        """Route `nets` (ascending ids, or all nets) and record their routes
-        in the route store.
+    def _route(self, x, y, sx, sy, nets=slice(None), store=False):
+        """Route `nets` (ascending ids, or all nets) and, with `store`,
+        record their routes in the route store.
 
         Every net is routed at once on whole arrays, as L routes: k == 2 and
         k > 3 nets as a star of source-anchored L routes, three-cell nets as
@@ -535,54 +517,56 @@ class Evaluator:
         ends3 = _l_ends(*_three_cell_routes(ordered, g.n_rows), g.n_rows)
         ends = [np.concatenate([e, e3.ravel()]) for e, e3 in zip(_l_ends(cs, rs, ct, rt, g.n_rows), ends3)]
         w3 = w_of[tri][::3]
-        net_first = a.net_start[:-1][nets]
-        rank = np.arange(uniq.size) - (np.cumsum(counts) - counts)[unet]
-        slots = np.concatenate([net_first[unet[lmask]] + rank[lmask],
-                                (net_first[unet[tri][::3], None] + np.arange(2)).ravel()])
-        if self._routes is None:
-            small = (g.n_cols + 1) * (g.n_rows + 1) < 2 ** 31
-            self._routes = np.zeros((a.pin_owner.size, 4), dtype=np.int32 if small else np.intp)
-        # Each row is written as one item: fancy indexing of rows costs
-        # several times as much.
-        rows = self._routes.view(f"V{4 * self._routes.itemsize}")[:, 0]
-        rows[pins] = np.zeros(4, dtype=self._routes.dtype).view(rows.dtype)
-        rows[slots] = np.stack(ends, axis=1, dtype=self._routes.dtype).view(rows.dtype)[:, 0]
+        if store:
+            net_first = a.net_start[:-1][nets]
+            rank = np.arange(uniq.size) - (np.cumsum(counts) - counts)[unet]
+            slots = np.concatenate([net_first[unet[lmask]] + rank[lmask],
+                                    (net_first[unet[tri][::3], None] + np.arange(2)).ravel()])
+            if self._routes is None:
+                small = (g.n_cols + 1) * (g.n_rows + 1) < 2 ** 31
+                self._routes = np.zeros((a.pin_owner.size, 4), dtype=np.int32 if small else np.intp)
+            # Each row is written as one item: fancy indexing of rows costs
+            # several times as much.
+            rows = self._routes.view(f"V{4 * self._routes.itemsize}")[:, 0]
+            rows[pins] = np.zeros(4, dtype=self._routes.dtype).view(rows.dtype)
+            rows[slots] = np.stack(ends, axis=1, dtype=self._routes.dtype).view(rows.dtype)[:, 0]
         return ends, np.concatenate([w_of[lmask], np.repeat(w3, 2)]), int(lmask.sum())
 
     def net_congestion_from_arrays(self, x, y, sx, sy, step: _Step | None = None):
         """Unsmoothed net routing demand / capacity.
 
-        With a memo, only the nets of the moved nodes are routed, at their
-        new positions. Their old routes come from the route store: one
-        `np.bincount` per direction adds the new routes' entries to the
-        memo's difference arrays and takes the old ones out. This path needs
-        integer net weights, whose sums are exact in any order.
+        Given the last call's results, only the step's nets are routed, at
+        their new positions, and their old routes are read from the route
+        store, which only a call with a step writes: one `np.bincount` per
+        direction adds the new routes' entries to the last difference arrays
+        and takes the old ones out. This needs integer net weights, whose
+        sums are exact in any order.
         """
         g = self.grid
         if self._n_nets == 0:
             return np.zeros((g.n_cols, g.n_rows)), np.zeros((g.n_cols, g.n_rows))
-        memo, nets = (self._touched("net_congestion", (x, y, sx, sy), step) if self._exact_sums
-                      else (None, None))
+        store = step is not None
+        step = step or _Step(_Memo())
         h_shape, v_shape = (g.n_cols + 1, g.n_rows), (g.n_cols, g.n_rows + 1)
-        if memo is None:
-            (h_lo, h_hi, v_lo, v_hi), w, k = self._route(x, y, sx, sy)
+        if step.last.diffs is None or not self._exact_sums:
+            (h_lo, h_hi, v_lo, v_hi), w, k = self._route(x, y, sx, sy, store=store)
             hdiff = _ordered_diff(h_lo, h_hi, w, k, h_shape[0] * h_shape[1]).reshape(h_shape)
             vdiff = _ordered_diff(v_lo, v_hi, w, k, v_shape[0] * v_shape[1]).reshape(v_shape)
-        elif nets.size == 0:
-            hdiff, vdiff = memo["hdiff"], memo["vdiff"]
+        elif step.nets.size == 0:
+            hdiff, vdiff = step.last.diffs
         else:
-            pins = self._net_pins(nets)[0]
+            pins = self._net_pins(step.nets)[0]
             old = np.take(self._routes, pins, axis=0)
-            ends, w, _ = self._route(x, y, sx, sy, nets)
+            ends, w, _ = self._route(x, y, sx, sy, step.nets, store=True)
             old_w = self._arrays.net_weight[self._pin_net[pins]]
             wts = np.concatenate([w, -w, -old_w, old_w])
 
             def delta(lo, hi, shape):
                 idx = np.concatenate([ends[lo], ends[hi], old[:, lo], old[:, hi]])
                 return np.bincount(idx, wts, minlength=shape[0] * shape[1]).reshape(shape)
-            hdiff = memo["hdiff"] + delta(0, 1, h_shape)
-            vdiff = memo["vdiff"] + delta(2, 3, v_shape)
-        self._remember("net_congestion", (x, y, sx, sy), step, hdiff=hdiff, vdiff=vdiff)
+            hdiff = step.last.diffs[0] + delta(0, 1, h_shape)
+            vdiff = step.last.diffs[1] + delta(2, 3, v_shape)
+        step.memo.diffs = hdiff, vdiff
         h = np.cumsum(hdiff, axis=0)[:g.n_cols]
         v = np.cumsum(vdiff, axis=1)[:, :g.n_rows]
         return h / g.h_capacity, v / g.v_capacity
@@ -604,6 +588,7 @@ class Evaluator:
         dens = top_fraction_mean(self.density_grid_from_arrays(x, y, step), 0.10)
         hc, vc = self.congestion_surfaces_from_arrays(x, y, sx, sy, step)
         cong = top_fraction_mean(np.concatenate([hc.ravel(), vc.ravel()]), 0.05)
+        self._memo = step.memo
         return wl, dens, cong
 
     def breakdown(self, placement: Placement, weights: ProxyWeights | None = None) -> ProxyBreakdown:

@@ -88,6 +88,11 @@ class IncompletePlacement(GridPlaceError):
     """A placement to be written does not cover every movable node."""
 
 
+class InvalidSetting(GridPlaceError, ValueError):
+    """An annealing setting that cannot be used: action weights, the worker
+    count or the seed list."""
+
+
 class LengthMismatch(GridPlaceError, ValueError):
     """Paired sequences have different lengths."""
 

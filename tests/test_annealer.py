@@ -23,7 +23,7 @@ from gridplace.annealer import (
 )
 from gridplace.bookshelf import parse_aux, parse_bookshelf, read_placement
 from gridplace.clustering import cluster_by_grid
-from gridplace.errors import InitFailed, OutOfRange, Unplaceable
+from gridplace.errors import InitFailed, InvalidSetting, OutOfRange, Unplaceable
 from gridplace.fd import FDParams
 from gridplace.geometry import build_grid, placement_is_legal
 from gridplace.netlist import (
@@ -327,6 +327,11 @@ def test_action_weights_restrict_moves():
         anneal(cnl, fixed, replace(cfg, action_weights={"teleport": 1.0}))
     with pytest.raises(ValueError):
         anneal(cnl, fixed, replace(cfg, action_weights={"swap": 0.0}))
+    # Weights that are not finite, or whose sum is not, fail in the config,
+    # before an initializer or FD runs.
+    for bad in ({"swap": math.inf}, {"swap": math.nan, "move": 1.0}, {"swap": 1e308, "move": 1e308}):
+        with pytest.raises(InvalidSetting):
+            replace(cfg, action_weights=bad)
 
 
 def test_derive_worker_seeds():
@@ -334,7 +339,7 @@ def test_derive_worker_seeds():
     assert derive_worker_seeds([5, 6, 7], 3) == [5, 6, 7]
     assert derive_worker_seeds([9], 3) == [9, 9, 9]
     assert derive_worker_seeds(list(range(8)), 2) == [0, 4]
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSetting):
         derive_worker_seeds([], 2)
 
 
@@ -403,7 +408,7 @@ def test_run_parallel_partial_failure(monkeypatch):
 
 def test_run_parallel_validates_workers():
     cnl, fixed = _macro_fixture()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSetting):
         run_parallel(cnl, fixed, SAConfig(max_steps=0), n_workers=0, seeds=[0])
 
 

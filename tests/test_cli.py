@@ -206,7 +206,8 @@ def test_unknown_config_key_is_diagnosed(design, tmp_path, capsys):
 
 def test_bad_action_weights_are_diagnosed(design, capsys):
     net, pl, tmp = design
-    for bad in ("bogus", "swap=x", "teleport=1", "swap=0", "swap=1,,move=1"):
+    for bad in ("bogus", "swap=x", "teleport=1", "swap=0", "swap=1,,move=1", "swap=inf",
+                "swap=1e308,move=1e308", "swap=nan,move=1"):
         assert main([
             "sa", "--netlist", str(net), "--initial", str(pl), "--steps", "2",
             "--sequential", "--action-weights", bad, "--out-dir", str(tmp),
@@ -395,7 +396,7 @@ def test_sa_config_takes_the_annealing_flags():
 
 def test_bad_vacuous_point_is_diagnosed(design, capsys):
     net, pl, tmp = design
-    for bad in ("point:1", "point:a,b", "point:1,2,3", "point:"):
+    for bad in ("point:1", "point:a,b", "point:1,2,3", "point:", "bogus", "point"):
         assert main(["evaluate", "--netlist", str(net), "--initial", str(pl),
                      "--vacuous", bad, "--out-dir", str(tmp)]) == 2
         assert "--vacuous" in _one_line_error(capsys)

@@ -52,9 +52,9 @@ def routes(monkeypatch):
     seen = []
     original = Evaluator._route
 
-    def spy(self, x, y, sx, sy, nets=slice(None)):
+    def spy(self, x, y, sx, sy, nets=slice(None), store=False):
         seen.append(None if isinstance(nets, slice) else len(nets))
-        return original(self, x, y, sx, sy, nets)
+        return original(self, x, y, sx, sy, nets, store)
     monkeypatch.setattr(Evaluator, "_route", spy)
     return seen
 
@@ -70,8 +70,9 @@ def grid_checks(monkeypatch):
     """Checks every density and macro-congestion grid an Evaluator returns
     against a fresh Evaluator's and the dense oracle's, the horizontal and
     the vertical surface each on its own, and the route store after every
-    net congestion call against a fresh Evaluator's, all bit for bit.
-    Counts the grids checked."""
+    net congestion call of a `components` call against the one a fresh
+    Evaluator's full pass builds, all bit for bit. Counts the grids
+    checked."""
     checked = {"density": 0, "macro": 0, "net": 0}
     density = Evaluator.density_grid_from_arrays
     macro = Evaluator.macro_congestion_from_arrays
@@ -99,9 +100,9 @@ def grid_checks(monkeypatch):
     def check_net(self, x, y, sx, sy, step=None):
         got = net(self, x, y, sx, sy, step)
         other = fresh(self)
-        want = net(other, x, y, sx, sy)
+        want = net(other, x, y, sx, sy, other._step((x, y, sx, sy)))
         assert _same(got[0], want[0]) and _same(got[1], want[1])
-        if self._exact_sums and self._routes is not None:
+        if step is not None:
             assert _same(self._routes, other._routes)
         checked["net"] += 1
         return got
@@ -161,13 +162,19 @@ def _history(netlist, placement, grid, seed, steps, config=None):
         elif op == "dict":
             scored = dict(st)
         elif op == "aside":
-            # One component alone scores other arrays between two `components` calls.
+            # One component alone scores other arrays between two `components`
+            # calls: a full pass that leaves the memo and the route store alone.
             other = st.copy()
             i = rng.randrange(n)
             other.x[i], other.sy[i] = rng.uniform(0.0, grid.canvas.width), -other.sy[i]
             name = rng.choice(("wirelength", "density_grid", "macro_congestion", "net_congestion"))
             args = (other.x, other.y) if "grid" in name or "macro" in name else (other.x, other.y, other.sx, other.sy)
-            getattr(ev, f"{name}_from_arrays")(*args)
+            memo, routes = ev._memo, None if ev._routes is None else ev._routes.copy()
+            got = getattr(ev, f"{name}_from_arrays")(*args)
+            want = getattr(Evaluator(netlist, grid, config), f"{name}_from_arrays")(*args)
+            assert _same(np.asarray(got), np.asarray(want)), name
+            assert ev._memo is memo
+            assert (routes is None and ev._routes is None) or _same(ev._routes, routes)
         got = ev.components(scored)
         want = Evaluator(netlist, grid, config).components(scored)
         assert got == want, (op, got, want)
@@ -304,7 +311,33 @@ def test_memo_copies_its_inputs_and_results():
     assert ev.components(st) == first
 
 
-def test_memo_counts_a_signed_zero_as_a_move():
+def test_a_call_that_raises_leaves_no_memo(monkeypatch):
+    """A `components` call that raises after its components ran, and wrote
+    the route store, leaves no memo, so the next call makes a full pass."""
+    monkeypatch.setattr(cost, "MEMO_PIN_SHARE", 1.0)
+    smooth = cost.smooth_grid
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected")
+    for seed in range(10):
+        netlist, placement, grid = three_cell_instance(seed)
+        rng = random.Random(seed)
+        ev = Evaluator(netlist, grid)
+        st = PlacementState.of(netlist.arrays, placement).copy()
+        ev.components(st)
+        for i in rng.sample(range(st.x.size), 2):
+            st.x[i], st.y[i] = grid.cell_center(rng.randrange(grid.n_cols), rng.randrange(grid.n_rows))
+        monkeypatch.setattr(cost, "smooth_grid", fail)
+        with pytest.raises(RuntimeError, match="injected"):
+            ev.components(st)
+        assert ev._memo is None
+        monkeypatch.setattr(cost, "smooth_grid", smooth)
+        assert ev.components(st) == Evaluator(netlist, grid).components(st)
+
+
+def test_memo_counts_a_signed_zero_as_a_move(monkeypatch):
+    """The one comparison of a `components` call finds the node and its nets."""
+    monkeypatch.setattr(cost, "MEMO_PIN_SHARE", 1.0)
     netlist, placement, grid = small_instance(1)
     ev = Evaluator(netlist, grid)
     st = PlacementState.of(netlist.arrays, placement).copy()
@@ -313,6 +346,8 @@ def test_memo_counts_a_signed_zero_as_a_move():
     st.x[0] = -0.0
     step = ev._step((st.x, st.y, st.sx, st.sy))
     assert list(step.moved) == [0]
+    a = netlist.arrays
+    assert list(step.nets) == sorted(set(a.net_of_pin[a.pin_owner == 0].tolist()))
 
 
 def test_fine_grid_memory_grows_with_cells_and_overlaps():
@@ -327,15 +362,16 @@ def test_fine_grid_memory_grows_with_cells_and_overlaps():
     grid = build_grid(netlist.canvas, 100_000, 2)
     placement = {n.name: Pose(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 100.0)) for n in nodes}
     ev = Evaluator(netlist, grid)
-    x, y, _, _ = ev.node_arrays(placement)
+    x, y, sx, sy = ev.node_arrays(placement)
+    step = ev._step((x, y, sx, sy))
     tracemalloc.start()
     try:
-        dens = ev.density_grid_from_arrays(x, y)
-        ev.macro_congestion_from_arrays(x, y)
+        dens = ev.density_grid_from_arrays(x, y, step)
+        ev.macro_congestion_from_arrays(x, y, step)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    sets = ev._memo["density"]["sets"] + ev._memo["macro_congestion"]["sets"]
+    sets = step.memo.density + step.memo.macro
     bound = 6 * 8 * (grid.n_cells + sum(cell.size for _, cell, _ in sets))
     assert len(nodes) * (grid.n_cols + 1) * 8 > bound
     assert peak < bound
