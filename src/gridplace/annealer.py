@@ -426,6 +426,9 @@ def run_parallel(cnl: ClusteredNetlist, fixed: Placement, base_config: SAConfig,
     worker_seeds = derive_worker_seeds(list(seeds), n_workers)
     configs = [replace(base_config, seed=s) for s in worker_seeds]
     deadline = time.monotonic() + wall_clock_budget if wall_clock_budget is not None else None
+    # A state of cnl's own arrays travels to a worker with them, not with the
+    # netlist that it was read for.
+    fixed = PlacementState.of(cnl.netlist.arrays, fixed)
     args = [(cnl, fixed, cfg, deadline) for cfg in configs]
     if parallel and n_workers > 1:
         ctx = multiprocessing.get_context("fork")

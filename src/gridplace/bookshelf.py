@@ -15,8 +15,9 @@ Conventions handled here:
   * Movable nodes taller than the .scl row height are macros, the others are
     standard cells. Without an .scl, every movable node is a macro.
 
-The .nets reader works on the whole file's tokens at once (see
-`parse_nets`); the other files are read line by line.
+The .nodes, .nets and .pl readers take the usual spellings from the whole
+file's tokens column by column, the other lines one by one (see
+`parse_nets`); .aux and .scl files are read line by line.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import numpy as np
 
 from .errors import IncompletePlacement, InvalidDimension, MalformedLine, MissingFile
 from .netlist import (
+    KIND_CODE,
+    ORIENT_SIGNS,
     Canvas,
     Netlist,
     NetTable,
@@ -38,10 +41,9 @@ from .netlist import (
     NodeTable,
     Orientation,
     Placement,
-    Pose,
+    PlacementState,
     clamp_offsets,
     finite_float,
-    node_table,
     pin_table,
     validate_nets,
     write_text,
@@ -98,36 +100,6 @@ def parse_aux(path) -> dict[str, Path]:
     return files
 
 
-def parse_nodes(path: Path, row_height: float | None) -> NodeTable:
-    rows: list[tuple] = []   # (name, kind, width, height, movable)
-    declared = dict.fromkeys(("NumNodes", "NumTerminals"))
-    for lineno, line in _content_lines(path):
-        tok = line.split()
-        if tok[0] in declared:
-            declared[tok[0]] = _header_value(tok, path, lineno)
-            continue
-        if len(tok) < 3:
-            raise MalformedLine(path, lineno, f"expected 'name width height [terminal]', got {line!r}")
-        name = tok[0]
-        try:
-            w, h = finite_float(tok[1]), finite_float(tok[2])
-        except ValueError as exc:
-            raise MalformedLine(path, lineno, f"bad node size in {line!r}") from exc
-        if w < 0 or h < 0:
-            raise MalformedLine(path, lineno, f"negative node size in {line!r}")
-        if len(tok) > 3 and tok[3].lower().startswith("terminal"):
-            rows.append((name, NodeKind.PORT, 0.0, 0.0, False) if w == 0 or h == 0
-                        else (name, NodeKind.MACRO, w, h, False))
-        elif w <= 0 or h <= 0:
-            raise MalformedLine(path, lineno, f"movable node {name!r} needs positive size")
-        else:
-            stdcell = row_height is not None and h <= row_height
-            rows.append((name, NodeKind.STDCELL if stdcell else NodeKind.MACRO, w, h, True))
-    nodes = node_table(rows)
-    _check_counts(path, declared, {"NumNodes": len(rows), "NumTerminals": int((~nodes.movable).sum())})
-    return nodes
-
-
 _NUMBER_CHARS = "+-.0123456789eE"
 _NUMBER_DROP = dict.fromkeys(map(ord, _NUMBER_CHARS + " "))
 # What float() takes of the strings of _NUMBER_CHARS.
@@ -142,11 +114,11 @@ _DEGREE, _OTHER, _UNKNOWN = -1, -2, -3
 _KEYWORDS = {"NetDegree": _DEGREE, "NumNets": _OTHER, "NumPins": _OTHER}
 
 
-def _tokens(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """A file's whitespace-separated tokens as one object array, plus each
-    line's first token and token count, lines as `str.splitlines` counts
-    them, and whether the file is ASCII without "_". The array ends in four
-    "", so that every line can be read four tokens past its first."""
+def _tokens(path: Path, width: int) -> tuple[np.ndarray, ...]:
+    """A file's whitespace-separated tokens as one object array; per line
+    with tokens (lines as `str.splitlines` counts them) its first token,
+    token count and line index, and its first `width` (at most six) tokens
+    as the rows of columns; and whether the file is ASCII without "_"."""
     if not path.exists():
         raise MissingFile(str(path))
     text = path.read_text().translate(_RESPACE)
@@ -158,9 +130,47 @@ def _tokens(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     del raw, space
     words = text.split()
     del text
-    words += [""] * 4
-    first = np.append(0, ends[:-1])
-    return np.fromiter(words, object, len(words)), first, ends - first, plain
+    words += [""] * 5   # so that every line can be read five tokens past its first
+    tok = np.fromiter(words, object, len(words))
+    first, n_tok = np.append(0, ends[:-1]), np.diff(ends, prepend=0)
+    line = np.flatnonzero(n_tok)
+    first, n_tok = first[line], n_tok[line]
+    return tok, first, n_tok, line, tok[first + np.arange(width)[:, None]], plain
+
+
+def _skipped(words: list[str]) -> bool:
+    """Whether a line of these tokens is a comment or a file header."""
+    return words[0][0] == "#" or words[0][0] in "Uu" and bool(_HEADER_RE.match(" ".join(words)))
+
+
+def _data_lines(heads: np.ndarray) -> np.ndarray:
+    """Whether each line, by its first token, opens no comment or header."""
+    lead = heads.astype("U1")
+    maybe = np.flatnonzero((lead == "U") | (lead == "u"))
+    lead[maybe] = ["#" if t.upper() == "UCLA" else "U" for t in heads[maybe].tolist()]
+    return lead != "#"
+
+
+def _odd_lines(path: Path, tok, first, n_tok, line, odd: np.ndarray, declared: dict):
+    """Yield (j, stripped text) of each data line among the lines `odd` of
+    `_tokens`; count lines set `declared`, comments and headers are skipped."""
+    text: list[str] = []
+    for j in np.flatnonzero(odd).tolist():
+        words = tok[first[j]:first[j] + n_tok[j]].tolist()
+        if words[0] in declared:
+            declared[words[0]] = _header_value(words, path, int(line[j]) + 1)
+        elif not _skipped(words):
+            text = text or path.read_text().splitlines()
+            yield j, text[line[j]].strip()
+
+
+def _floats(texts: np.ndarray) -> np.ndarray:
+    """float() of each token; if one is no number, NaN for each that is not
+    spelled as _FLOAT_RE."""
+    try:
+        return texts.astype(float)
+    except ValueError:
+        return np.reshape([float(t) if _FLOAT_RE.fullmatch(t) else math.nan for t in texts.flat], texts.shape)
 
 
 def _respell(words: list[str]) -> list[str] | None:
@@ -191,10 +201,7 @@ def parse_nets(path: Path, nodes: NodeTable) -> NetTable:
     "n0 I : 0.5 -1" or "n0 O", are classified and respelled one by one. Bad
     input raises the error of the first offending line.
     """
-    tok, first, n_tok, plain = _tokens(path)
-    line = np.flatnonzero(n_tok)
-    first, n_tok = first[line], n_tok[line]
-    col = tok[first + np.arange(5)[:, None]]
+    tok, first, n_tok, line, col, plain = _tokens(path, 5)
     index = dict(zip(nodes.names, range(len(nodes.names))))
     # Names that could open a comment or a header line go the per-line way.
     codes = {k: i for k, i in index.items() if k[0] != "#" and k.upper() != "UCLA"} | _KEYWORDS
@@ -219,7 +226,7 @@ def parse_nets(path: Path, nodes: NodeTable) -> NetTable:
                 declared[words[0]] = _header_value(words, path, 0)
             except MalformedLine as exc:
                 errors.append((j, 1, exc.reason, False))
-        elif not (words[0][0] == "#" or words[0][0] in "Uu" and _HEADER_RE.match(" ".join(words))):
+        elif not _skipped(words):
             if code[j] == _OTHER:
                 code[j] = index.get(words[0], _UNKNOWN)
             respelled = _respell(words)
@@ -237,10 +244,7 @@ def parse_nets(path: Path, nodes: NodeTable) -> NetTable:
     texts = col[3:, pin]
     texts[:, n_tok[pin] == 2] = "0"
     del tok, col
-    try:
-        off = texts.astype(float)
-    except ValueError:
-        off = np.reshape([float(t) if _FLOAT_RE.fullmatch(t) else math.nan for t in texts.flat], texts.shape)
+    off = _floats(texts)
     # Beyond _NUMBER_CHARS, float() reads only "_", non-ASCII digits, "inf" and
     # "nan": in a plain file, offsets that read as finite numbers pass.
     if not (plain and np.isfinite(off).all()) and " ".join(texts.flat).translate(_NUMBER_DROP):
@@ -279,6 +283,43 @@ def parse_nets(path: Path, nodes: NodeTable) -> NetTable:
     return clamp_offsets(pin_table(names, np.ones(len(names)), degree, pins), nodes, path, "node half-extents")
 
 
+def parse_nodes(path: Path, row_height: float | None) -> NodeTable:
+    """The .nodes lines as a node table, read as `parse_nets` reads .nets:
+    lines spelled "name w h [terminal]" whose sizes pass the checks column by
+    column, the others one by one."""
+    tok, first, n_tok, line, col, _ = _tokens(path, 4)
+    terminal = (n_tok == 4) & (col[3] == "terminal")
+    declared = dict.fromkeys(("NumNodes", "NumTerminals"))
+    usual = ((n_tok == 3) | terminal) & _data_lines(col[0]) & ~np.isin(col[0], list(declared))
+    w, h = size = np.full((2, len(line)), np.nan)
+    size[:, usual] = _floats(col[1:3, usual])
+    with np.errstate(over="ignore", invalid="ignore"):
+        usual &= np.isfinite(w * h) & (w >= 0) & (h >= 0) & (terminal | (w > 0) & (h > 0))
+    for j, text in _odd_lines(path, tok, first, n_tok, line, ~usual, declared):
+        words, lineno = text.split(), int(line[j]) + 1
+        if len(words) < 3:
+            raise MalformedLine(path, lineno, f"expected 'name width height [terminal]', got {text!r}")
+        try:
+            wj, hj = finite_float(words[1]), finite_float(words[2])
+            if not math.isfinite(wj * hj):
+                raise ValueError("area overflows")
+        except ValueError as exc:
+            raise MalformedLine(path, lineno, f"bad node size in {text!r}") from exc
+        if wj < 0 or hj < 0:
+            raise MalformedLine(path, lineno, f"negative node size in {text!r}")
+        terminal[j] = len(words) > 3 and words[3].lower().startswith("terminal")
+        if not terminal[j] and (wj <= 0 or hj <= 0):
+            raise MalformedLine(path, lineno, f"movable node {words[0]!r} needs positive size")
+        w[j], h[j], usual[j] = wj, hj, True
+    w, h, terminal = w[usual], h[usual], terminal[usual]
+    port = terminal & ((w == 0) | (h == 0))
+    stdcell = ~terminal & (h <= (-math.inf if row_height is None else row_height))
+    kind = np.select([port, stdcell], [KIND_CODE[NodeKind.PORT], KIND_CODE[NodeKind.STDCELL]],
+                     KIND_CODE[NodeKind.MACRO]).astype(np.int8)
+    _check_counts(path, declared, {"NumNodes": len(w), "NumTerminals": int(terminal.sum())})
+    return NodeTable(col[0, usual].tolist(), np.where(port, 0.0, w), np.where(port, 0.0, h), kind, ~terminal)
+
+
 def parse_scl(path: Path) -> tuple[float, float, float, float, float]:
     """Parse core rows. Returns (min_x, min_y, max_x, max_y, row_height)."""
     rows = []
@@ -297,6 +338,8 @@ def parse_scl(path: Path) -> tuple[float, float, float, float, float]:
                 raise MalformedLine(path, lineno, "End outside CoreRow")
             if not {"coordinate", "height", "subroworigin", "numsites"} <= row.keys():
                 raise MalformedLine(path, lineno, "CoreRow missing Coordinate/Height/SubrowOrigin/NumSites")
+            if min(row["height"], row["sitespacing"], row["numsites"]) <= 0:
+                raise MalformedLine(path, lineno, "CoreRow needs positive Height, Sitespacing and NumSites")
             origin, coord = row["subroworigin"], row["coordinate"]
             rows.append((origin, coord, origin + row["numsites"] * row["sitespacing"], coord + row["height"]))
             row = None
@@ -337,11 +380,10 @@ def parse_bookshelf(aux_path) -> Netlist:
     if canvas is None:
         if "pl" not in files:
             raise InvalidDimension("no .scl rows and no .pl file: cannot infer a canvas")
-        corners = _read_pl_corners(files["pl"])
-        x, y = np.full((2, len(nodes.names)), np.nan)
-        for i, name in enumerate(nodes.names):
-            if name in corners:
-                x[i], y[i] = corners[name][:2]
+        names, corner = _read_pl(files["pl"])[:2]
+        last = dict(zip(names, range(len(names))))
+        # Column -1 is NaN for the nodes that the .pl leaves out.
+        x, y = np.column_stack([corner, (np.nan, np.nan)])[:, [last.get(name, -1) for name in nodes.names]]
         pool = ~np.isnan(x) & ~nodes.movable
         pool = pool if pool.any() else ~np.isnan(x)
         if not pool.any():
@@ -356,63 +398,67 @@ def parse_bookshelf(aux_path) -> Netlist:
 _PL_RE = re.compile(
     r"^(\S+)\s+([-+0-9.eE]+)\s+([-+0-9.eE]+)(?:\s*:\s*(\w+))?(\s*/FIXED\w*)?\s*$"
 )
+# Bookshelf's eight orientations as rows of _SIGNS: the rotated ones fold
+# onto their mirror relatives (outline is what matters here).
+_ORIENT_CODE = {name: k for k, name in enumerate(("N", "FN", "S", "FS", "E", "FE", "W", "FW"))}
+_SIGNS = np.array([ORIENT_SIGNS[o] for o in Orientation] * 2)
 
 
-def _read_pl_corners(path: Path) -> dict[str, tuple[float, float, str, int]]:
-    """name -> (x, y, orientation, line number) of the last line naming it."""
-    out = {}
-    for lineno, line in _content_lines(path):
-        m = _PL_RE.match(line)
+def _read_pl(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each .pl line's name, lower-left corner (as a column), orientation,
+    its code (-1 if unsupported) and line number. Lines spelled "name x y
+    [: O [/FIXED]]" with finite coordinates and a known orientation are read
+    as `parse_nets` reads .nets, column by column; the others one by one."""
+    tok, first, n_tok, line, col, plain = _tokens(path, 6)
+    orient = np.where(n_tok == 3, "N", col[4])
+    code = np.fromiter(map(_ORIENT_CODE.get, orient.tolist(), repeat(-1)), np.intp, len(line))
+    fixed = (n_tok == 5) | (n_tok == 6) & ((col[5] == "/FIXED") | (col[5] == "/FIXED_NI"))
+    usual = ((n_tok == 3) | (code >= 0) & (col[3] == ":") & fixed) & _data_lines(col[0])
+    corner, texts = np.full((2, len(line)), np.nan), col[1:3, usual]
+    corner[:, usual] = values = _floats(texts)
+    # _PL_RE takes coordinates of _NUMBER_CHARS only; see parse_nets.
+    if not (plain and np.isfinite(values).all()) and " ".join(texts.flat).translate(_NUMBER_DROP):
+        usual[usual] = ~np.reshape([bool(t.strip(_NUMBER_CHARS)) for t in texts.flat], texts.shape).any(axis=0)
+    usual &= np.isfinite(corner).all(axis=0)
+    for j, text in _odd_lines(path, tok, first, n_tok, line, ~usual, {}):
+        m = _PL_RE.match(text)
         if not m:
-            raise MalformedLine(path, lineno, f"bad placement line {line!r}")
+            raise MalformedLine(path, int(line[j]) + 1, f"bad placement line {text!r}")
         try:
-            x, y = finite_float(m.group(2)), finite_float(m.group(3))
+            corner[:, j] = finite_float(m.group(2)), finite_float(m.group(3))
         except ValueError as exc:
-            raise MalformedLine(path, lineno, f"bad coordinate in {line!r}") from exc
-        out[m.group(1)] = (x, y, m.group(4) or "N", lineno)
-    return out
+            raise MalformedLine(path, int(line[j]) + 1, f"bad coordinate in {text!r}") from exc
+        orient[j] = m.group(4) or "N"
+        code[j], usual[j] = _ORIENT_CODE.get(orient[j], -1), True
+    return col[0, usual].tolist(), corner[:, usual], orient[usual], code[usual], line[usual] + 1
 
 
-def read_placement(path, netlist: Netlist, clamp_ports: bool = True) -> Placement:
-    """Read a .pl file into a center-based placement for known nodes.
+def read_placement(path, netlist: Netlist, clamp_ports: bool = True) -> PlacementState:
+    """Read a .pl file into a center-based placement state of `netlist`.
 
-    Unknown node names are skipped with a warning. Port centers are clamped
-    into the canvas when clamp_ports is set (pad rings commonly sit outside
-    the core rows).
+    The last line naming a node places it. Unknown node names are skipped
+    with a warning. Port centers are clamped into the canvas when
+    clamp_ports is set (pad rings commonly sit outside the core rows).
     """
-    corners = _read_pl_corners(Path(path))
-    placement: Placement = {}
-    unknown = clamped = 0
-    cv, a = netlist.canvas, netlist.arrays
-    hw, hh, port = a.half_w.tolist(), a.half_h.tolist(), a.is_port.tolist()
-    for name, (x, y, orient_s, lineno) in corners.items():
-        i = a.index.get(name)
-        if i is None:
-            unknown += 1
-            continue
-        try:
-            orient = Orientation(orient_s)
-        except ValueError:
-            # Bookshelf allows 8 orientations; fold the rotated ones onto
-            # their mirror relatives (outline is what matters here).
-            alias = {"E": "N", "W": "S", "FE": "FN", "FW": "FS"}.get(orient_s)
-            if alias is None:
-                raise MalformedLine(Path(path), lineno, f"unsupported orientation {orient_s!r} for {name!r}")
-            orient = Orientation(alias)
-        cx = x + hw[i]
-        cy = y + hh[i]
-        if clamp_ports and port[i]:
-            nx = min(max(cx, 0.0), cv.width)
-            ny = min(max(cy, 0.0), cv.height)
-            if nx != cx or ny != cy:
-                clamped += 1
-            cx, cy = nx, ny
-        placement[name] = Pose(cx, cy, orient)
+    names, corner, orient, code, lineno = _read_pl(Path(path))
+    last = dict(zip(names, range(len(names))))   # in the order the names first appear
+    a, cv = netlist.arrays, netlist.canvas
+    node = np.fromiter(map(a.index.get, last, repeat(-1)), np.intp, len(last))
+    at = np.fromiter(last.values(), np.intp, len(last))[node >= 0]
+    unknown, node = len(last) - len(at), node[node >= 0]
+    for k in at[code[at] < 0][:1].tolist():
+        raise MalformedLine(Path(path), int(lineno[k]), f"unsupported orientation {orient[k]!r} for {names[k]!r}")
+    xy = corner[:, at] + np.stack([a.half_w[node], a.half_h[node]])
+    center = np.where(a.is_port[node], np.clip(xy, 0.0, [[cv.width], [cv.height]]), xy) if clamp_ports else xy
+    clamped = int(np.count_nonzero((center != xy).any(axis=0)))
+    st = PlacementState.of(a, {})
+    st.x[node], st.y[node] = center
+    st.sx[node], st.sy[node] = _SIGNS[code[at]].T
     if unknown:
         log.warning("%s: skipped %d placement line(s) for unknown nodes", path, unknown)
     if clamped:
         log.info("%s: clamped %d port location(s) onto the canvas", path, clamped)
-    return placement
+    return st
 
 
 def write_placement(netlist: Netlist, placement: Placement, path) -> None:

@@ -30,7 +30,7 @@ from .annealer import (
     write_trace_csv,
 )
 from .bookshelf import parse_aux, parse_bookshelf, read_placement, write_placement
-from .clustering import apply_vacuous_placement, cluster_by_grid, no_clustering
+from .clustering import VACUOUS_MODES, apply_vacuous_placement, cluster_by_grid, no_clustering
 from .cost import CostConfig, Evaluator, ProxyWeights
 from .errors import GridPlaceError, IoFailure, MissingFile
 from .fd import FDParams, fd_place
@@ -217,22 +217,25 @@ def _load_design(args):
     path = Path(args.netlist)
     is_aux = path.suffix.lower() == ".aux"
     netlist = parse_bookshelf(path) if is_aux else read_netlist(path)
-    base = {}
     pl_path = args.initial
     if pl_path is None and is_aux:
         pl_path = parse_aux(path).get("pl")
-    if pl_path is not None:
-        base = read_placement(pl_path, netlist)
+    base = {} if pl_path is None else read_placement(pl_path, netlist)
     if args.vacuous:
         # Overrides movable poses only; fixed nodes keep their file locations.
-        if args.vacuous.startswith("point:"):
-            x, y = _parse_flag("--vacuous", args.vacuous,
-                               lambda t: _numbers(t[len("point:"):], float, 2), "point:X,Y")
-            base.update(apply_vacuous_placement(netlist, "point", (x, y)))
-        else:
-            base.update(_parse_flag("--vacuous", args.vacuous, lambda m: apply_vacuous_placement(netlist, m),
-                                    "lower-left, upper-right or point:X,Y"))
+        base = apply_vacuous_placement(netlist, *_vacuous(args.vacuous), base)
     return netlist, base
+
+
+def _vacuous(text: str) -> tuple[str, tuple[float, float] | None]:
+    """The mode and point of a --vacuous value, checked up to the canvas
+    bound; a one-line error for a bad one."""
+    def parse(t):
+        mode, colon, point = t.partition(":")
+        if mode != "point" and (colon or mode not in VACUOUS_MODES):
+            raise ValueError("unknown mode")
+        return mode, _numbers(point, float, 2) if mode == "point" else None
+    return _parse_flag("--vacuous", text, parse, "lower-left, upper-right or point:X,Y")
 
 
 def _grid(args, netlist):
@@ -661,6 +664,8 @@ def main(argv=None) -> int:
             stream=sys.stderr,
         )
         _parse_flag("--seed", str(args.seed), _seed, "an integer >= 0")
+        if getattr(args, "vacuous", None):
+            _vacuous(args.vacuous)
         if args.command in WRITES_OUT_DIR:
             try:
                 Path(args.out_dir).mkdir(parents=True, exist_ok=True)

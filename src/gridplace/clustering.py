@@ -26,10 +26,8 @@ from .netlist import (
     NetTable,
     NodeKind,
     NodeTable,
-    Orientation,
     Placement,
     PlacementState,
-    Pose,
     drop_short_nets,
 )
 
@@ -161,9 +159,10 @@ VACUOUS_MODES = ("point", "lower-left", "upper-right")
 
 
 def apply_vacuous_placement(
-    netlist: Netlist, mode: str, point: tuple[float, float] | None = None
-) -> Placement:
-    """Place every movable node at one location (orientation N).
+    netlist: Netlist, mode: str, point: tuple[float, float] | None = None, base: Placement | None = None
+) -> PlacementState:
+    """`base` (by default, no placement) with every movable node at one
+    location, orientation N.
 
     mode: "point" (requires point=(x, y)), "lower-left" for (0, 0), or
     "upper-right" for (canvas.width, canvas.height).
@@ -181,5 +180,7 @@ def apply_vacuous_placement(
         raise ValueError(f"unknown vacuous mode {mode!r}, expected one of {VACUOUS_MODES}")
     if not (0.0 <= x <= cv.width and 0.0 <= y <= cv.height):
         raise PointOutsideCanvas(f"({x}, {y}) outside canvas {cv.width} x {cv.height}")
-    a = netlist.arrays
-    return {name: Pose(x, y, Orientation.N) for name, m in zip(a.names, a.movable.tolist()) if m}
+    m = netlist.arrays.movable
+    st = PlacementState.of(netlist.arrays, {} if base is None else base).copy()
+    st.x[m], st.y[m], st.sx[m], st.sy[m] = x, y, 1.0, 1.0
+    return st

@@ -8,9 +8,10 @@ columns of `NetlistArrays`: the node table (names, input sizes, kinds,
 movable flags) and the flat pin table, which the readers and clustering
 build. `Node`, `Net` and `Pin` objects exist only where callers hand them in
 or read them out. Node locations are not part of the netlist; they live in
-separate placements, name -> `Pose` maps. Files and the CLI use dicts; the
-placer works on `PlacementState`, the array form of a placement, and
-`PlacementState.of` is the one decoder from a dict to it.
+separate placements, name -> `Pose` maps. The CLI's merges use dicts; the
+.pl reader and the placer work on `PlacementState`, the array form of a
+placement, and `PlacementState.of` is the one decoder to it, from a dict or
+from a state of another netlist.
 
 Native text format, one record per line (see README for the grammar):
 
@@ -27,6 +28,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -222,13 +224,21 @@ class PlacementState(Mapping):
 
         A state of these very arrays is returned as it is, not copied; any
         other placement is decoded by name, and names outside the netlist are
-        ignored. Raises OutOfRange naming the node with a non-finite
-        coordinate.
+        ignored. A state of another netlist is decoded array to array.
+        Raises OutOfRange naming the node with a non-finite coordinate.
         """
         if isinstance(placement, cls) and placement.arrays is arrays:
             return placement
         n = len(arrays.names)
         x, y, sx, sy = np.full(n, np.nan), np.full(n, np.nan), np.ones(n), np.ones(n)
+        if isinstance(placement, cls):
+            # Node i takes the pose of node j of the other netlist.
+            j = np.fromiter(map(placement.arrays.index.get, arrays.names, repeat(-1)), np.intp, n)
+            i = np.flatnonzero((j >= 0) & ~np.isnan(placement.x[j]))
+            x[i], y[i], sx[i], sy[i] = placement.x[j[i]], placement.y[j[i]], placement.sx[j[i]], placement.sy[j[i]]
+            if np.isfinite(x[i]).all() and np.isfinite(y[i]).all():
+                return cls(arrays, x, y, sx, sy)
+            placement = dict(placement)   # the loop below names the first bad node
         index = arrays.index
         for name, pose in placement.items():
             i = index.get(name)

@@ -605,3 +605,89 @@ def nets_text(seed, inserted=""):
         header += [f"NumNets : {n_nets}", f"NumPins : {n_pins}"]
     end = rng.choice(("\n", "\n", "\r\n", "\r", "\x0c", "\u2028"))
     return end.join(header + body) + rng.choice((end, "")), n_nets, n_pins
+
+
+_LINE_ENDS = ("\n", "\n", "\r\n", "\r", "\x0c", "\u2028")
+_FILLERS = ("", "  ", "# a comment", "   #x : 1 2")
+
+
+def _bookshelf_text(rng, kind, body, inserted, counts):
+    """A Bookshelf file of `kind` around `body`, with `inserted` (lines with
+    \\n ends) between two random lines, comments and blank lines among them,
+    and the `counts` header lines always when something is inserted."""
+    if inserted:
+        at = rng.randint(0, len(body))
+        body[at:at] = inserted.splitlines()
+    for _ in range(rng.randint(0, 4)):
+        body.insert(rng.randint(0, len(body)), rng.choice(_FILLERS))
+    header = [f"UCLA {kind} 1.0", rng.choice(("", f"# Created by {kind}_text"))]
+    if inserted or rng.random() < 0.8:
+        header += counts
+    end = rng.choice(_LINE_ENDS)
+    return end.join(header + body) + rng.choice((end, ""))
+
+
+def _size(rng, value):
+    return rng.choice((f"{value:.2f}", repr(value), f"{value:.3e}", f"{value:+g}", f"{value:.1f}",
+                       str(int(value) + 1)))
+
+
+def nodes_text(seed, inserted=""):
+    """The text of a .nodes file in the spellings that the reader accepts, and
+    its node and terminal counts.
+
+    Nodes are named n<k>, with an occasional name that looks like a header or
+    a count keyword. Movable nodes have positive sizes; terminals may have a
+    zero (or -0) width or height, making them ports, and spell the flag
+    "terminal", "terminal_NI" or "Terminal". Separators (spaces, tabs,
+    no-break spaces), comments, blank lines and line ends (\\n, \\r\\n, \\r,
+    form feed, U+2028) vary. `inserted`, node lines with \\n line ends, goes
+    between two random lines and is counted in the header, which is then
+    always present.
+    """
+    rng = random.Random(seed)
+    body = []
+    for k in range(rng.randint(0, 30)):
+        words = [rng.choice((f"n{k}",) * 8 + (f"ucla{k}", f"UCLA_{k}", f"NumNodes{k}"))]
+        w, h = rng.uniform(0.5, 20.0), rng.uniform(0.5, 20.0)
+        if rng.random() < 0.3:
+            zero = rng.choice(("0", "-0", "0.0"))
+            w, h = rng.choice(((zero, _size(rng, h)), (_size(rng, w), zero), (zero, zero),
+                               (_size(rng, w), _size(rng, h))))
+            words += [w, h, rng.choice(("terminal", "terminal", "terminal_NI", "Terminal"))]
+        else:
+            words += [_size(rng, w), _size(rng, h)]
+        sep = rng.choice((" ", " ", "\t", "  ", "\xa0"))
+        body.append(rng.choice(("", "  ", "\t")) + sep.join(words) + rng.choice(("", " ", "\t")))
+    lines = body + inserted.splitlines()
+    n_nodes = len(lines)
+    n_terminals = sum(len(t) > 3 and t[3].lower().startswith("terminal") for t in map(str.split, lines))
+    text = _bookshelf_text(rng, "nodes", body, inserted,
+                           [f"NumNodes : {n_nodes}", f"NumTerminals : {n_terminals}"])
+    return text, n_nodes, n_terminals
+
+
+def pl_text(seed, inserted=""):
+    """The text of a .pl file over NETS_NODES and two unknown names in the
+    spellings that the reader accepts.
+
+    A node may be placed twice or not at all; corners fall in and around a
+    40 x 40 canvas. Orientations are missing or one of the eight, with the
+    colon free, touching the y coordinate or the orientation; /FIXED and
+    /FIXED_NI follow with or without a space or alone. Separators, comments,
+    blank lines and line ends vary as in `nodes_text`. `inserted`, lines
+    with \\n line ends, goes between two random lines.
+    """
+    rng = random.Random(seed)
+    names = [name for name, _, _ in NETS_NODES] + ["ghost", "ghost2"]
+    body = []
+    for name in rng.sample(names * 2, rng.randint(0, 2 * len(names))):
+        x = _nets_number(rng, rng.uniform(-10.0, 50.0))
+        y = _nets_number(rng, rng.uniform(-10.0, 50.0))
+        orient = rng.choice(("N", "FN", "S", "FS", "E", "W", "FE", "FW"))
+        fixed = rng.choice(("", "", " /FIXED", " /FIXED_NI", "/FIXED"))
+        sep = rng.choice((" ", " ", "\t", "  ", "\xa0"))
+        tail = rng.choice(("", "", f"{sep}:{sep}{orient}", f":{sep}{orient}", f"{sep}:{orient}"))
+        indent, trail = rng.choice(("", "  ", "\t")), rng.choice(("", " ", "\t"))
+        body.append(indent + sep.join((name, x, y)) + tail + fixed + trail)
+    return _bookshelf_text(rng, "pl", body, inserted, [])

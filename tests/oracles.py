@@ -8,8 +8,9 @@ records) are shared with the package; nothing is imported from its cost,
 force, legality or annealing code.
 The force-directed reference, `fd_place_dense`, is the dense O(n^2) numpy
 definition: every node pair is tested for overlap in (n, n) arrays. The
-.nets reference, `parse_nets`, reads a file one line at a time; it shares
-only the package's line iterator and header-count helpers. The initializers'
+Bookshelf references `parse_nodes`, `parse_nets`, `pl_corners` (with
+`read_placement` and `pl_canvas` on top) read a file one line at a time;
+they share only the package's line iterator and header-count helpers. The initializers'
 reference, `place_macros`, tests the grid cells one at a time. The density
 and macro-congestion references `density_grid_dense` and
 `macro_congestion_dense` are the dense numpy definitions: every node against
@@ -24,13 +25,16 @@ from __future__ import annotations
 
 import logging
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 
 from gridplace.bookshelf import _NUMBER_CHARS, _check_counts, _content_lines, _header_value
 from gridplace.errors import MalformedLine, MissingLocation, OutOfRange, Unplaceable
 from gridplace.fd import FDIterationInfo, FDParams
-from gridplace.netlist import ORIENT_SIGNS, NodeKind, Orientation, Pose, clamp_offsets, finite_float, pin_table
+from gridplace.netlist import (ORIENT_SIGNS, NodeKind, Orientation, Pose, clamp_offsets, finite_float, node_table,
+                               pin_table)
 
 log = logging.getLogger(__name__)
 
@@ -229,6 +233,104 @@ def parse_nets(path, nodes):
         raise MalformedLine(path, 0, f"net {names[-1]!r} short by {remaining} pin(s)")
     _check_counts(path, declared, {"NumNets": len(names), "NumPins": len(pins)})
     return clamp_offsets(pin_table(names, [1.0] * len(names), sizes, pins), nodes, path, "node half-extents")
+
+
+def parse_nodes(path, row_height):
+    """bookshelf.parse_nodes as a loop over the file's lines, error for error."""
+    rows = []   # (name, kind, width, height, movable)
+    declared = dict.fromkeys(("NumNodes", "NumTerminals"))
+    for lineno, line in _content_lines(path):
+        tok = line.split()
+        if tok[0] in declared:
+            declared[tok[0]] = _header_value(tok, path, lineno)
+            continue
+        if len(tok) < 3:
+            raise MalformedLine(path, lineno, f"expected 'name width height [terminal]', got {line!r}")
+        name = tok[0]
+        try:
+            w, h = finite_float(tok[1]), finite_float(tok[2])
+        except ValueError as exc:
+            raise MalformedLine(path, lineno, f"bad node size in {line!r}") from exc
+        if not math.isfinite(w * h):
+            raise MalformedLine(path, lineno, f"bad node size in {line!r}")
+        if w < 0 or h < 0:
+            raise MalformedLine(path, lineno, f"negative node size in {line!r}")
+        if len(tok) > 3 and tok[3].lower().startswith("terminal"):
+            rows.append((name, NodeKind.PORT, 0.0, 0.0, False) if w == 0 or h == 0
+                        else (name, NodeKind.MACRO, w, h, False))
+        elif w <= 0 or h <= 0:
+            raise MalformedLine(path, lineno, f"movable node {name!r} needs positive size")
+        else:
+            stdcell = row_height is not None and h <= row_height
+            rows.append((name, NodeKind.STDCELL if stdcell else NodeKind.MACRO, w, h, True))
+    nodes = node_table(rows)
+    _check_counts(path, declared, {"NumNodes": len(rows), "NumTerminals": int((~nodes.movable).sum())})
+    return nodes
+
+
+_PL_RE = re.compile(r"^(\S+)\s+([-+0-9.eE]+)\s+([-+0-9.eE]+)(?:\s*:\s*(\w+))?(\s*/FIXED\w*)?\s*$")
+
+
+def pl_corners(path):
+    """name -> (x, y, orientation, line number) of the last .pl line naming it."""
+    out = {}
+    for lineno, line in _content_lines(path):
+        m = _PL_RE.match(line)
+        if not m:
+            raise MalformedLine(path, lineno, f"bad placement line {line!r}")
+        try:
+            x, y = finite_float(m.group(2)), finite_float(m.group(3))
+        except ValueError as exc:
+            raise MalformedLine(path, lineno, f"bad coordinate in {line!r}") from exc
+        out[m.group(1)] = (x, y, m.group(4) or "N", lineno)
+    return out
+
+
+def read_placement(path, netlist, clamp_ports=True):
+    """bookshelf.read_placement as a loop over `pl_corners`, one Pose per
+    node, into a dict."""
+    placement = {}
+    unknown = clamped = 0
+    cv, a = netlist.canvas, netlist.arrays
+    hw, hh, port = a.half_w.tolist(), a.half_h.tolist(), a.is_port.tolist()
+    for name, (x, y, orient_s, lineno) in pl_corners(Path(path)).items():
+        i = a.index.get(name)
+        if i is None:
+            unknown += 1
+            continue
+        # The rotated orientations fold onto their mirror relatives.
+        orient_s = {"E": "N", "W": "S", "FE": "FN", "FW": "FS"}.get(orient_s, orient_s)
+        if orient_s not in SIGNS:
+            raise MalformedLine(Path(path), lineno, f"unsupported orientation {orient_s!r} for {name!r}")
+        cx = x + hw[i]
+        cy = y + hh[i]
+        if clamp_ports and port[i]:
+            nx = min(max(cx, 0.0), cv.width)
+            ny = min(max(cy, 0.0), cv.height)
+            if nx != cx or ny != cy:
+                clamped += 1
+            cx, cy = nx, ny
+        placement[name] = Pose(cx, cy, Orientation(orient_s))
+    if unknown:
+        log.warning("%s: skipped %d placement line(s) for unknown nodes", path, unknown)
+    if clamped:
+        log.info("%s: clamped %d port location(s) onto the canvas", path, clamped)
+    return placement
+
+
+def pl_canvas(path, nodes):
+    """(width, height) that parse_bookshelf infers without an .scl: the
+    bounding box of the fixed nodes that the .pl places, else of all it
+    places; None when it places no node."""
+    corners = pl_corners(path)
+    fixed = [(corners[n][0] + w, corners[n][1] + h) for n, w, h, m in
+             zip(nodes.names, nodes.width.tolist(), nodes.height.tolist(), nodes.movable.tolist())
+             if n in corners and not m]
+    placed = fixed or [(corners[n][0] + w, corners[n][1] + h) for n, w, h in
+                       zip(nodes.names, nodes.width.tolist(), nodes.height.tolist()) if n in corners]
+    if not placed:
+        return None
+    return max(0.0, max(x for x, _ in placed)), max(0.0, max(y for _, y in placed))
 
 
 def rewired_nets(nets, cluster_of):

@@ -395,11 +395,18 @@ def test_sa_config_takes_the_annealing_flags():
 
 
 def test_bad_vacuous_point_is_diagnosed(design, capsys):
+    # The value is checked before the design loads: a missing netlist is
+    # not what a bad spelling reports.
     net, pl, tmp = design
-    for bad in ("point:1", "point:a,b", "point:1,2,3", "point:", "bogus", "point"):
-        assert main(["evaluate", "--netlist", str(net), "--initial", str(pl),
-                     "--vacuous", bad, "--out-dir", str(tmp)]) == 2
-        assert "--vacuous" in _one_line_error(capsys)
+    for netlist in (net, tmp / "missing.aux"):
+        for bad in ("point:1", "point:a,b", "point:1,2,3", "point:", "bogus", "point", "lower-left:1"):
+            assert main(["evaluate", "--netlist", str(netlist), "--initial", str(pl),
+                         "--vacuous", bad, "--out-dir", str(tmp)]) == 2
+            assert "--vacuous" in _one_line_error(capsys)
+    # Only the canvas bound waits for the design.
+    assert main(["evaluate", "--netlist", str(net), "--initial", str(pl),
+                 "--vacuous", "point:1e9,0", "--out-dir", str(tmp)]) == 2
+    assert "outside canvas" in _one_line_error(capsys)
 
 
 def test_cluster_outputs(design, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gen import NETS_NODES, nets_text
+from gen import NETS_NODES, nets_text, nodes_text, pl_text
 from gridplace import bookshelf
 from gridplace.bookshelf import (
     parse_aux,
@@ -36,6 +36,7 @@ from gridplace.netlist import (
     NodeKind,
     Orientation,
     Pin,
+    PlacementState,
     Pose,
     node_table,
     read_netlist,
@@ -607,6 +608,7 @@ NODES_ERRORS = [
     ("NumNodes : 4", "NumNodes : four", 3, "bad count line"),
     ("NumNodes : 4", "NumNodes : 5", 0, "NumNodes=5 but parsed 4"),
     ("NumTerminals : 2", "NumTerminals : 1", 0, "NumTerminals=1 but parsed 2"),
+    ("  b 6 12", "  b 1e308 12", 6, "bad node size"),
 ]
 
 
@@ -651,6 +653,241 @@ def test_bookshelf_pl_errors_name_line_and_reason(tmp_path, old, new, lineno, re
         assert reason in err.value.reason
 
 
+# The node lines of the .nodes file that _write_bookshelf writes.
+NODES_LINES = "  a 4 4\n  b 6 12\n  pad 0 0 terminal\n  blk 8 8 terminal\n"
+# More edits of NODES_LINES, as NETS_EDITS. Some leave the file readable.
+NODES_EDITS = [
+    ("  b 6 12", "  b 6 12 terminal_NI"),
+    ("  b 6 12", "  b 6 12 Terminal extra"),
+    ("  b 6 12", "  b 6 12 movable"),
+    ("  b 6 12", "  b 6 12 # note"),
+    ("  b 6 12", "  b 1_0 12"),
+    ("  b 6 12", "  b \u0666 12"),
+    ("  b 6 12", "  b 6 nan"),
+    ("  b 6 12", "  b 1e200 1e200"),
+    ("  b 6 12", "  b\t6\xa012"),
+    ("  b 6 12", "  # b 6 12"),
+    ("  b 6 12", "  UCLA 6 12"),
+    ("  b 6 12", "  ucla nodes 1.0"),
+    ("  b 6 12", "  NumNodes 6 12"),
+    ("  pad 0 0 terminal", "  pad -0 0 terminal"),
+    ("  pad 0 0 terminal", "  pad 1e308 0 terminal"),
+    ("  pad 0 0 terminal", "  pad inf 0 terminal"),
+    ("  blk 8 8 terminal", "  blk 8 8 TERMINAL"),
+    ("  blk 8 8 terminal", "  blk 8 8 terminal\n  blk 2 2"),
+]
+
+
+def _read_nodes(parse, path, row_height):
+    """(columns, error) of reading a .nodes file with `parse`; the arrays as
+    dtype and bytes."""
+    try:
+        t = parse(path, row_height)
+    except MalformedLine as exc:
+        return None, (type(exc), exc.lineno, exc.reason)
+    return [t.names] + [(a.dtype, a.tobytes()) for a in (t.width, t.height, t.kind, t.movable)], None
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_parse_nodes_matches_the_loop_reference(tmp_path, seed):
+    path = tmp_path / "g.nodes"
+    path.write_text(nodes_text(seed)[0])
+    for row_height in (None, 5.0, 12.0):
+        got = _read_nodes(bookshelf.parse_nodes, path, row_height)
+        assert got[1] is None
+        assert got == _read_nodes(oracles.parse_nodes, path, row_height)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parse_nodes_errors_match_the_loop_reference(tmp_path, seed):
+    # Each edit of NODES_ERRORS and NODES_EDITS, made in NODES_LINES placed
+    # among random lines; an edit of a header count shifts the file's true
+    # count.
+    path = tmp_path / "g.nodes"
+    for old, new, *expected in NODES_ERRORS + NODES_EDITS:
+        if old.startswith("Num"):
+            text, n_nodes, n_terminals = nodes_text(seed, NODES_LINES)
+            key, was = old.split(" : ")
+            count, value = {"NumNodes": n_nodes, "NumTerminals": n_terminals}[key], new.split(" : ")[1]
+            value = count + int(value) - int(was) if value.isdigit() else value
+            text = text.replace(f"{key} : {count}", f"{key} : {value}", 1)
+        else:
+            text = nodes_text(seed, NODES_LINES.replace(old, new, 1))[0]
+        path.write_text(text)
+        got = _read_nodes(bookshelf.parse_nodes, path, 8.0)
+        assert got == _read_nodes(oracles.parse_nodes, path, 8.0), (old, new)
+        assert got[1] is not None or not expected   # every NODES_ERRORS edit fails
+
+
+# The placement lines of the .pl file that _write_bookshelf writes.
+PL_LINES = "a 10 10 : N\nb 30 4 : FS\npad -8 20 : N /FIXED\nblk 40 40 : N /FIXED\n"
+# More edits of PL_LINES, as NETS_EDITS: other spellings, repeated and
+# unknown names, and unsupported orientations. Some leave the file readable.
+PL_EDITS = [
+    ("b 30 4 : FS", "b 30 4: FS"),
+    ("b 30 4 : FS", "b 30 4 :FS"),
+    ("b 30 4 : FS", "b 30 4"),
+    ("b 30 4 : FS", "b 30 4/FIXED"),
+    ("b 30 4 : FS", "b 30 4 : FE"),
+    ("b 30 4 : FS", "b 30 4 : FW"),
+    ("b 30 4 : FS", "b 30 4 : E"),
+    ("b 30 4 : FS", "b 30 4 : W /FIXED_NI"),
+    ("b 30 4 : FS", "b 30 4 : FS\nb 1 2 : XX"),
+    ("b 30 4 : FS", "b 30 4 : XX\nb 1 2 : W"),
+    ("b 30 4 : FS", "b 30 4 : XX\na 1 2 : Q"),
+    ("b 30 4 : FS", "ghost 30 4 : XX"),
+    ("b 30 4 : FS", "b 30 4 : fs"),
+    ("b 30 4 : FS", "b 30 4 : FS # c"),
+    ("b 30 4 : FS", "b 1_0 4 : FS"),
+    ("b 30 4 : FS", "b inf 4 : FS"),
+    ("b 30 4 : FS", "b \u0663 4 : FS"),
+    ("b 30 4 : FS", "b\t30\xa04 : FS"),
+    ("b 30 4 : FS", "# b 30 4 : FS"),
+    ("b 30 4 : FS", "UCLA 30 4 : FS"),
+    ("b 30 4 : FS", "ucla pl 1.0"),
+    ("pad -8 20 : N /FIXED", "pad -8 20 : N/FIXED"),
+    ("pad -8 20 : N /FIXED", "pad -8 20 : N /FIXED_NI"),
+    ("pad -8 20 : N /FIXED", "pad -8 20 : N /FIXED x"),
+    ("pad -8 20 : N /FIXED", "pad -8 20 : N /FIXEDX"),
+    ("blk 40 40 : N /FIXED", "blk 40 40 : Q /FIXED"),
+]
+
+
+def _read_pl(path, netlist, read, caplog):
+    """(poses, log lines, error) of reading a .pl file with `read`; the
+    poses as a dict of hex coordinates."""
+    caplog.clear()
+    for clamp in (True, False):
+        with caplog.at_level(logging.INFO):
+            try:
+                pl = read(path, netlist, clamp_ports=clamp)
+            except MalformedLine as exc:
+                return None, _logged(caplog), (type(exc), exc.lineno, exc.reason)
+        got = {name: (pose.x.hex(), pose.y.hex(), pose.orient) for name, pose in pl.items()}
+    return got, _logged(caplog), None
+
+
+def _pl_netlist():
+    nodes = node_table([(name, NodeKind.PORT if w == 0 else NodeKind.MACRO, w, h, name not in ("pad", "blk"))
+                        for name, w, h in NETS_NODES])
+    return Netlist(nodes, [Net("n", [Pin("a"), Pin("b")])], Canvas(40.0, 40.0))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_read_placement_matches_the_loop_reference(tmp_path, caplog, seed):
+    path, netlist = tmp_path / "g.pl", _pl_netlist()
+    path.write_text(pl_text(seed))
+    got = _read_pl(path, netlist, read_placement, caplog)
+    assert got[2] is None
+    assert got == _read_pl(path, netlist, oracles.read_placement, caplog)
+    assert isinstance(read_placement(path, netlist), PlacementState)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_read_placement_errors_match_the_loop_reference(tmp_path, caplog, seed):
+    # Each edit of PL_ERRORS and PL_EDITS, made in PL_LINES placed among
+    # random lines. The canvas that parse_bookshelf infers without an .scl
+    # comes from the same lines.
+    path, netlist = tmp_path / "g.pl", _pl_netlist()
+    for old, new, *expected in PL_ERRORS + PL_EDITS:
+        path.write_text(pl_text(seed, PL_LINES.replace(old, new, 1)))
+        got = _read_pl(path, netlist, read_placement, caplog)
+        assert got == _read_pl(path, netlist, oracles.read_placement, caplog), (old, new)
+        assert got[2] is not None or not expected   # every PL_ERRORS edit fails
+        assert _inferred_canvas(tmp_path, path) == _oracle_canvas(path, netlist), (old, new)
+
+
+def _inferred_canvas(tmp_path, pl):
+    """The canvas, or the error, of a design over NETS_NODES without an .scl."""
+    (tmp_path / "g.nodes").write_text("".join(f"{name} {w} {h}{' terminal' if name in ('pad', 'blk') else ''}\n"
+                                              for name, w, h in NETS_NODES))
+    (tmp_path / "g.nets").write_text("NetDegree : 2\na I\nb I\n")
+    (tmp_path / "g.aux").write_text(f"RowBasedPlacement : g.nodes g.nets {pl.name}\n")
+    try:
+        canvas = parse_bookshelf(tmp_path / "g.aux").canvas
+        return canvas.width, canvas.height
+    except (MalformedLine, InvalidDimension) as exc:
+        return type(exc), getattr(exc, "lineno", None), getattr(exc, "reason", None)
+
+
+def _oracle_canvas(pl, netlist):
+    try:
+        extent = oracles.pl_canvas(pl, netlist.arrays)
+    except MalformedLine as exc:
+        return type(exc), exc.lineno, exc.reason
+    return (InvalidDimension, None, None) if extent is None or min(extent) <= 0 else extent
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n", "UCLA nodes 1.0\n", "NumNodes : 0\nNumTerminals : 0", "a 1 1\x85b 2 2", "a\xa01\u30001",
+    "#x 1 1\na 1 1", "UCLA 1 1.0\nUCLA 1 1", "ucla 2 2 terminal", "a 1 1\x1fterminal", "a 1 1 terminal\x1c",
+    "a 1e308 1e-308", "a 1 1 TERMINAL_NI x", "NumNodes 1 1", "a 1 1\nNumNodes : 2\nb 1 1", "a 1 1\r\nb 0 0 terminal",
+    "a 1 1\nterminal 2 2", "a 1 1 x\nterminal 2 2",
+])
+def test_parse_nodes_edge_cases_match_the_loop_reference(tmp_path, text):
+    path = tmp_path / "e.nodes"
+    path.write_text(text)
+    assert _read_nodes(bookshelf.parse_nodes, path, 1.0) == _read_nodes(oracles.parse_nodes, path, 1.0)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n", "UCLA pl 1.0\n", "a 1 1\x85b 2 2", "a 1 1:N", "a 1 1 :N/FIXED", "a 1 1/FIXED_NI", "a +1e1 -.5 : FS",
+    "a 1 1 : N /FIXED junk", "a 1 1 : \u00c9", "a 1 1 : N\x1f/FIXED", "#a 1 1\na 2 2", "UCLA 1 1.0\na 1 1",
+    "b 1 1 : E\nb 2 2", "a 1 1 : N : S", "a 1 1 /FIXED : N", "a 1 1 1", "pad -1 99 : FW /FIXED",
+])
+def test_read_placement_edge_cases_match_the_loop_reference(tmp_path, caplog, text):
+    path = tmp_path / "e.pl"
+    path.write_text(text)
+    got = _read_pl(path, _pl_netlist(), read_placement, caplog)
+    assert got == _read_pl(path, _pl_netlist(), oracles.read_placement, caplog)
+
+
+def test_unsupported_orientation_of_an_unknown_or_overwritten_line_is_no_error(tmp_path):
+    nl = parse_bookshelf(_write_bookshelf(tmp_path))
+    (tmp_path / "o.pl").write_text("a 1 1 : XX\nghost 2 2 : Q\nb 3 3 : N\na 4 4 : FW\n")
+    assert dict(read_placement(tmp_path / "o.pl", nl)) == {
+        "a": Pose(6.0, 6.0, Orientation.FS), "b": Pose(6.0, 9.0, Orientation.N)}
+
+
+# Edits of the .scl file that _write_bookshelf writes, as NETS_ERRORS. Lines
+# 4-9 hold the first CoreRow, lines 10-15 the second.
+SCL_ERRORS = [
+    ("  Height : 32", "  Height : 0", 9, "CoreRow needs positive Height, Sitespacing and NumSites"),
+    ("  Height : 32", "  Height : -4", 9, "CoreRow needs positive Height, Sitespacing and NumSites"),
+    ("  Sitespacing : 1", "  Sitespacing : 0", 9, "CoreRow needs positive Height, Sitespacing and NumSites"),
+    ("NumSites : 64", "NumSites : -64", 9, "CoreRow needs positive Height, Sitespacing and NumSites"),
+    ("Coordinate : 32\n  Height : 32", "Coordinate : 32\n  Height : 0", 15,
+     "CoreRow needs positive Height, Sitespacing and NumSites"),
+    ("  Height : 32", "  Height : 1e999", 6, "bad number"),
+    ("  Coordinate : 0\n", "", 8, "CoreRow missing Coordinate/Height/SubrowOrigin/NumSites"),
+    ("CoreRow Horizontal\n", "", 4, "unexpected line outside CoreRow"),
+    ("NumRows : 2", "NumRows : 3", 0, "NumRows=3 but parsed 2"),
+    ("NumRows : 2", "NumRows : two", 3, "bad count line"),
+]
+
+
+@pytest.mark.parametrize("old, new, lineno, reason", SCL_ERRORS)
+def test_bookshelf_scl_errors_name_line_and_reason(tmp_path, old, new, lineno, reason):
+    aux = _write_bookshelf(tmp_path)
+    scl = tmp_path / "d.scl"
+    text = scl.read_text()
+    assert old in text
+    scl.write_text(text.replace(old, new, 1))
+    with pytest.raises(MalformedLine) as err:
+        parse_bookshelf(aux)
+    assert err.value.lineno == lineno
+    assert reason in err.value.reason
+
+
+def test_zero_height_rows_do_not_turn_cells_into_macros(tmp_path, capsys):
+    aux = _write_bookshelf(tmp_path)
+    scl = tmp_path / "d.scl"
+    scl.write_text(scl.read_text().replace("Height : 32", "Height : 0", 1))
+    assert main(["evaluate", "--netlist", str(aux), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {scl}:9: CoreRow needs positive Height, Sitespacing and NumSites"]
+
+
 def _table(netlist):
     return [(net.name, net.weight, [(p.node, p.dx, p.dy, p.is_source) for p in net.pins])
             for net in netlist.nets]
@@ -658,6 +895,10 @@ def _table(netlist):
 
 def _warnings(caplog):
     return [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+
+def _logged(caplog):
+    return [(r.levelno, r.getMessage()) for r in caplog.records]
 
 
 def test_reader_warnings_clamp_drop_and_demote(tmp_path, caplog):
@@ -785,7 +1026,7 @@ def test_bookshelf_pl_round_trip(tmp_path):
 def test_write_placement_requires_movable_coverage(tmp_path):
     aux = _write_bookshelf(tmp_path)
     nl = parse_bookshelf(aux)
-    pl = read_placement(tmp_path / "d.pl", nl)
+    pl = dict(read_placement(tmp_path / "d.pl", nl))
     del pl["a"]
     with pytest.raises(IncompletePlacement):
         write_placement(nl, pl, tmp_path / "out.pl")

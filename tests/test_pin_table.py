@@ -26,7 +26,7 @@ from gridplace.clustering import cluster_by_grid, no_clustering
 from gridplace.cost import Evaluator
 from gridplace.fd import FDParams, fd_place
 from gridplace.geometry import build_grid
-from gridplace.netlist import Net, Netlist, Node, Pin, validate_nets
+from gridplace.netlist import Net, Netlist, Node, Pin, PlacementState, validate_nets
 
 # Leading 16 hex digits of the sha256 of each field.
 GOLDEN = {
@@ -80,6 +80,30 @@ def test_golden_tables_of_the_seed7_design(ibm01):
     assert digests(netlist) == GOLDEN["ibm01"]
     assert digests(cluster_by_grid(netlist, initial, grid).netlist) == GOLDEN["ibm01_grid"]
     assert digests(no_clustering(netlist, initial, grid).netlist) == GOLDEN["ibm01_none"]
+
+
+def test_the_seed7_design_reads_as_the_loop_references_read_it(ibm01):
+    netlist = parse_bookshelf(ibm01)
+    nodes = oracles.parse_nodes(ibm01.with_suffix(".nodes"), 16.0)
+    a = netlist.arrays
+    assert a.names == nodes.names
+    for f in ("width", "height", "kind", "movable"):
+        assert getattr(a, f).dtype == getattr(nodes, f).dtype
+        assert getattr(a, f).tobytes() == getattr(nodes, f).tobytes()
+    state = read_placement(ibm01.with_suffix(".pl"), netlist)
+    want = oracles.read_placement(ibm01.with_suffix(".pl"), netlist)
+    assert {k: (p.x.hex(), p.y.hex(), p.orient) for k, p in state.items()} == \
+        {k: (p.x.hex(), p.y.hex(), p.orient) for k, p in want.items()}
+    # A state of the parsed netlist decodes into a clustered one as the
+    # equal dict does, bit for bit.
+    grid = build_grid(netlist.canvas, 32, 32)
+    for cluster in (cluster_by_grid, no_clustering):
+        cnl = cluster(netlist, state, grid)
+        assert digests(cnl.netlist) == digests(cluster(netlist, want, grid).netlist)
+        got, ref = PlacementState.of(cnl.netlist.arrays, state), PlacementState.of(cnl.netlist.arrays, want)
+        for f in ("x", "y", "sx", "sy"):
+            assert getattr(got, f).tobytes() == getattr(ref, f).tobytes()
+        assert cnl.seed_placement(state).x.tobytes() == cnl.seed_placement(want).x.tobytes()
 
 
 def test_golden_tables_of_a_rewiring_instance():

@@ -132,3 +132,29 @@ def test_non_finite_coordinates_are_rejected(bad):
                 call()
     # Names outside the netlist are not read.
     assert dict(PlacementState.of(netlist.arrays, {"zz": Pose(math.nan, 0.0)})) == {}
+
+
+def test_a_state_of_another_netlist_decodes_as_its_dict():
+    # The other netlist holds some of the nodes, in another order, and one
+    # of its own; the decode goes array to array.
+    rng = random.Random(9)
+    for seed in range(100):
+        netlist, placement, _ = small_instance(seed)
+        st = PlacementState.of(netlist.arrays, _mixed_placement(netlist, placement, rng))
+        nodes = [n for n in netlist.nodes if rng.random() < 0.7] + [Node("own", NodeKind.MACRO, 1.0, 1.0, True)]
+        rng.shuffle(nodes)
+        other = Netlist(nodes=nodes, nets=[], canvas=netlist.canvas)
+        got, want = PlacementState.of(other.arrays, st), PlacementState.of(other.arrays, dict(st))
+        assert got.arrays is other.arrays
+        for a, b in zip((got.x, got.y, got.sx, got.sy), (want.x, want.y, want.sx, want.sy)):
+            assert a.tobytes() == b.tobytes()
+    # A non-finite coordinate is named as the dict decode names it.
+    netlist, _ = _two_macros()
+    twin = Netlist(nodes=netlist.nodes[::-1], nets=[], canvas=netlist.canvas)
+    st = PlacementState.of(netlist.arrays, {"a": Pose(3.0, 3.0), "b": Pose(5.0, 5.0), "c": Pose(9.0, 9.0)})
+    st.y[1] = st.x[2] = math.inf
+    with pytest.raises(OutOfRange, match="'b'"):
+        PlacementState.of(twin.arrays, st)
+    st.x[2] = math.nan   # an unplaced node is not read
+    with pytest.raises(OutOfRange, match="'b'"):
+        PlacementState.of(twin.arrays, st)
