@@ -17,9 +17,12 @@ canceled whole. Clusters always start at the canvas center.
 
 So in iteration 0 the stack, the nodes at the center with a positive width
 and height, overlaps itself pair by pair with coincident centers. Those pairs
-are built directly in the row-major order of their random draws; any other
-coincident pair (a zero-width node at the center, say) joins them at its
-row-major place, so pairs, draws and sums stay the dense definition's.
+are built directly, a block of rows at a time, in the row-major order of
+their random draws; any other coincident pair (a zero-width node at the
+center, say) joins them at its row-major place, so pairs, draws and sums stay
+the dense definition's. A node adds its draws as i, then as j, so each draw
+is used twice: kept while the stack's fit in _DRAW_BYTES, else drawn again
+from the generator's saved state.
 
 Overlapping pairs are found by a sort-and-sweep on the x extents (the
 sweep-and-prune of I-COLLIDE, Cohen et al. 1995), with the intervals widened
@@ -33,7 +36,10 @@ matrix, `M.sum(axis=1)`. `_RowSums` gives the same floats from the nonzero
 entries alone, with no n x n buffer: it mirrors numpy's `pairwise_sum`
 (numpy/_core/src/umath/loops_utils.h.src; Higham, SIAM J. Sci. Comput. 1993),
 a fixed tree that depends only on n. A numpy that sums rows differently makes
-the dense-oracle tests fail.
+the dense-oracle tests fail. A row sum depends on the row's entries alone, so
+the rows are summed in blocks of consecutive swept positions, about
+_BLOCK_ENTRIES candidates each; a pair whose rows lie in two blocks is found
+and filtered again from the second. No per-pair array outlives its block.
 
 Node sizes, kinds and pins come from `Netlist.arrays`, built once per
 netlist; each call reads only the locations and orientation signs of the
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,6 +71,9 @@ class FDParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_iters", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise OutOfRange(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.num_iters < 1:
             raise OutOfRange(f"num_iters must be >= 1, got {self.num_iters}")
         for name in ("k_attract", "k_repel", "io_factor"):
@@ -118,7 +128,11 @@ def _star_pairs(netlist: Netlist, placement: Placement, io_factor: float):
 _BLOCK = 128
 _LANES = 8
 _PASSES = _BLOCK // _LANES
-_NO_PAIRS = (np.empty(0, dtype=np.intp),) * 2
+_NO_STACK = np.empty(0, dtype=np.intp)
+# Rows sum in blocks of about _BLOCK_ENTRIES candidates, a leaf of lanes
+# counting as one; the stack draws in blocks of an eighth as many pairs.
+_BLOCK_ENTRIES = 1 << 17
+_DRAW_BYTES = 1 << 24
 
 
 class _RowSums:
@@ -137,32 +151,42 @@ class _RowSums:
     Each column fixes its leaf and either its lane and pass k // 8 or its
     tail position. One sort of the entries by pass, then tail position, puts
     every lane's and every tail's values in column order, and `np.bincount`,
-    which adds in input order, accumulates them: the lanes into an (n_rows,
-    leaves, 8) array, about n_rows * n_cols / 12 floats, then the tails onto
-    the leaf sums. The leaves combine by the tree, one column at a time.
+    which adds in input order, accumulates them: the lanes into a (leaves, 8,
+    n_rows) array, about n_rows * n_cols / 16 floats, then the tails onto
+    the leaf sums. The leaves combine by the tree a level at a time.
     """
 
     def __init__(self, n_cols: int):
-        starts, sizes = [], []
+        starts, sizes, inner = [], [], []
 
         def split(start, size):
+            """The tree over columns [start, start + size): its leaf number,
+            or -1 - its place among the inner nodes, and its height."""
             if size <= _BLOCK:
                 starts.append(start)
                 sizes.append(size)
-                return len(sizes) - 1
+                return len(sizes) - 1, 0
             half = size // 2
             half -= half % _LANES
-            return split(start, half), split(start + half, size - half)
+            (a, ha), (b, hb) = split(start, half), split(start + half, size - half)
+            inner.append((max(ha, hb), a, b))
+            return -len(inner), max(ha, hb) + 1
 
-        self._tree = split(0, n_cols)
-        self._leaves = len(sizes)
-        leaf = np.repeat(np.arange(self._leaves), sizes)
-        off = np.arange(n_cols) - np.asarray(starts)[leaf]
-        main = np.asarray(sizes)[leaf] // _LANES * _LANES
+        split(0, n_cols)
+        self.leaves = len(sizes)
+        # Inner node j is node leaves + j, the sum of its children, which
+        # are lower in the tree; the root comes last.
+        h, a, b = np.array(inner, dtype=np.intp).reshape(-1, 3).T
+        a, b = (np.where(c < 0, self.leaves - 1 - c, c) for c in (a, b))
+        t = np.arange(self.leaves, self.leaves + h.size)
+        self._levels = [(t[h == k], a[h == k], b[h == k]) for k in range(h.max(initial=-1) + 1)]
+        self._leaf = np.repeat(np.arange(self.leaves), sizes)
+        off = np.arange(n_cols) - np.asarray(starts)[self._leaf]
+        main = np.asarray(sizes)[self._leaf] // _LANES * _LANES
         in_lane = off < main
         # Passes sort first, then tail positions.
         self._key = np.where(in_lane, off // _LANES, _PASSES + off - main).astype(np.uint8)
-        self._slot = leaf * _LANES + np.where(in_lane, off % _LANES, 0)
+        self._slot = self._leaf * _LANES + np.where(in_lane, off % _LANES, 0)
 
     def __call__(self, n_rows: int, rows: np.ndarray, cols: np.ndarray):
         """The row-sum function of the (n_rows, n_cols) matrices whose
@@ -170,132 +194,189 @@ class _RowSums:
         is zero. It maps the entries' values, in the same order, to the row
         sums."""
         key = self._key[cols]
-        n_tail = np.count_nonzero(key >= _PASSES)
-        width = self._leaves * _LANES
-        slot = rows.astype(np.intp)
-        slot *= width
-        slot += self._slot[cols]
+        n_lane = key.size - np.count_nonzero(key >= _PASSES)
         # A lane takes one value per pass, so ordering by pass puts each
         # lane's values in column order (stable: numpy radix-sorts uint8).
         order = np.argsort(key, kind="stable")
-        slot = slot[order]
-        n_lane = slot.size - n_tail
-        tail_slot = slot[n_lane:] // _LANES
-        slot = slot[:n_lane]
+        rows, cols = rows[order], cols[order]
+        slot = self._slot[cols[:n_lane]] * n_rows + rows[:n_lane]
+        tail = self._leaf[cols[n_lane:]] * n_rows + rows[n_lane:]
+        every = np.arange(self.leaves * n_rows)
 
         def row_sums(vals: np.ndarray) -> np.ndarray:
             v = vals[order]
-            r = np.bincount(slot, v[:n_lane], n_rows * width)
-            r = r.reshape(n_rows, self._leaves, _LANES)
-            r = r[..., 0::2] + r[..., 1::2]
-            r = r[..., 0::2] + r[..., 1::2]
-            leaf = r[..., 0] + r[..., 1]
-            if n_tail:
-                leaf = np.bincount(np.concatenate((np.arange(leaf.size), tail_slot)),
-                                   np.concatenate((leaf.reshape(-1), v[n_lane:])), leaf.size)
-                leaf = leaf.reshape(n_rows, self._leaves)
-
-            def combine(node):
-                if isinstance(node, int):
-                    return leaf[:, node]
-                return combine(node[0]) + combine(node[1])
-
-            return 0.0 + combine(self._tree)
+            r = np.bincount(slot, v[:n_lane], self.leaves * _LANES * n_rows)
+            r = r.reshape(self.leaves, _LANES, n_rows)
+            r = r[:, 0::2] + r[:, 1::2]
+            r = r[:, 0::2] + r[:, 1::2]
+            t = np.empty((2 * self.leaves - 1, n_rows))
+            np.add(r[:, 0], r[:, 1], out=t[:self.leaves])
+            if tail.size:
+                t[:self.leaves] = np.bincount(np.concatenate((every, tail)), np.concatenate(
+                    (t[:self.leaves].reshape(-1), v[n_lane:])), every.size).reshape(self.leaves, n_rows)
+            for out, a, b in self._levels:
+                t[out] = t[a] + t[b]
+            return 0.0 + t[-1]
 
         return row_sums
 
 
-def _overlap_pairs(x, y, hw, hh, slack):
-    """Node pairs (i, j), i < j, whose outlines overlap with positive area.
+def _blocks(cost, size):
+    """Bounds of runs of consecutive rows, of the given costs, that cost
+    about `size` each (a costlier row runs alone); (0, 0) for no rows."""
+    before = np.cumsum(cost) - cost
+    start = np.flatnonzero(np.diff(before // size, prepend=-1))
+    return np.append(start, cost.size) if start.size else np.zeros(2, dtype=np.intp)
 
-    Candidates come from a sweep over the x extents widened by `slack`, which
-    must exceed the rounding error of the extents; each candidate is then
-    kept only if it passes the dense definition's float predicate on both
-    axes, so the kept set is exactly the dense one.
-    """
-    n = x.size
+
+def _swept_rows(x, hw, slack):
+    """Sort-and-sweep over the x extents widened by `slack`, which must
+    exceed their rounding error. Returns the nodes by low edge and, as
+    `_repel` takes them, each row's candidate count and the candidates of a
+    row block: sorted position k meets each later m < end[k]."""
     lo = (x - hw) - slack
     order = np.argsort(lo, kind="stable")
-    lo, xs, ys, hws, hhs = lo[order], x[order], y[order], hw[order], hh[order]
-    # Sorted position k meets every later position m with lo[m] <= hi[k]
-    # (at least itself, since lo[k] <= hi[k]).
-    end = np.searchsorted(lo, (xs + hws) + slack, side="right")
-    after = np.arange(1, n + 1)
-    count = end - after
-    k, m = _filter_overlaps(np.repeat(np.arange(n), count), index_ranges(after, count), xs, ys, hws, hhs)
-    a, b = order[k], order[m]
-    return np.minimum(a, b), np.maximum(a, b)
+    end = np.searchsorted(lo[order], (x[order] + hw[order]) + slack, side="right")
+    after = np.arange(1, x.size + 1)
+    # Row k meets m in (k, end[k]) and every earlier p with end[p] > k.
+    back = np.cumsum(np.bincount(after, minlength=x.size + 1) - np.bincount(end, minlength=x.size + 1))
+
+    def pairs(k0, k1):
+        # The rows' own ranges, then the parts of earlier ranges in [k0, k1).
+        early = np.flatnonzero(end[:k0] > k0)
+        first = np.concatenate((np.arange(k0 + 1, k1 + 1), np.full(early.size, k0)))
+        count = np.concatenate((end[k0:k1], np.minimum(end[early], k1))) - first
+        return np.repeat(np.concatenate((np.arange(k0, k1), early)), count), index_ranges(first, count)
+    return order, end - after + back[:-1], pairs
 
 
 def _filter_overlaps(k, m, x, y, hw, hh):
-    """The candidate pairs (k, m) that pass the dense predicate."""
-    # Both operand orders give the same float: + commutes and |a-b| = |b-a|.
-    keep = (hh[k] + hh[m]) - np.abs(y[m] - y[k]) > 0.0
-    k, m = k[keep], m[keep]
-    keep = (hw[k] + hw[m]) - np.abs(x[m] - x[k]) > 0.0
-    return k[keep], m[keep]
+    """The candidate pairs (k, m) that pass the dense predicate, with their
+    x[m] - x[k] and y[m] - y[k]."""
+    d = []
+    for c, h in ((y, hh), (x, hw)):
+        # (h[k] + h[m]) - |c[m] - c[k]|, the same float for either order.
+        gap = c.take(m)
+        gap -= c.take(k)
+        room = h.take(k)
+        room += h.take(m)
+        room -= np.abs(gap)
+        keep = np.flatnonzero(room > 0.0)
+        k, m = k.take(keep), m.take(keep)
+        d = [v.take(keep) for v in (*d, gap)]
+    return k, m, d[1], d[0]
 
 
-def _stacked_pairs(x, y, hw, hh, slack, cx, cy):
-    """The overlapping pairs when every mover sits at (cx, cy): (ii, jj),
-    i < j, and (si, sj), the pairs of the stack in row-major order. The stack,
-    the nodes at (cx, cy) with a positive width and height, overlaps itself
-    pair by pair with coincident centers."""
+def _stacked_rows(x, y, hw, hh, slack, cx, cy):
+    """The overlapping pairs when every mover sits at (cx, cy), as
+    `_swept_rows` gives them, but for those within the stack, the nodes at
+    (cx, cy) with a positive width and height, which it returns too: they
+    overlap each other pair by pair with coincident centers."""
     stack = (x == cx) & (y == cy) & (hw > 0.0) & (hh > 0.0)
     s, o = np.flatnonzero(stack), np.flatnonzero(~stack)
-    a, b = _overlap_pairs(x[o], y[o], hw[o], hh[o], slack)
+    order, _, pairs = _swept_rows(x[o], hw[o], slack)
+    k, m, _, _ = _filter_overlaps(*pairs(0, o.size), *(v[o[order]] for v in (x, y, hw, hh)))
     # (hw[s] + hw[o]) - |x[o] - cx| grows with hw[s], so the stack nodes that
     # may overlap node o are a suffix of the stack sorted by half width.
     by_w = s[np.argsort(hw[s], kind="stable")]
     start = np.searchsorted(hw[by_w], (np.abs(x[o] - cx) - hw[o]) - slack)
     count = by_w.size - start
-    k, m = _filter_overlaps(np.repeat(o, count), by_w[index_ranges(start, count)], x, y, hw, hh)
-    ii, jj = np.concatenate((o[a], np.minimum(k, m))), np.concatenate((o[b], np.maximum(k, m)))
-    count = np.arange(s.size - 1, -1, -1)
-    return ii, jj, np.repeat(s, count), s[index_ranges(np.arange(1, s.size + 1), count)]
+    p, q, _, _ = _filter_overlaps(np.repeat(o, count), by_w[index_ranges(start, count)], x, y, hw, hh)
+    a, b = np.concatenate((o[order[k]], p)), np.concatenate((o[order[m]], q))
+    ii, jj = np.minimum(a, b), np.maximum(a, b)
+    nodes = np.unique(np.concatenate((ii, jj)))
+    k, m = np.searchsorted(nodes, ii), np.searchsorted(nodes, jj)
+
+    def pairs(k0, k1):
+        own = (k >= k0) & (k < k1)
+        sel = np.concatenate((np.flatnonzero(own), np.flatnonzero(~own & (m >= k0) & (m < k1))))
+        return k.take(sel), m.take(sel)
+    return nodes, np.bincount(np.concatenate((k, m)), minlength=nodes.size), pairs, s
 
 
-def _add_repulsion(fx, fy, x, y, pairs, mag, row_sums, rng):
-    """fx, fy plus the repulsion, of magnitude `mag`, between the overlapping
-    pairs (ii, jj, si, sj), as `_stacked_pairs` returns them, summed as the
-    dense definition sums it."""
+def _repel(fx, fy, x, y, hw, hh, nodes, cost, pairs, mag, row_sums):
+    """Subtract from fx and fy the repulsion, of magnitude `mag`, between
+    the overlapping pairs with distinct centers, as the dense definition
+    sums it, and return the sorted row-major keys i * n + j of those with
+    coincident centers (i < j), whose random pushes come after.
+
+    The rows are `nodes`. pairs(k0, k1) gives candidate pairs (k, m), k < m,
+    of positions in `nodes`: each overlapping pair with k or m in [k0, k1)
+    once, those with k there first. Row k has at most cost[k] of them."""
     n = x.size
-    ii, jj, si, sj = pairs
-    dx = x[jj] - x[ii]   # points i -> j
-    dy = y[jj] - y[ii]
-    dist = np.sqrt(dx * dx + dy * dy)
-    apart = dist > 0.0
-    if not apart.all():
-        # Coincident centers draw their directions pair by pair in row-major
-        # (i, j) order; those found here join (si, sj) at their places.
-        drawn = np.sort(ii[~apart].astype(np.intp) * n + jj[~apart])
-        at = np.searchsorted(si * n + sj, drawn)
-        ic, jc = np.divmod(drawn, n)
-        si, sj = np.insert(si, at, ic), np.insert(sj, at, jc)
-        ii, jj, dx, dy, dist = ii[apart], jj[apart], dx[apart], dy[apart], dist[apart]
-    if ii.size:
+    s = tuple(v[nodes] for v in (x, y, hw, hh))
+    drawn = [_NO_STACK]
+    bounds = _blocks(cost + row_sums.leaves, _BLOCK_ENTRIES)
+    for k0, k1 in zip(bounds[:-1], bounds[1:]):
+        k, m, dx, dy = _filter_overlaps(*pairs(k0, k1), *s)   # points k -> m
+        dist = np.sqrt(dx * dx + dy * dy)
+        apart = dist > 0.0
+        if not apart.all():
+            # A coincident pair counts once, in the block of its row k.
+            same = np.flatnonzero(~apart & (k >= k0))
+            a, b = nodes[k.take(same)], nodes[m.take(same)]
+            drawn.append(np.minimum(a, b) * n + np.maximum(a, b))
+            apart = np.flatnonzero(apart)
+            k, m, dx, dy, dist = (v.take(apart) for v in (k, m, dx, dy, dist))
         inv = np.divide(1.0, dist, out=dist)
         dx *= inv
         dy *= inv
-        # Cells (i, j), then (j, i): -(dx * inv) is the dense (-dx) * inv.
-        sums = row_sums(n, np.concatenate((ii, jj)), np.concatenate((jj, ii)))
-        fx = fx - mag * sums(np.concatenate((dx, -dx)))
-        fy = fy - mag * sums(np.concatenate((dy, -dy)))
-    if si.size:
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=si.size)
-        # Each node adds its own force, then its draws as i, then as j: two
-        # bincounts that each start from the sum so far.
-        at_i, at_j = (np.concatenate((np.arange(n), s)) for s in (si, sj))
-        v = np.empty(n + si.size)
-        def spread(f, turn):
-            turn(theta, out=v[n:])
-            v[n:] *= mag     # the dense mag * cos(theta), as * commutes
-            v[:n] = f
-            v[:n] = np.bincount(at_i, v, n)
-            np.negative(v[n:], out=v[n:])
-            return np.bincount(at_j, v, n)
-        fx, fy = spread(fx, np.cos), spread(fy, np.sin)
-    return fx, fy
+        # Cells (k, m) in the block's rows, then (m, k): -(dx * inv) is the
+        # dense (-dx) * inv.
+        f, g = np.count_nonzero(k >= k0), np.flatnonzero(m < k1)
+        sums = row_sums(k1 - k0, np.concatenate((k[:f], m.take(g))) - k0,
+                        nodes[np.concatenate((m[:f], k.take(g)))])
+        rows = nodes[k0:k1]
+        fx[rows] -= mag * sums(np.concatenate((dx[:f], -dx.take(g))))
+        fy[rows] -= mag * sums(np.concatenate((dy[:f], -dy.take(g))))
+    return np.sort(np.concatenate(drawn))
+
+
+def _add_draws(f, s, drawn, mag, rng):
+    """The forces f = (fx, fy) plus the pushes, of magnitude `mag` in random
+    directions, of the coincident pairs: those within the stack `s`
+    (ascending) and those with the sorted row-major keys `drawn`. As in the
+    dense definition, the pairs draw in row-major order, and each node adds
+    its own force, then its draws as i, then its draws as j."""
+    n = f[0].size
+    count = np.arange(s.size - 1, -1, -1)   # stack row a pairs with s[a + 1:]
+    total = count.sum() + drawn.size
+    if not total:
+        return f
+    bounds = _blocks(count, _BLOCK_ENTRIES // 8)
+    # A block takes its stack rows and the keys before the next block's.
+    cut = np.concatenate(([0], np.searchsorted(drawn, s[bounds[1:-1]] * n), [drawn.size]))
+
+    def blocks():
+        for a0, a1, d0, d1 in zip(bounds[:-1], bounds[1:], cut[:-1], cut[1:]):
+            c = count[a0:a1]
+            si, sj = np.repeat(s[a0:a1], c), s[index_ranges(np.arange(a0 + 1, a1 + 1), c)]
+            if d1 > d0:
+                at = np.searchsorted(si * n + sj, drawn[d0:d1])
+                ic, jc = np.divmod(drawn[d0:d1], n)
+                si, sj = np.insert(si, at, ic), np.insert(sj, at, jc)
+            yield si, sj
+
+    def push(size):
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=size)
+        return mag * np.cos(theta), mag * np.sin(theta)
+
+    def add(f, at, v):   # bincount adds in input order: f first
+        at = np.concatenate((np.arange(n), at))
+        return [np.bincount(at, np.concatenate((a, b)), n) for a, b in zip(f, v)]
+
+    keep, kept, state = total * 16 <= _DRAW_BYTES, [], rng.bit_generator.state
+    for si, _ in blocks():
+        p = push(si.size)
+        f = add(f, si, p)
+        kept += [p] if keep else []
+    if not keep:
+        # Drawing again from the saved state leaves the generator where the
+        # first pass did.
+        rng.bit_generator.state = state
+    for t, (_, sj) in enumerate(blocks()):
+        f = add(f, sj, [-v for v in (kept[t] if keep else push(sj.size))])
+    return f
 
 
 def fd_place(
@@ -330,11 +411,25 @@ def fd_place(
 
     hw, hh = arrays.half_w, arrays.half_h
     a_idx, b_idx, a_off, b_off, scale = _star_pairs(netlist, out, params.io_factor)
-    have_pairs = a_idx.size > 0
     ab_idx = np.concatenate((a_idx, b_idx))
+    a_ox, a_oy, b_ox, b_oy = np.hstack((a_off, b_off)).T.copy()   # contiguous columns
+    k = params.k_attract * scale
+    del a_off, b_off, scale
+    terms = np.empty(ab_idx.size)
+
+    def pull(c, a_o, b_o):
+        # bincount adds in input order, as sequential np.add.at calls do.
+        # The second half is k * (pa - pb), exactly -(k * (pb - pa)); a -0.0
+        # term adds as +0.0 does to a sum that starts at +0.0.
+        d = terms[:a_idx.size]
+        np.subtract(c[b_idx] + b_o, c[a_idx] + a_o, out=d)
+        d *= k
+        np.negative(d, out=terms[a_idx.size:])
+        return np.bincount(ab_idx, terms, n)
 
     mmd = max(cv.width, cv.height) / params.num_iters
     f_r_max = mmd
+    mag = params.k_repel * f_r_max
     rng = np.random.Generator(np.random.PCG64(params.seed))
     # Movers start at the center and only take moves that keep them on the
     # canvas, and fixed nodes never move, so this bounds every x extent;
@@ -343,22 +438,18 @@ def fd_place(
     row_sums = _RowSums(n)
 
     for it in range(params.num_iters):
-        if have_pairs and params.k_attract > 0:
-            pax = x[a_idx] + a_off[:, 0]
-            pay = y[a_idx] + a_off[:, 1]
-            pbx = x[b_idx] + b_off[:, 0]
-            pby = y[b_idx] + b_off[:, 1]
-            k = params.k_attract * scale
-            # bincount adds in input order, as sequential np.add.at calls do.
-            fx = np.bincount(ab_idx, np.concatenate((k * (pbx - pax), k * (pax - pbx))), n)
-            fy = np.bincount(ab_idx, np.concatenate((k * (pby - pay), k * (pay - pby))), n)
+        if a_idx.size and params.k_attract > 0:
+            fx, fy = pull(x, a_ox, b_ox), pull(y, a_oy, b_oy)
         else:
             fx = np.zeros(n)
             fy = np.zeros(n)
         if params.k_repel > 0:
-            pairs = (_stacked_pairs(x, y, hw, hh, slack, cv.width / 2.0, cv.height / 2.0) if it == 0
-                     else _overlap_pairs(x, y, hw, hh, slack) + _NO_PAIRS)
-            fx, fy = _add_repulsion(fx, fy, x, y, pairs, params.k_repel * f_r_max, row_sums, rng)
+            if it == 0:
+                nodes, cost, pairs, stack = _stacked_rows(x, y, hw, hh, slack, cv.width / 2.0, cv.height / 2.0)
+            else:
+                (nodes, cost, pairs), stack = _swept_rows(x, hw, slack), _NO_STACK
+            drawn = _repel(fx, fy, x, y, hw, hh, nodes, cost, pairs, mag, row_sums)
+            fx, fy = _add_draws((fx, fy), stack, drawn, mag, rng)
 
         max_fx = np.max(np.abs(fx))
         max_fy = np.max(np.abs(fy))

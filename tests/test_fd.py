@@ -7,8 +7,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import fixture_gen
+import gridplace.fd as fd
 from gridplace.bookshelf import parse_aux, parse_bookshelf, read_placement
-from gridplace.clustering import cluster_by_grid
+from gridplace.clustering import cluster_by_grid, no_clustering
 from gridplace.errors import DegenerateNet, MissingLocation, OutOfRange
 from gridplace.fd import FDIterationInfo, FDParams, _RowSums, _star_pairs, fd_place
 from gridplace.geometry import build_grid, node_bbox
@@ -171,10 +173,11 @@ def test_param_validation():
     ("num_iters", 0), ("num_iters", -3),
     ("k_attract", math.nan), ("k_attract", -1.0), ("k_repel", math.inf), ("k_repel", -0.5),
     ("io_factor", math.nan), ("io_factor", -math.inf), ("seed", -1),
+    ("num_iters", 2.5), ("num_iters", "3"), ("seed", 1.5), ("seed", None),
 ])
 def test_params_reject_values_that_cannot_run(field, value):
-    # A NaN or infinite factor would make every force NaN, and numpy's
-    # generator takes no negative seed.
+    # A NaN or infinite factor would make every force NaN, numpy's generator
+    # takes no negative seed, and range() and the generator take integers.
     with pytest.raises(OutOfRange, match=field):
         FDParams(**{field: value})
     FDParams(**{field: 1})
@@ -426,6 +429,107 @@ def test_fd_matches_dense_through_the_crowded_iterations(synth_aux):
     initial = read_placement(parse_aux(synth_aux)["pl"], netlist)
     cnl = cluster_by_grid(netlist, initial, build_grid(netlist.canvas, 32, 32))
     _assert_matches_dense(cnl.netlist, cnl.seed_placement(initial), FDParams(num_iters=30, seed=7))
+
+
+# ---------------------------------------------------------------------------
+# Repulsion in bounded blocks
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Sets a block cap so small, and no draw budget, that the passes take
+    several blocks and the stacked start draws its pairs again; returns the
+    block counts of the row passes and of the draw passes seen."""
+    seen = {"rows": [], "draws": []}
+    blocks = fd._blocks
+
+    def counted(cost, size):
+        bounds = blocks(cost, size)
+        seen["rows" if size == fd._BLOCK_ENTRIES else "draws"].append(bounds.size - 1)
+        return bounds
+
+    def set_cap(cap):
+        monkeypatch.setattr(fd, "_BLOCK_ENTRIES", cap)
+        monkeypatch.setattr(fd, "_DRAW_BYTES", 0)
+        monkeypatch.setattr(fd, "_blocks", counted)
+        return seen
+    return set_cap
+
+
+@pytest.mark.parametrize("check, cap", [
+    (lambda aux: test_fd_matches_dense_on_contact_instances(), 64),
+    (lambda aux: test_fd_matches_dense_on_random_instances(), 16),
+    (lambda aux: test_fd_matches_dense_from_the_stacked_start(), 16),
+    (test_fd_matches_dense_at_full_scale, 4096),
+    (test_fd_matches_dense_through_the_crowded_iterations, 4096),
+], ids=["contact", "random", "stacked start", "full scale", "crowded"])
+def test_fd_matches_dense_in_small_blocks(synth_aux, small_blocks, check, cap):
+    seen = small_blocks(cap)
+    check(synth_aux)
+    assert max(seen["rows"]) > 1 and max(seen["draws"]) > 1
+
+
+def test_blocked_draws_match_one_uniform_call(monkeypatch):
+    # A stack and other coincident pairs, some in the stack's rows, merge
+    # into one row-major draw order; blocked, kept or replayed draws must add
+    # the values of one uniform call in the dense order and leave the
+    # generator where that call leaves it.
+    rng = np.random.default_rng(3)
+    n, mag = 60, 1.7
+    stack = np.sort(rng.choice(n, 30, replace=False))
+    i, j = np.triu_indices(n, 1)
+    other = ~(np.isin(i, stack) & np.isin(j, stack))
+    drawn = np.sort(rng.choice((i * n + j)[other], 40, replace=False))
+    ii, jj = np.divmod(np.sort(np.concatenate((drawn, (i * n + j)[~other]))), n)
+    ref = np.random.Generator(np.random.PCG64(11))
+    theta = ref.uniform(0.0, 2.0 * np.pi, size=ii.size)
+    start = rng.normal(size=(2, n))
+    want = start.copy()
+    for f, turn in zip(want, (np.cos, np.sin)):
+        np.add.at(f, ii, mag * turn(theta))
+        np.add.at(f, jj, -(mag * turn(theta)))
+    for cap, budget in ((fd._BLOCK_ENTRIES, fd._DRAW_BYTES), (64, fd._DRAW_BYTES), (64, 0)):
+        monkeypatch.setattr(fd, "_BLOCK_ENTRIES", cap)
+        monkeypatch.setattr(fd, "_DRAW_BYTES", budget)
+        gen = np.random.Generator(np.random.PCG64(11))
+        got = fd._add_draws(start.copy(), stack, drawn, mag, gen)
+        assert np.array_equal(got, want), (cap, budget)
+        assert gen.bit_generator.state == ref.bit_generator.state, (cap, budget)
+
+
+def test_replayed_draws_leave_the_generator_for_later_iterations(small_blocks):
+    # Two fixed macros share a center, so every iteration draws for them
+    # after the stacked start has drawn, and replayed, its own pairs.
+    nodes = [Node(f"g{i}", NodeKind.CLUSTER, 3.0, 2.0, movable=True) for i in range(40)]
+    nodes += [Node("m0", NodeKind.MACRO, 8.0, 8.0, movable=False),
+              Node("m1", NodeKind.MACRO, 5.0, 9.0, movable=False)]
+    placement = {"m0": Pose(20.0, 30.0), "m1": Pose(20.0, 30.0)}
+    netlist = Netlist(nodes=nodes, nets=[], canvas=Canvas(100.0, 80.0))
+    seen = small_blocks(64)
+    infos = _assert_matches_dense(netlist, placement, FDParams(num_iters=6, seed=2))
+    assert max(seen["draws"]) > 1
+    assert all(c[0] >= 1 for c in _contact_counts(netlist, placement, infos))
+
+
+@pytest.mark.parametrize("cells", [2000, 4000])
+def test_fd_memory_does_not_grow_with_the_stack(tmp_path, monkeypatch, cells):
+    # Without clustering every cell starts in one stack at the center:
+    # about 2 M and 8 M coincident pairs. Their draws and the later
+    # iterations' pairs run in blocks, so one bound holds for both.
+    monkeypatch.setattr(fixture_gen, "N_STDCELLS", cells)
+    aux = fixture_gen.write_synthetic_design(tmp_path)
+    netlist = parse_bookshelf(aux)
+    initial = read_placement(parse_aux(aux)["pl"], netlist)
+    cnl = no_clustering(netlist, initial, build_grid(netlist.canvas, 32, 32))
+    base = cnl.seed_placement(initial)
+    cnl.netlist.arrays
+    tracemalloc.start()
+    try:
+        fd_place(cnl.netlist, base, FDParams(num_iters=3, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 # ---------------------------------------------------------------------------
