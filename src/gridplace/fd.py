@@ -274,8 +274,8 @@ def _stacked_rows(x, y, hw, hh, slack, cx, cy):
     overlap each other pair by pair with coincident centers."""
     stack = (x == cx) & (y == cy) & (hw > 0.0) & (hh > 0.0)
     s, o = np.flatnonzero(stack), np.flatnonzero(~stack)
-    order, _, pairs = _swept_rows(x[o], hw[o], slack)
-    k, m, _, _ = _filter_overlaps(*pairs(0, o.size), *(v[o[order]] for v in (x, y, hw, hh)))
+    order, _, swept = _swept_rows(x[o], hw[o], slack)
+    k, m, _, _ = _filter_overlaps(*swept(0, o.size), *(v[o[order]] for v in (x, y, hw, hh)))
     # (hw[s] + hw[o]) - |x[o] - cx| grows with hw[s], so the stack nodes that
     # may overlap node o are a suffix of the stack sorted by half width.
     by_w = s[np.argsort(hw[s], kind="stable")]
@@ -304,11 +304,11 @@ def _repel(fx, fy, x, y, hw, hh, nodes, cost, pairs, mag, row_sums):
     of positions in `nodes`: each overlapping pair with k or m in [k0, k1)
     once, those with k there first. Row k has at most cost[k] of them."""
     n = x.size
-    s = tuple(v[nodes] for v in (x, y, hw, hh))
+    at_rows = tuple(v[nodes] for v in (x, y, hw, hh))
     drawn = [_NO_STACK]
     bounds = _blocks(cost + row_sums.leaves, _BLOCK_ENTRIES)
     for k0, k1 in zip(bounds[:-1], bounds[1:]):
-        k, m, dx, dy = _filter_overlaps(*pairs(k0, k1), *s)   # points k -> m
+        k, m, dx, dy = _filter_overlaps(*pairs(k0, k1), *at_rows)   # points k -> m
         dist = np.sqrt(dx * dx + dy * dy)
         apart = dist > 0.0
         if not apart.all():
