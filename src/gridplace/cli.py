@@ -3,9 +3,9 @@
 Subcommands: parse, cluster, fd, evaluate, sa, stability, sweep, shuffle,
 kendall, plot. Shared flags may appear after the subcommand. An optional
 config file (--config, "key = value" lines, keys matching flag names with
-underscores) provides defaults that explicit flags override. Commands write a
-<command>.manifest next to their outputs recording everything needed to
-reproduce the reported numbers.
+underscores) provides defaults that explicit flags override. Every command
+that writes into --out-dir also writes <out-dir>/<command>.manifest with each
+of its flags and its results (see `_report`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import logging
 import re
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -77,11 +77,36 @@ def _common_flags() -> argparse.ArgumentParser:
     return p
 
 
-def _netlist_flags(p, initial_required=False):
+def _netlist_flags(p):
     p.add_argument("--netlist", required=True,
                    help=".aux (Bookshelf) or native .txt netlist")
-    p.add_argument("--initial", default=None, required=initial_required,
+    p.add_argument("--initial", default=None,
                    help=".pl with initial/fixed locations (default: the one named by the .aux)")
+
+
+def _placement_flags(p):
+    """The flags of the commands that score one placement."""
+    p.add_argument("--placement", default=None, help=".pl overriding node locations")
+    p.add_argument("--fd", action="store_true", help="place clusters by FD before evaluating")
+    p.add_argument("--fd-iters", type=int, default=100)
+
+
+def _force_flags(p):
+    p.add_argument("--ka", type=float, default=1.0, help="attractive force factor")
+    p.add_argument("--kr", type=float, default=1.0, help="repulsive force factor")
+    p.add_argument("--io-factor", type=float, default=1.0)
+
+
+def _anneal_flags(p, workers: int, steps: int):
+    """The run flags that `sa` and `stability` share, with their defaults."""
+    p.add_argument("--workers", type=int, default=workers)
+    p.add_argument("--steps", type=int, default=steps, help="max steps per worker")
+    p.add_argument("--budget-seconds", dest="budget", type=float, default=None,
+                   help="wall-clock seconds for the whole run")
+    p.add_argument("--init", choices=["spiral", "greedy"], default="spiral")
+    p.add_argument("--t-init", default="auto", help="initial temperature or 'auto'")
+    p.add_argument("--fd-iters", type=int, default=100)
+    p.add_argument("--sequential", action="store_true", help="run workers in-process")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,65 +128,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fd", parents=[common], help="force-directed cluster placement")
     _netlist_flags(p)
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--ka", type=float, default=1.0, help="attractive force factor")
-    p.add_argument("--kr", type=float, default=1.0, help="repulsive force factor")
-    p.add_argument("--io-factor", type=float, default=1.0)
+    _force_flags(p)
     p.add_argument("--repulsive-only", action="store_true", help="run with the attractive factor zeroed")
     p.add_argument("--out", default=None, help="output .pl (default <out-dir>/fd.pl)")
 
     p = sub.add_parser("evaluate", parents=[common], help="print the proxy cost breakdown")
     _netlist_flags(p)
-    p.add_argument("--placement", default=None, help=".pl overriding node locations")
-    p.add_argument("--fd", action="store_true", help="place clusters by FD before evaluating")
-    p.add_argument("--fd-iters", type=int, default=100)
+    _placement_flags(p)
 
     p = sub.add_parser("sa", parents=[common], help="simulated-annealing macro placement")
     _netlist_flags(p)
-    p.add_argument("--workers", type=int, default=1)
+    _anneal_flags(p, workers=1, steps=10000)
     p.add_argument("--seeds", default=None, help="comma list; block-split over workers (default: --seed)")
-    p.add_argument("--steps", type=int, default=10000, help="max steps per worker")
-    p.add_argument("--budget-seconds", dest="budget", type=float, default=None,
-                   help="wall-clock seconds for the whole run")
-    p.add_argument("--init", choices=["spiral", "greedy"], default="spiral")
-    p.add_argument("--t-init", default="auto", help="initial temperature or 'auto'")
     p.add_argument("--cooling", type=float, default=0.95)
     p.add_argument("--epoch-len", type=int, default=None)
     p.add_argument("--fd-every", type=int, default=None,
                    help="FD cadence multiplier (default: cycle 2..5 keyed by seed)")
-    p.add_argument("--fd-iters", type=int, default=100)
-    p.add_argument("--ka", type=float, default=1.0)
-    p.add_argument("--kr", type=float, default=1.0)
-    p.add_argument("--io-factor", type=float, default=1.0)
+    _force_flags(p)
     p.add_argument("--action-weights", default=None, help="e.g. swap=0.2,shift=0.3,move=0.5")
-    p.add_argument("--sequential", action="store_true", help="run workers in-process")
     p.add_argument("--out", default=None, help="best placement .pl (default <out-dir>/best.pl)")
 
     p = sub.add_parser("stability", parents=[common], help="seed stability study over SA runs")
     _netlist_flags(p)
     p.add_argument("--seed-pairs", default="0,1", help="semicolon list of comma pairs, e.g. 0,1;2,3")
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--budget-seconds", dest="budget", type=float, default=None)
-    p.add_argument("--init", choices=["spiral", "greedy"], default="spiral")
-    p.add_argument("--t-init", default="auto")
-    p.add_argument("--fd-iters", type=int, default=100)
-    p.add_argument("--sequential", action="store_true")
+    _anneal_flags(p, workers=2, steps=2000)
     p.add_argument("--external-metrics", default=None,
                    help="CSV with a 'run' column joined onto the report rows")
 
     p = sub.add_parser("sweep", parents=[common], help="recombine the proxy total for weight pairs")
     _netlist_flags(p)
-    p.add_argument("--placement", default=None)
-    p.add_argument("--fd", action="store_true")
-    p.add_argument("--fd-iters", type=int, default=100)
+    _placement_flags(p)
     p.add_argument("--combos", default="0.5,0.5;1,0.5;0.01,0.01",
                    help="semicolon list of gamma,lambda pairs")
 
     p = sub.add_parser("shuffle", parents=[common], help="permute same-size macros and re-evaluate")
     _netlist_flags(p)
-    p.add_argument("--placement", default=None)
-    p.add_argument("--fd", action="store_true")
-    p.add_argument("--fd-iters", type=int, default=100)
+    _placement_flags(p)
     p.add_argument("--out", default=None, help="shuffled placement .pl")
 
     p = sub.add_parser("kendall", parents=[common], help="Kendall tau-b between two CSV columns")
@@ -264,9 +266,11 @@ def _scored_design(args):
 
     Fixed nodes and macros come from the initial placement, a --placement file
     overrides anything it names (including clusters), and the clusters made
-    here start at their bucket centers or, with --fd, an FD pass.
+    here start at their bucket centers or, with --fd, an FD pass. The FD and
+    cost settings are checked before the design loads.
     """
     params = FDParams(num_iters=args.fd_iters, seed=args.seed) if args.fd else None
+    cost_config = _cost_config(args)
     initial, grid, cnl = _clustered_design(args)
     placement = cnl.seed_placement(initial)
     if args.placement:
@@ -274,7 +278,7 @@ def _scored_design(args):
                                       {**placement, **read_placement(args.placement, cnl.netlist)})
     if params is not None:
         placement = fd_place(cnl.netlist, placement, params)
-    return cnl, placement, Evaluator(cnl.netlist, grid, _cost_config(args))
+    return cnl, placement, Evaluator(cnl.netlist, grid, cost_config)
 
 
 def _print_kv(pairs):
@@ -282,33 +286,29 @@ def _print_kv(pairs):
         print(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}")
 
 
-def _write_manifest(args, name: str, extra: dict) -> Path:
-    entries = {
-        "command": name,
-        "version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "netlist": getattr(args, "netlist", ""),
-        "grid_cols": args.grid_cols,
-        "grid_rows": args.grid_rows,
-        "h_cap": args.h_cap if args.h_cap is not None else "default",
-        "v_cap": args.v_cap if args.v_cap is not None else "default",
-        "gamma": args.gamma,
-        "lambda": args.lam,
-        "seed": args.seed,
-        "smooth_radius": args.smooth_radius,
-        "macro_h_usage": args.macro_h_usage,
-        "macro_v_usage": args.macro_v_usage,
-        "cluster": getattr(args, "cluster", "grid"),
-    }
-    entries.update(extra)
-    path = Path(args.out_dir) / f"{name}.manifest"
-    lines = [f"{k} = {v}" for k, v in entries.items()]
-    write_text(path, "\n".join(lines) + "\n")
-    return path
+# The manifest keeps the older key names of these flag destinations.
+_MANIFEST_KEYS = {"lam": "lambda", "steps": "max_steps"}
 
 
-def _out_path(args, default_name: str, explicit=None) -> Path:
-    return Path(explicit) if explicit else Path(args.out_dir) / default_name
+def _report(args, results=(), **manifest) -> None:
+    """Print the (key, value) `results` as key=value lines and write
+    <out-dir>/<command>.manifest of "key = value" lines: the command, version
+    and timestamp; every flag but --verbose, an unset one with an empty value;
+    then each result that no flag names, and the rest of `manifest`. A
+    `manifest` entry named like a flag gives its resolved value (a default
+    --out path, the seeds of --seeds, the effective --ka)."""
+    _print_kv(results)
+    entries = {"command": args.command, "version": __version__,
+               "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+    flags = {k: manifest.get(k, v) for k, v in vars(args).items() if k != "verbose"}
+    for key, value in [*flags.items(), *results, *manifest.items()]:
+        entries.setdefault(_MANIFEST_KEYS.get(key, key), "" if value is None else value)
+    write_text(Path(args.out_dir) / f"{args.command}.manifest",
+               "".join(f"{k} = {v}\n" for k, v in entries.items()))
+
+
+def _out_path(args, default_name: str) -> Path:
+    return Path(args.out) if args.out else Path(args.out_dir) / default_name
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +338,16 @@ def cmd_parse(args) -> int:
 
 def cmd_cluster(args) -> int:
     initial, grid, cnl = _clustered_design(args)
-    _print_kv([
+    if args.out:
+        write_netlist(cnl.netlist, args.out)
+    if args.placement_out:
+        write_placement(cnl.netlist, cnl.seed_placement(initial), args.placement_out)
+    _report(args, [
         ("clusters", int((cnl.cell_of >= 0).sum())),
         ("clustered_cells", int((cnl.cluster_of >= 0).sum())),
         ("nets", len(cnl.netlist.arrays.net_names)),
         ("nodes", len(cnl.netlist.arrays.names)),
     ])
-    if args.out:
-        write_netlist(cnl.netlist, args.out)
-    if args.placement_out:
-        write_placement(cnl.netlist, cnl.seed_placement(initial), args.placement_out)
-    _write_manifest(args, "cluster", {"initial": args.initial or "aux"})
     return 0
 
 
@@ -356,37 +355,21 @@ def cmd_fd(args) -> int:
     ka = 0.0 if args.repulsive_only else args.ka
     params = FDParams(num_iters=args.iters, k_attract=ka, k_repel=args.kr,
                       io_factor=args.io_factor, seed=args.seed)
+    weights, cost_config = _weights(args), _cost_config(args)
     initial, grid, cnl = _clustered_design(args)
-    placement = cnl.seed_placement(initial)
-    placed = fd_place(cnl.netlist, placement, params)
-    out = _out_path(args, "fd.pl", args.out)
+    placed = fd_place(cnl.netlist, cnl.seed_placement(initial), params)
+    out = _out_path(args, "fd.pl")
     write_placement(cnl.netlist, placed, out)
-    ev = Evaluator(cnl.netlist, grid, _cost_config(args))
-    b = ev.breakdown(placed, _weights(args))
-    _print_kv([
-        ("wirelength", b.wirelength), ("density", b.density),
-        ("congestion", b.congestion), ("total", b.total), ("out", str(out)),
-    ])
-    _write_manifest(args, "fd", {
-        "iters": args.iters, "ka": ka, "kr": args.kr, "io_factor": args.io_factor,
-        "out": str(out),
-    })
+    b = Evaluator(cnl.netlist, grid, cost_config).breakdown(placed, weights)
+    _report(args, [*asdict(b).items(), ("out", str(out))], ka=ka, out=out)
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    weights = _weights(args)
     _, placement, ev = _scored_design(args)
-    b = ev.breakdown(placement, _weights(args))
-    _print_kv([
-        ("wirelength", b.wirelength), ("density", b.density),
-        ("congestion", b.congestion), ("total", b.total),
-        ("gamma", args.gamma), ("lambda", args.lam),
-    ])
-    _write_manifest(args, "evaluate", {
-        "placement": args.placement or "", "fd": args.fd,
-        "wirelength": repr(b.wirelength), "density": repr(b.density),
-        "congestion": repr(b.congestion), "total": repr(b.total),
-    })
+    b = ev.breakdown(placement, weights)
+    _report(args, [*asdict(b).items(), ("gamma", args.gamma), ("lambda", args.lam)])
     return 0
 
 
@@ -470,37 +453,24 @@ def cmd_sa(args) -> int:
                           parallel=not args.sequential)
     elapsed = time.monotonic() - t0
     best = result.best
-    out = _out_path(args, "best.pl", args.out)
+    out = _out_path(args, "best.pl")
     write_placement(cnl.netlist, best.best_placement, out)
-    out_dir = Path(args.out_dir)
     for i, worker in enumerate(result.workers):
-        write_trace_csv(worker, out_dir / f"trace_w{i}.csv")
-    _print_kv([
+        write_trace_csv(worker, Path(args.out_dir) / f"trace_w{i}.csv")
+    # The printed workers line counts the workers that finished; the manifest
+    # keeps --workers under that name and the finished count apart.
+    _report(args, [
         ("workers", len(result.workers)),
         ("best_worker", result.best_index),
         ("init_total", best.init_cost.total),
-        ("wirelength", best.best_cost.wirelength),
-        ("density", best.best_cost.density),
-        ("congestion", best.best_cost.congestion),
-        ("total", best.best_cost.total),
+        *asdict(best.best_cost).items(),
         ("elapsed_s", round(elapsed, 3)),
         ("out", str(out)),
-    ])
-    _write_manifest(args, "sa", {
-        "workers": args.workers,
-        "seeds": ",".join(str(s) for s in seeds),
-        "worker_seeds": ",".join(str(c.seed) for c in result.configs),
-        "worker_steps": ",".join(str(w.steps_run) for w in result.workers),
-        "worker_fd_multipliers": ",".join(str(w.fd_interval_multiplier) for w in result.workers),
-        "max_steps": args.steps,
-        "budget": args.budget if args.budget is not None else "",
-        "init": args.init,
-        "t_init": args.t_init,
-        "cooling": args.cooling,
-        "fd_iters": args.fd_iters,
-        "best_worker": result.best_index,
-        "out": str(out),
-    })
+    ], seeds=",".join(str(s) for s in seeds), out=out,
+        workers_finished=len(result.workers),
+        worker_seeds=",".join(str(c.seed) for c in result.configs),
+        worker_steps=",".join(str(w.steps_run) for w in result.workers),
+        worker_fd_multipliers=",".join(str(w.fd_interval_multiplier) for w in result.workers))
     return 0
 
 
@@ -528,10 +498,7 @@ def cmd_stability(args) -> int:
     report = stability_study(runs, external)
     print(report.to_text(), end="")
     write_text(Path(args.out_dir) / "stability.csv", report.to_csv())
-    _write_manifest(args, "stability", {
-        "seed_pairs": args.seed_pairs, "workers": args.workers,
-        "max_steps": args.steps, "budget": args.budget or "",
-    })
+    _report(args)
     return 0
 
 
@@ -546,25 +513,25 @@ def cmd_sweep(args) -> int:
         print(f"{r.gamma:<8g} {r.lam:<8g} {r.wirelength:<14.6f} {r.density:<14.6f} "
               f"{r.congestion:<14.6f} {r.total:.6f}")
     write_text(Path(args.out_dir) / "sweep.csv", sweep_to_csv(rows))
-    _write_manifest(args, "sweep", {"combos": args.combos, "placement": args.placement or ""})
+    _report(args)
     return 0
 
 
 def cmd_shuffle(args) -> int:
+    weights = _weights(args)
     cnl, placement, ev = _scored_design(args)
-    before = ev.breakdown(placement, _weights(args))
+    before = ev.breakdown(placement, weights)
     shuffled = shuffle_same_size(cnl.netlist, placement, args.seed)
-    after = ev.breakdown(shuffled, _weights(args))
-    out = _out_path(args, "shuffled.pl", args.out)
+    after = ev.breakdown(shuffled, weights)
+    out = _out_path(args, "shuffled.pl")
     write_placement(cnl.netlist, shuffled, out)
-    _print_kv([
+    _report(args, [
         ("before_total", before.total), ("after_total", after.total),
         ("before_wirelength", before.wirelength), ("after_wirelength", after.wirelength),
         ("before_density", before.density), ("after_density", after.density),
         ("before_congestion", before.congestion), ("after_congestion", after.congestion),
         ("out", str(out)),
-    ])
-    _write_manifest(args, "shuffle", {"placement": args.placement or "", "out": str(out)})
+    ], out=out)
     return 0
 
 
@@ -595,9 +562,9 @@ def cmd_plot(args) -> int:
     placement = dict(initial)
     if args.placement:
         placement.update(read_placement(args.placement, netlist))
-    out = _out_path(args, "placement.svg", args.out)
+    out = _out_path(args, "placement.svg")
     write_svg(netlist, placement, out, grid=grid, labels=args.labels)
-    print(f"out={out}")
+    _report(args, [("out", str(out))], out=out)
     return 0
 
 
@@ -638,7 +605,7 @@ def _config_keys(parsers) -> dict:
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv) -> None:
     """Load --config FILE (or --config=FILE) as defaults that explicit flags
-    override, on the top-level parser and every subcommand parser."""
+    override, each on the top-level and subcommand parsers that declare it."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
@@ -648,7 +615,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv) -> None:
     parsers = [parser] + [p for a in subs for p in a.choices.values()]
     defaults = _read_config_file(path, _config_keys(parsers))
     for p in parsers:
-        p.set_defaults(**defaults)
+        dests = {action.dest for action in p._actions}
+        p.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
 
 
 def main(argv=None) -> int:

@@ -69,6 +69,6 @@ def write_svg(netlist: Netlist, placement: Placement, path,
         h = height * scale
         parts.append(f'<rect class="{cls}" x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}"/>')
         if labels:
-            parts.append(f'<text class="label" x="{x + 2:.2f}" y="{y + 11:.2f}">{name}</text>')
+            parts.append(f'<text class="label" x="{x + 2:.2f}" y="{y + 11:.2f}">{name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")}</text>')
     parts.append("</svg>")
     write_text(path, "\n".join(parts) + "\n")

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import argparse
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import pytest
@@ -63,6 +65,10 @@ def _kv(capsys):
             k, v = line.split("=", 1)
             out[k] = v
     return out, captured.err
+
+
+def _manifest(path) -> dict:
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
 
 
 def test_parse_summary(design, capsys):
@@ -177,6 +183,8 @@ def test_config_equals_form_and_flag_names(design, tmp_path, capsys):
     ]) == 0
     kv, _ = _kv(capsys)
     assert kv["gamma"] == "0.25" and kv["lambda"] == "0.125"
+    # A key sets only the commands that declare it: evaluate has no --steps.
+    assert "max_steps" not in _manifest(tmp / "evaluate.manifest")
     assert main([
         "sa", "--netlist", str(net), "--initial", str(pl), "--grid-cols", "3",
         "--grid-rows", "3", "--t-init", "0.1", "--fd-iters", "2", "--sequential",
@@ -352,12 +360,17 @@ def test_bad_run_flags_fail_before_the_design_loads(design, monkeypatch, capsys,
     (["evaluate", "--fd", "--seed", "-1"], "--seed"),
     (["evaluate", "--fd", "--fd-iters", "0"], "num_iters"),
     (["shuffle", "--seed", "-1"], "--seed"),
+    (["fd", "--gamma", "nan"], "gamma"),
+    (["evaluate", "--fd", "--lambda", "-1"], "lam"),
+    (["sweep", "--smooth-radius", "-1"], "smooth_radius"),
+    (["shuffle", "--macro-v-usage", "nan"], "macro_v_usage"),
 ])
 def test_bad_fd_and_seed_flags_fail_before_the_design_loads(design, monkeypatch, capsys, argv, what):
     net, pl, tmp = design
     monkeypatch.setattr(gridplace.cli, "_load_design", _no_anneal)
     assert main([*argv, "--netlist", str(net), "--initial", str(pl), "--out-dir", str(tmp)]) == 2
     assert what in _one_line_error(capsys)
+    assert not (tmp / "fd.pl").exists()
 
 
 @pytest.mark.parametrize("flags, what", [
@@ -558,3 +571,58 @@ def test_plot_command(design, capsys):
     svg = (tmp / "placement.svg").read_text()
     assert svg.lstrip().startswith("<svg")
     assert "</svg>" in svg
+
+
+def test_plot_labels_are_escaped(tmp_path, capsys):
+    """Node names may hold XML markup characters; the labels read back."""
+    names = {"m0": "a&b<c", "m1": "d]]>e"}
+    net, pl = tmp_path / "odd.txt", tmp_path / "odd.pl"
+    native, placement = NATIVE, PL
+    for old, new in names.items():
+        native, placement = native.replace(old, new), placement.replace(old, new)
+    net.write_text(native)
+    pl.write_text(placement)
+    assert main(["plot", "--netlist", str(net), "--initial", str(pl), "--labels",
+                 "--out-dir", str(tmp_path)]) == 0
+    root = ET.parse(tmp_path / "placement.svg").getroot()
+    labels = {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
+    assert set(names.values()) <= labels
+
+
+# Manifest keys of the flags whose destination has another name.
+_RENAMED = {"lam": "lambda", "steps": "max_steps"}
+
+
+@pytest.mark.parametrize("command, flags, expected", [
+    ("cluster", [], {}),
+    ("fd", ["--iters", "3", "--repulsive-only"], {"ka": "0.0", "repulsive_only": "True"}),
+    ("evaluate", ["--fd", "--fd-iters", "3"], {"fd_iters": "3", "fd": "True"}),
+    ("sa", ["--action-weights", "swap=1", "--epoch-len", "3", "--kr", "0.5", "--workers", "2",
+            "--seeds", "4,5", "--steps", "5", "--budget-seconds", "60", "--t-init", "0.1",
+            "--fd-iters", "2", "--sequential", "--lambda", "0.25"],
+     {"action_weights": "swap=1", "epoch_len": "3", "kr": "0.5", "workers": "2",
+      "workers_finished": "2", "seeds": "4,5", "worker_seeds": "4,5", "max_steps": "5",
+      "budget": "60.0", "lambda": "0.25", "ka": "1.0"}),
+    ("stability", ["--seed-pairs", "0;1", "--workers", "1", "--steps", "5", "--t-init", "0.1",
+                   "--fd-iters", "2", "--sequential"],
+     {"seed_pairs": "0;1", "workers": "1", "max_steps": "5", "budget": ""}),
+    ("sweep", ["--combos", "0.5,0.5"], {"combos": "0.5,0.5", "placement": ""}),
+    ("shuffle", ["--seed", "3"], {"seed": "3"}),
+    ("plot", ["--labels"], {"labels": "True"}),
+])
+def test_manifest_records_every_flag(design, capsys, command, flags, expected):
+    net, pl, tmp = design
+    assert main([command, "--netlist", str(net), "--initial", str(pl), "--grid-cols", "3",
+                 "--grid-rows", "3", *flags, "--out-dir", str(tmp)]) == 0
+    kv, _ = _kv(capsys)
+    manifest = _manifest(tmp / f"{command}.manifest")
+    subparsers = next(a for a in gridplace.cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in subparsers.choices[command]._actions} - {"help", "verbose"}
+    assert {_RENAMED.get(d, d) for d in dests} <= set(manifest)
+    assert "verbose" not in manifest
+    assert manifest["command"] == command and manifest["initial"] == str(pl)
+    assert manifest["grid_cols"] == "3" and manifest["h_cap"] == ""
+    assert {k: manifest[k] for k in expected} == expected
+    # Each printed result is recorded, and --out at its resolved path.
+    assert {k: manifest[k] for k in kv} == kv
