@@ -15,9 +15,9 @@ Conventions handled here:
   * Movable nodes taller than the .scl row height are macros, the others are
     standard cells. Without an .scl, every movable node is a macro.
 
-The .nodes, .nets and .pl readers take the usual spellings from the whole
-file's tokens column by column, the other lines one by one (see
-`parse_nets`); .aux and .scl files are read line by line.
+The .nodes, .nets and .pl readers read a block of lines at a time, the
+usual spellings from bytes columns of the tokens and the other lines one by
+one (see `_Text` and `parse_nets`); .aux and .scl files are read line by line.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from __future__ import annotations
 import logging
 import math
 import re
-from itertools import repeat
+from contextlib import suppress
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -101,76 +102,116 @@ def parse_aux(path) -> dict[str, Path]:
 
 
 _NUMBER_CHARS = "+-.0123456789eE"
-_NUMBER_DROP = dict.fromkeys(map(ord, _NUMBER_CHARS + " "))
 # What float() takes of the strings of _NUMBER_CHARS.
 _FLOAT_RE = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
 # The line ends of str.splitlines() that text-mode reading leaves, and the
 # other characters that str.split() splits at, as "\n" and " ".
 _RESPACE = str.maketrans(dict.fromkeys("\v\f\x1c\x1d\x1e\x85\u2028\u2029", "\n") | dict.fromkeys(
     "\x1f\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u202f\u205f\u3000", " "))
+# _RESPACE padded with spaces to the UTF-8 length of each character it maps.
+_REPAD = {c: to.ljust(len(chr(c).encode())) for c, to in _RESPACE.items()}
+_NUMBER_BYTES = np.isin(np.arange(256), list(b"\0" + _NUMBER_CHARS.encode()))   # NUL pads a column
+# A column's entry for a token longer than _WIDE bytes or holding a NUL; no UTF-8 text holds it.
+_ODD, _WIDE = b"\xff", 64
+_UCLA = [bytes(t) for t in product(*zip(b"UCLA", b"ucla"))]
+_BLOCK_LINES = 4096
 # A .nets line's code beside a pin owner's node index. _OTHER lines are
 # read one by one: comments, headers and counts stay _OTHER.
 _DEGREE, _OTHER, _UNKNOWN = -1, -2, -3
-_KEYWORDS = {"NetDegree": _DEGREE, "NumNets": _OTHER, "NumPins": _OTHER}
 
 
-def _tokens(path: Path, width: int) -> tuple[np.ndarray, ...]:
-    """A file's whitespace-separated tokens as one object array; per line
-    with tokens (lines as `str.splitlines` counts them) its first token,
-    token count and line index, and its first `width` (at most six) tokens
-    as the rows of columns; and whether the file is ASCII without "_"."""
-    if not path.exists():
-        raise MissingFile(str(path))
-    text = path.read_text().translate(_RESPACE)
-    plain = text.isascii() and "_" not in text
-    # Tokens start at non-space bytes after a space or at the start.
-    raw = np.frombuffer(text.encode(), np.uint8)
-    space = np.concatenate(([True], (raw == 32) | ((raw >= 9) & (raw <= 13))))
-    ends = np.searchsorted(np.flatnonzero(space[:-1] > space[1:]), np.append(np.flatnonzero(raw == 10), len(raw)))
-    del raw, space
-    words = text.split()
-    del text
-    words += [""] * 5   # so that every line can be read five tokens past its first
-    tok = np.fromiter(words, object, len(words))
-    first, n_tok = np.append(0, ends[:-1]), np.diff(ends, prepend=0)
-    line = np.flatnonzero(n_tok)
-    first, n_tok = first[line], n_tok[line]
-    return tok, first, n_tok, line, tok[first + np.arange(width)[:, None]], plain
+class _Text:
+    """A file's text as UTF-8 bytes, read a block of lines (as
+    `str.splitlines` counts them) at a time."""
+
+    def __init__(self, path: Path):
+        if not path.exists():
+            raise MissingFile(str(path))
+        self.path, text = path, path.read_text()
+        spaced = text.translate(_REPAD)   # line ends as "\n", other spaces as " ", at the same offsets
+        self.orig = None if spaced == text else text.encode()
+        # Spaces past the end let `words` read _WIDE bytes from any token.
+        self.data = spaced.encode() + b" " * _WIDE
+        self.raw = np.frombuffer(self.data, np.uint8)
+        self.rows = np.lib.stride_tricks.sliding_window_view(self.raw, _WIDE)
+        self.ends = np.append(np.flatnonzero(self.raw == 10), len(self.raw) - _WIDE)
+        self.nul = np.flatnonzero(self.raw == 0)
+
+    def blocks(self, width: int):
+        """Per block of _BLOCK_LINES lines: its first line, and per line its
+        token count, its first `width` tokens as columns of `words` (empty
+        past its last token) and their byte spans as rows of starts and stops."""
+        for lo in range(0, len(self.ends), _BLOCK_LINES):
+            ends = self.ends[lo:lo + _BLOCK_LINES]
+            seg = self.raw[self.ends[lo - 1] + 1 if lo else 0:ends[-1]]
+            # Tokens start where a run of spaces ends and stop where one starts.
+            space = np.concatenate(([True], (seg == 32) | ((seg >= 9) & (seg <= 13)), [True]))
+            edge = np.flatnonzero(space[1:] != space[:-1]) + (ends[-1] - len(seg))
+            last = np.searchsorted(edge[::2], ends)   # tokens before each line's end
+            n_tok, k = np.diff(last, prepend=0), np.arange(width)[:, None]
+            k = np.where(k < n_tok, last - n_tok + k, -1)
+            start, stop = np.append(edge[::2], 0)[k], np.append(edge[1::2], 0)[k]
+            yield lo, n_tok, [self.words(a, z) for a, z in zip(start, stop)], start, stop
+
+    def words(self, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+        """The tokens of these spans as a bytes column; _ODD for some, see there."""
+        size = max(1, min(int((stop - start).max(initial=0)), _WIDE))
+        col = self.rows[start, :size]
+        col *= np.arange(size) < (stop - start)[:, None]
+        col[(stop - start > size) | (np.searchsorted(self.nul, start) < np.searchsorted(self.nul, stop))] = (
+            np.frombuffer(_ODD.ljust(size, b"\0"), np.uint8))
+        return col.view(f"S{size}")[:, 0]
+
+    def tokens(self, start: np.ndarray, stop: np.ndarray) -> list[str]:
+        """The tokens of these spans, none empty, as text, decoded as one with the byte after each."""
+        size = stop - start + 1
+        at = np.arange(size.sum()) + np.repeat(start + size - np.cumsum(size), size)
+        return self.raw[at].tobytes().decode().split()
+
+    def line(self, i: int) -> str:
+        """Line i as read, stripped."""
+        a, z = int(self.ends[i - 1]) + 1 if i else 0, int(self.ends[i])
+        seg = self.data[a:z]
+        return (self.orig or self.data)[a + len(seg) - len(seg.lstrip()):z - len(seg) + len(seg.rstrip())].decode()
 
 
-def _skipped(words: list[str]) -> bool:
-    """Whether a line of these tokens is a comment or a file header."""
-    return words[0][0] == "#" or words[0][0] in "Uu" and bool(_HEADER_RE.match(" ".join(words)))
+def _hashes(col: np.ndarray) -> np.ndarray:
+    """A 64-bit polynomial hash of each token of a bytes column; NUL padding adds nothing."""
+    u = col.view(np.uint8).reshape(len(col), col.itemsize)
+    return u @ np.cumprod(np.full(col.itemsize, 0x9E3779B97F4A7C15, np.uint64))
+
+
+def _numbers(col: np.ndarray) -> np.ndarray:
+    """float() of each token of a bytes column spelled of _NUMBER_CHARS, NaN
+    for the others; all NaN if one of those is no number."""
+    u = col.view(np.uint8).reshape(len(col), col.itemsize)
+    ok, out = u[:, 0] != 0, np.full(len(col), math.nan)
+    ok[np.flatnonzero(~_NUMBER_BYTES[u]) // col.itemsize] = False
+    with suppress(ValueError):   # else the block's lines go the per-line way
+        out[ok] = col[ok].astype(float)
+    return out
 
 
 def _data_lines(heads: np.ndarray) -> np.ndarray:
     """Whether each line, by its first token, opens no comment or header."""
-    lead = heads.astype("U1")
-    maybe = np.flatnonzero((lead == "U") | (lead == "u"))
-    lead[maybe] = ["#" if t.upper() == "UCLA" else "U" for t in heads[maybe].tolist()]
-    return lead != "#"
+    return (heads.astype("S1") != b"#") & ~np.isin(heads, _UCLA)
 
 
-def _odd_lines(path: Path, tok, first, n_tok, line, odd: np.ndarray, declared: dict):
-    """Yield (j, stripped text) of each data line among the lines `odd` of
-    `_tokens`; count lines set `declared`, comments and headers are skipped."""
-    text: list[str] = []
-    for j in np.flatnonzero(odd).tolist():
-        words = tok[first[j]:first[j] + n_tok[j]].tolist()
+def _odd_lines(f: _Text, lo: int, odd: np.ndarray, declared: dict, errors: list | None = None):
+    """Yield (i, stripped text) of each data line i among the lines `odd` of
+    the block from line lo; count lines set `declared`, comments and headers
+    are skipped. A bad count line raises, or adds its error to `errors`."""
+    for i in (lo + np.flatnonzero(odd)).tolist():
+        words = (text := f.line(i)).split()
         if words[0] in declared:
-            declared[words[0]] = _header_value(words, path, int(line[j]) + 1)
-        elif not _skipped(words):
-            text = text or path.read_text().splitlines()
-            yield j, text[line[j]].strip()
-
-
-def _floats(texts: np.ndarray) -> np.ndarray:
-    """float() of each token; if one is no number, NaN for each that is not
-    spelled as _FLOAT_RE."""
-    try:
-        return texts.astype(float)
-    except ValueError:
-        return np.reshape([float(t) if _FLOAT_RE.fullmatch(t) else math.nan for t in texts.flat], texts.shape)
+            try:
+                declared[words[0]] = _header_value(words, f.path, i + 1)
+            except MalformedLine as exc:
+                if errors is None:
+                    raise
+                errors.append((i, 1, exc.reason, False))
+        elif text[0] != "#" and not _HEADER_RE.match(text):
+            yield i, text
 
 
 def _respell(words: list[str]) -> list[str] | None:
@@ -195,22 +236,23 @@ def parse_nets(path: Path, nodes: NodeTable) -> NetTable:
     """The .nets sections as a pin table, offsets clamped to the owners'
     half-extents. Nets are not validated yet.
 
-    The file is read as one token array, each line's first five tokens as
-    columns. A dict lookup of the first column finds the pin owners and the
-    NetDegree lines. The lines not spelled the usual way, "NetDegree : 3 n0",
-    "n0 I : 0.5 -1" or "n0 O", are classified and respelled one by one. Bad
-    input raises the error of the first offending line.
+    The file is read a block of lines at a time, each line's first five
+    tokens as bytes columns; one search of the node names sorted by a hash
+    of their bytes finds the pin owners. The lines not spelled the usual way,
+    "NetDegree : 3 n0", "n0 I : 0.5 -1" or "n0 O", are classified and
+    respelled one by one. Bad input raises the error of the first bad line.
     """
-    tok, first, n_tok, line, col, plain = _tokens(path, 5)
+    f = _Text(path)
     index = dict(zip(nodes.names, range(len(nodes.names))))
-    # Names that could open a comment or a header line go the per-line way.
-    codes = {k: i for k, i in index.items() if k[0] != "#" and k.upper() != "UCLA"} | _KEYWORDS
-    code = np.array(list(map(codes.get, col[0].tolist(), repeat(_OTHER))), dtype=np.intp)
-    is_deg = code == _DEGREE
-    usual = np.where(is_deg, ((n_tok == 3) | (n_tok == 4)) & (col[1] == ":"), (code >= 0) & (
-        (col[1] == "I") | (col[1] == "O") | (col[1] == "B")) & ((n_tok == 2) | (n_tok == 5) & (col[2] == ":")))
-    usual[is_deg] &= np.array([t.isascii() and t.isdigit() for t in col[2, is_deg].tolist()], dtype=bool)
-    errors = []   # (content line, rank within the line, reason, whether the line text follows)
+    # Names that could open a comment or a header line, or hold a NUL, go the per-line way.
+    keys = [k for k in index if k[0] != "#" and k.upper() != "UCLA" and "\0" not in k]
+    table = np.array([k.encode() for k in keys] + [_ODD])
+    order = np.argsort(hashed := _hashes(table))
+    table, hashed, ids = table[order], hashed[order], np.array([index[k] for k in keys] + [_OTHER])[order]
+    n = len(f.ends)
+    code, degree, mark, bad, off = np.full(n, _OTHER), np.zeros(n, np.int64), *np.zeros((2, n), bool), np.zeros((2, n))
+    names = []   # each NetDegree line's net name if given
+    errors = []   # (line, rank within the line, reason, whether the line text follows)
 
     def flag(at, failed, rank, reason, line_follows=True):
         hit = np.flatnonzero(failed)[:1].tolist()
@@ -218,39 +260,38 @@ def parse_nets(path: Path, nodes: NodeTable) -> NetTable:
             errors.append((at[hit[0]], rank, reason(hit[0]) if callable(reason) else reason, line_follows))
 
     declared = dict.fromkeys(("NumNets", "NumPins"))
-    bad = np.zeros(len(line), dtype=bool)
-    for j in np.flatnonzero(~usual).tolist():
-        words = tok[first[j]:first[j] + n_tok[j]].tolist()
-        if words[0] in declared:
-            try:
-                declared[words[0]] = _header_value(words, path, 0)
-            except MalformedLine as exc:
-                errors.append((j, 1, exc.reason, False))
-        elif not _skipped(words):
-            if code[j] == _OTHER:
-                code[j] = index.get(words[0], _UNKNOWN)
-            respelled = _respell(words)
-            if respelled:
-                col[1:len(respelled) + 1, j], n_tok[j] = respelled, len(respelled) + 1
-            bad[j] = respelled is None
+    for lo, n_tok, (head, c1, c2, c3, c4), start, stop in f.blocks(5):
+        at = np.minimum(np.searchsorted(hashed, _hashes(head)), len(table) - 1)
+        blk = np.where(table[at] == head, ids[at], _OTHER)
+        blk[head == b"NetDegree"], blk[(head == b"NumNets") | (head == b"NumPins")] = _DEGREE, _OTHER
+        x, y = (np.where(n_tok == 2, 0.0, _numbers(c)) for c in (c3, c4))
+        deg = (blk == _DEGREE) & ((n_tok == 3) | (n_tok == 4)) & (c1 == b":") & np.char.isdigit(c2) & (
+            stop[2] - start[2] <= 15)
+        usual = deg | (blk >= 0) & ((c1 == b"I") | (c1 == b"O") | (c1 == b"B")) & (
+            (n_tok == 2) | (n_tok == 5) & (c2 == b":")) & np.isfinite(x) & np.isfinite(y)
+        at = slice(lo, lo + len(n_tok))
+        code[at], mark[at], off[0, at], off[1, at] = blk, c1 == b"O", x, y
+        degree[at][deg] = c2[deg].astype(np.int64)
+        deg &= n_tok == 4
+        named = dict(zip((lo + np.flatnonzero(deg)).tolist(), f.tokens(start[3, deg], stop[3, deg])))
+        for i, text in _odd_lines(f, lo, ~usual & (n_tok > 0), declared, errors):
+            words = text.split()
+            if code[i] == _OTHER:
+                code[i] = index.get(words[0], _UNKNOWN)
+            if (respelled := _respell(words)) is None:
+                bad[i] = True
+            elif code[i] == _DEGREE:
+                degree[i] = min(int(respelled[1]), n)   # a degree beyond the line count is as short as any
+                named.update({i: respelled[2]} if len(respelled) == 3 else {})
+            else:
+                mark[i], texts = respelled[0] == "O", respelled[2:]
+                off[:, i] = [float(t) if _FLOAT_RE.fullmatch(t) else math.nan for t in texts] or 0.0
+                bad[i] = any(t.strip(_NUMBER_CHARS) for t in texts)
+        names += map(named.get, (lo + np.flatnonzero(code[at] == _DEGREE)).tolist())
 
     deg, pin = np.flatnonzero(code == _DEGREE), np.flatnonzero((code >= 0) | (code == _UNKNOWN))
-    flag(pin, code[pin] == _UNKNOWN, 3, lambda k: f"pin references unknown node {col[0, pin[k]]!r}", False)
-    # A degree beyond the line count is as short as any; messages count from the text.
-    digits, degree = col[2, deg], np.zeros(len(deg), dtype=np.intp)
-    degree[~bad[deg]] = [min(int(t), len(line)) for t in digits[~bad[deg]].tolist()]
-    names = [name if n == 4 else None for name, n in zip(col[3, deg].tolist(), np.where(bad[deg], 0, n_tok[deg]))]
-    mark = col[1, pin] == "O"
-    texts = col[3:, pin]
-    texts[:, n_tok[pin] == 2] = "0"
-    del tok, col
-    off = _floats(texts)
-    # Beyond _NUMBER_CHARS, float() reads only "_", non-ASCII digits, "inf" and
-    # "nan": in a plain file, offsets that read as finite numbers pass.
-    if not (plain and np.isfinite(off).all()) and " ".join(texts.flat).translate(_NUMBER_DROP):
-        bad[pin] |= np.reshape([bool(t.strip(_NUMBER_CHARS)) for t in texts.flat], texts.shape).any(axis=0)
-    del texts
-
+    owner, degree, mark, off, bad = code[pin], degree[deg], mark[pin], off[:, pin], (bad[deg], bad[pin])
+    flag(pin, owner == _UNKNOWN, 3, lambda k: f"pin references unknown node {f.line(pin[k]).split()[0]!r}", False)
     explicit: set = set()
     for k, name in enumerate(names):
         if name is not None and name in explicit:
@@ -262,62 +303,62 @@ def parse_nets(path: Path, nodes: NodeTable) -> NetTable:
             names[k] += "_"
     # Sections: pin lines past a section's degree lie outside it; a section
     # short of its degree fails at the next NetDegree line or at the end.
-    is_pin = np.zeros(len(line), dtype=bool)
-    is_pin[pin] = True
-    pins_before, sec = np.cumsum(is_pin) - is_pin, np.cumsum(is_deg)[pin] - 1
-    start = np.append(pins_before[deg], 0)   # the last entry is for pins before any section
+    sec = np.searchsorted(deg, pin) - 1   # -1 before the first section
+    start = np.append(np.searchsorted(pin, deg), 0)   # the last entry is for pins before any section
     got = np.diff(np.append(start[:-1], len(pin)))
-    flag(pin, pins_before[pin] - start[sec] >= np.append(degree, 0)[sec], 0, "pin line outside a net section: ")
-    flag(np.append(deg[1:], len(line)), got < degree, 0,
-         lambda k: f"net {names[k]!r} short by {int(digits[k]) - int(got[k])} pin(s)", False)
-    flag(deg, bad[deg], 1, "bad NetDegree line ")
-    flag(pin, bad[pin], 1, "bad pin line ")
+    flag(pin, np.arange(len(pin)) - start[sec] >= np.append(degree, 0)[sec], 0, "pin line outside a net section: ")
+    flag(np.append(deg[1:], n), got < degree, 0,
+         lambda k: f"net {names[k]!r} short by {int(_respell(f.line(deg[k]).split())[1]) - int(got[k])} pin(s)", False)
+    flag(deg, bad[0], 1, "bad NetDegree line ")
+    flag(pin, bad[1], 1, "bad pin line ")
     flag(pin, ~np.isfinite(off).all(axis=0), 4, "bad pin offset in ")
     if errors:   # a short last section fails past the last line, as line 0
-        j, _, reason, line_follows = min(errors)
-        if line_follows:
-            reason += repr(path.read_text().splitlines()[line[j]].strip())
-        raise MalformedLine(path, int(line[j]) + 1 if j < len(line) else 0, reason)
+        i, _, reason, line_follows = min(errors)
+        raise MalformedLine(path, int(i) + 1 if i < n else 0, reason + repr(f.line(i)) if line_follows else reason)
     _check_counts(path, declared, {"NumNets": len(names), "NumPins": len(pin)})
-    pins = np.column_stack([code[pin], off.T, mark])
-    return clamp_offsets(pin_table(names, np.ones(len(names)), degree, pins), nodes, path, "node half-extents")
+    del f   # before the offsets are clamped
+    t = NetTable(names, np.ones(len(names)), np.append(0, np.cumsum(degree)), owner, *off, mark)
+    return clamp_offsets(t, nodes, path, "node half-extents")
 
 
 def parse_nodes(path: Path, row_height: float | None) -> NodeTable:
     """The .nodes lines as a node table, read as `parse_nets` reads .nets:
     lines spelled "name w h [terminal]" whose sizes pass the checks column by
     column, the others one by one."""
-    tok, first, n_tok, line, col, _ = _tokens(path, 4)
-    terminal = (n_tok == 4) & (col[3] == "terminal")
+    f = _Text(path)
     declared = dict.fromkeys(("NumNodes", "NumTerminals"))
-    usual = ((n_tok == 3) | terminal) & _data_lines(col[0]) & ~np.isin(col[0], list(declared))
-    w, h = size = np.full((2, len(line)), np.nan)
-    size[:, usual] = _floats(col[1:3, usual])
-    with np.errstate(over="ignore", invalid="ignore"):
-        usual &= np.isfinite(w * h) & (w >= 0) & (h >= 0) & (terminal | (w > 0) & (h > 0))
-    for j, text in _odd_lines(path, tok, first, n_tok, line, ~usual, declared):
-        words, lineno = text.split(), int(line[j]) + 1
-        if len(words) < 3:
-            raise MalformedLine(path, lineno, f"expected 'name width height [terminal]', got {text!r}")
-        try:
-            wj, hj = finite_float(words[1]), finite_float(words[2])
-            if not math.isfinite(wj * hj):
-                raise ValueError("area overflows")
-        except ValueError as exc:
-            raise MalformedLine(path, lineno, f"bad node size in {text!r}") from exc
-        if wj < 0 or hj < 0:
-            raise MalformedLine(path, lineno, f"negative node size in {text!r}")
-        terminal[j] = len(words) > 3 and words[3].lower().startswith("terminal")
-        if not terminal[j] and (wj <= 0 or hj <= 0):
-            raise MalformedLine(path, lineno, f"movable node {words[0]!r} needs positive size")
-        w[j], h[j], usual[j] = wj, hj, True
-    w, h, terminal = w[usual], h[usual], terminal[usual]
+    names, kept = [], []
+    for lo, n_tok, (head, c1, c2, c3), start, stop in f.blocks(4):
+        terminal = (n_tok == 4) & (c3 == b"terminal")
+        usual = ((n_tok == 3) | terminal) & _data_lines(head) & (head != b"NumNodes") & (head != b"NumTerminals")
+        w, h = _numbers(c1), _numbers(c2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            usual &= np.isfinite(w * h) & (w >= 0) & (h >= 0) & (terminal | (w > 0) & (h > 0))
+        for i, text in _odd_lines(f, lo, ~usual & (n_tok > 0), declared):
+            words, j = text.split(), i - lo
+            if len(words) < 3:
+                raise MalformedLine(path, i + 1, f"expected 'name width height [terminal]', got {text!r}")
+            try:
+                wj, hj = finite_float(words[1]), finite_float(words[2])
+                if not math.isfinite(wj * hj):
+                    raise ValueError("area overflows")
+            except ValueError as exc:
+                raise MalformedLine(path, i + 1, f"bad node size in {text!r}") from exc
+            if wj < 0 or hj < 0:
+                raise MalformedLine(path, i + 1, f"negative node size in {text!r}")
+            terminal[j] = len(words) > 3 and words[3].lower().startswith("terminal")
+            if not terminal[j] and (wj <= 0 or hj <= 0):
+                raise MalformedLine(path, i + 1, f"movable node {words[0]!r} needs positive size")
+            w[j], h[j], usual[j] = wj, hj, True
+        names += f.tokens(start[0, usual], stop[0, usual])
+        kept.append((w[usual], h[usual], terminal[usual]))
+    w, h, terminal = map(np.concatenate, zip(*kept))
     port = terminal & ((w == 0) | (h == 0))
     stdcell = ~terminal & (h <= (-math.inf if row_height is None else row_height))
     kind = np.select([port, stdcell], [KIND_CODE[NodeKind.PORT], KIND_CODE[NodeKind.STDCELL]],
                      KIND_CODE[NodeKind.MACRO]).astype(np.int8)
     _check_counts(path, declared, {"NumNodes": len(w), "NumTerminals": int(terminal.sum())})
-    return NodeTable(col[0, usual].tolist(), np.where(port, 0.0, w), np.where(port, 0.0, h), kind, ~terminal)
+    return NodeTable(names, np.where(port, 0.0, w), np.where(port, 0.0, h), kind, ~terminal)
 
 
 def parse_scl(path: Path) -> tuple[float, float, float, float, float]:
@@ -404,33 +445,31 @@ _ORIENT_CODE = {name: k for k, name in enumerate(("N", "FN", "S", "FS", "E", "FE
 _SIGNS = np.array([ORIENT_SIGNS[o] for o in Orientation] * 2)
 
 
-def _read_pl(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each .pl line's name, lower-left corner (as a column), orientation,
-    its code (-1 if unsupported) and line number. Lines spelled "name x y
-    [: O [/FIXED]]" with finite coordinates and a known orientation are read
-    as `parse_nets` reads .nets, column by column; the others one by one."""
-    tok, first, n_tok, line, col, plain = _tokens(path, 6)
-    orient = np.where(n_tok == 3, "N", col[4])
-    code = np.fromiter(map(_ORIENT_CODE.get, orient.tolist(), repeat(-1)), np.intp, len(line))
-    fixed = (n_tok == 5) | (n_tok == 6) & ((col[5] == "/FIXED") | (col[5] == "/FIXED_NI"))
-    usual = ((n_tok == 3) | (code >= 0) & (col[3] == ":") & fixed) & _data_lines(col[0])
-    corner, texts = np.full((2, len(line)), np.nan), col[1:3, usual]
-    corner[:, usual] = values = _floats(texts)
-    # _PL_RE takes coordinates of _NUMBER_CHARS only; see parse_nets.
-    if not (plain and np.isfinite(values).all()) and " ".join(texts.flat).translate(_NUMBER_DROP):
-        usual[usual] = ~np.reshape([bool(t.strip(_NUMBER_CHARS)) for t in texts.flat], texts.shape).any(axis=0)
-    usual &= np.isfinite(corner).all(axis=0)
-    for j, text in _odd_lines(path, tok, first, n_tok, line, ~usual, {}):
-        m = _PL_RE.match(text)
-        if not m:
-            raise MalformedLine(path, int(line[j]) + 1, f"bad placement line {text!r}")
-        try:
-            corner[:, j] = finite_float(m.group(2)), finite_float(m.group(3))
-        except ValueError as exc:
-            raise MalformedLine(path, int(line[j]) + 1, f"bad coordinate in {text!r}") from exc
-        orient[j] = m.group(4) or "N"
-        code[j], usual[j] = _ORIENT_CODE.get(orient[j], -1), True
-    return col[0, usual].tolist(), corner[:, usual], orient[usual], code[usual], line[usual] + 1
+def _read_pl(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
+    """Each .pl line's name, lower-left corner (as a column), orientation code
+    (-1 if unsupported) and line number, and by line number the orientation
+    of each line read one by one: all but "name x y [: O [/FIXED]]" with
+    finite coordinates and a known orientation, read column by column."""
+    f = _Text(path)
+    names, kept, orient = [], [], {}
+    for lo, n_tok, (head, x, y, colon, turn, fixed), start, stop in f.blocks(6):
+        code = np.select([turn == k.encode() for k in _ORIENT_CODE] + [n_tok == 3], [*_ORIENT_CODE.values(), 0], -1)
+        fixed = (n_tok == 5) | (n_tok == 6) & ((fixed == b"/FIXED") | (fixed == b"/FIXED_NI"))
+        corner = np.stack([_numbers(x), _numbers(y)])
+        usual = ((n_tok == 3) | (code >= 0) & (colon == b":") & fixed) & _data_lines(head) & np.isfinite(corner).all(0)
+        for i, text in _odd_lines(f, lo, ~usual & (n_tok > 0), {}):
+            m = _PL_RE.match(text)
+            if not m:
+                raise MalformedLine(path, i + 1, f"bad placement line {text!r}")
+            try:
+                corner[:, i - lo] = finite_float(m.group(2)), finite_float(m.group(3))
+            except ValueError as exc:
+                raise MalformedLine(path, i + 1, f"bad coordinate in {text!r}") from exc
+            code[i - lo], usual[i - lo], orient[i + 1] = _ORIENT_CODE.get(m.group(4) or "N", -1), True, m.group(4)
+        names += f.tokens(start[0, usual], stop[0, usual])
+        kept.append((corner[:, usual], code[usual], lo + 1 + np.flatnonzero(usual)))
+    corner, code, lineno = (np.concatenate(c, axis=-1) for c in zip(*kept))
+    return names, corner, code, lineno, orient
 
 
 def read_placement(path, netlist: Netlist, clamp_ports: bool = True) -> PlacementState:
@@ -440,14 +479,15 @@ def read_placement(path, netlist: Netlist, clamp_ports: bool = True) -> Placemen
     with a warning. Port centers are clamped into the canvas when
     clamp_ports is set (pad rings commonly sit outside the core rows).
     """
-    names, corner, orient, code, lineno = _read_pl(Path(path))
+    names, corner, code, lineno, orient = _read_pl(Path(path))
     last = dict(zip(names, range(len(names))))   # in the order the names first appear
     a, cv = netlist.arrays, netlist.canvas
     node = np.fromiter(map(a.index.get, last, repeat(-1)), np.intp, len(last))
     at = np.fromiter(last.values(), np.intp, len(last))[node >= 0]
     unknown, node = len(last) - len(at), node[node >= 0]
     for k in at[code[at] < 0][:1].tolist():
-        raise MalformedLine(Path(path), int(lineno[k]), f"unsupported orientation {orient[k]!r} for {names[k]!r}")
+        raise MalformedLine(Path(path), int(lineno[k]),
+                            f"unsupported orientation {orient[int(lineno[k])]!r} for {names[k]!r}")
     xy = corner[:, at] + np.stack([a.half_w[node], a.half_h[node]])
     center = np.where(a.is_port[node], np.clip(xy, 0.0, [[cv.width], [cv.height]]), xy) if clamp_ports else xy
     clamped = int(np.count_nonzero((center != xy).any(axis=0)))

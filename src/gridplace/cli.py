@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: parse, cluster, fd, evaluate, sa, stability, sweep, shuffle,
-kendall, plot. Shared flags may appear after the subcommand. An optional
-config file (--config, "key = value" lines, keys matching flag names with
-underscores) provides defaults that explicit flags override. Every command
-that writes into --out-dir also writes <out-dir>/<command>.manifest with each
-of its flags and its results (see `_report`).
+kendall, plot. Shared flags may appear before or after the subcommand; one
+given in both places takes the value after it. An optional config file
+(--config, "key = value" lines, keys matching flag names with underscores)
+provides defaults that explicit flags override. Every command that writes
+into --out-dir also writes <out-dir>/<command>.manifest with each of its
+flags and its results (see `_report`).
 """
 
 from __future__ import annotations
@@ -110,8 +111,12 @@ def _anneal_flags(p, workers: int, steps: int):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="gridplace", parents=[_common_flags()])
+    # The subcommands' shared flags set only what they are given, so that
+    # one given before the subcommand holds.
     common = _common_flags()
-    parser = argparse.ArgumentParser(prog="gridplace", parents=[common])
+    for action in common._actions:
+        action.default = argparse.SUPPRESS
     parser.add_argument("--version", action="version", version=f"gridplace {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -605,7 +610,8 @@ def _config_keys(parsers) -> dict:
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv) -> None:
     """Load --config FILE (or --config=FILE) as defaults that explicit flags
-    override, each on the top-level and subcommand parsers that declare it."""
+    override, each on the top-level parser or, if it is no shared flag, on
+    the subcommand parsers that declare it."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
@@ -614,8 +620,9 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv) -> None:
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     parsers = [parser] + [p for a in subs for p in a.choices.values()]
     defaults = _read_config_file(path, _config_keys(parsers))
+    shared = {action.dest for action in parser._actions}
     for p in parsers:
-        dests = {action.dest for action in p._actions}
+        dests = {action.dest for action in p._actions} - (set() if p is parser else shared)
         p.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
 
 

@@ -194,6 +194,27 @@ def test_config_equals_form_and_flag_names(design, tmp_path, capsys):
     assert "max_steps = 3" in manifest and "budget = 50" in manifest
 
 
+@pytest.mark.parametrize("before", [True, False])
+def test_shared_flags_hold_before_and_after_the_subcommand(design, tmp_path, capsys, before):
+    net, pl, tmp = design
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 0.125\n")
+    shared = ["--gamma", "0.3", "--config", str(cfg)]
+    own = ["--netlist", str(net), "--initial", str(pl), "--out-dir", str(tmp)]
+    assert main(shared + ["evaluate"] + own if before else ["evaluate"] + own + shared) == 0
+    kv, _ = _kv(capsys)
+    assert kv["gamma"] == "0.3" and kv["lambda"] == "0.125"
+    manifest = _manifest(tmp / "evaluate.manifest")
+    assert manifest["gamma"] == "0.3" and manifest["config"] == str(cfg)
+    # A config value loses to the flag on either side; the flag after the
+    # subcommand wins over the one before it.
+    cfg.write_text("gamma = 0.125\n")
+    assert main(shared + ["evaluate"] + own if before else ["evaluate"] + own + shared) == 0
+    assert _kv(capsys)[0]["gamma"] == "0.3"
+    assert main(["--gamma", "0.7", "evaluate"] + own + ["--gamma", "0.3"]) == 0
+    assert _kv(capsys)[0]["gamma"] == "0.3"
+
+
 def _one_line_error(capsys) -> str:
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,8 +1,12 @@
 """Native netlist format and Bookshelf reader/writer."""
 
+import importlib.util
 import logging
 import math
+import re
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -540,18 +544,25 @@ def test_respace_covers_what_split_and_splitlines_split_at():
         assert len(f"a{chr(c)}b".splitlines()) == (2 if to == "\n" else 1)
 
 
-@pytest.mark.parametrize("text", [
+# Files of edge cases for parse_nets over the nodes of NETS_EDGE_NODES.
+NETS_EDGE_TEXTS = [
     "", "\n\n", "UCLA nets 1.0\n", "NumNets : 0\nNumPins : 0", "NetDegree : 0", "a I", "\x01NetDegree : 1\na I",
     "NetDegree : 1\n  UCLA I : 1 1", "NetDegree : 2\n  UCLA nets 1.0\n a O", "NetDegree : 1\n#x I",
     "NetDegree : 1\nNumNets I : 1 1", "NetDegree : 1\nNetDegree I", "NetDegree : 1\n a I : 1 1\x85",
     "NetDegree : 1\n a\xa0I\u3000:\u20001 1", "NetDegree : 1 n\u00e9\n a I : \u0661 1", "NetDegree : 1\n a I : inf 1",
     "NetDegree : 1\n a I : 1e5 1e-400", "NetDegree : 1\n\x00a I", "NetDegree : 1\na I\x1f: 1\x1f2",
     "NetDegree : \u0661 n", "NetDegree : 1 n\nNetDegree : 1 n\na I",
-])
+    "NetDegree : 1\r\n a\u3000X : 1\xa01", "NetDegree : 2\ra I\u2028 a I :\x1f1e\u20091", "NetDegree :\x85 1",
+    f"NetDegree : 2 {'n' * 70}\n a I : 0.{'0' * 70} 1\n {'a' * 70} I",
+]
+NETS_EDGE_NODES = ("a", "UCLA", "#x", "NumNets", "NetDegree")
+
+
+@pytest.mark.parametrize("text", NETS_EDGE_TEXTS)
 def test_parse_nets_edge_cases_match_the_loop_reference(tmp_path, text):
     # Node names that are keywords or open comments and headers, empty
     # files, and the other characters that split lines and tokens.
-    nodes = node_table([(name, NodeKind.MACRO, 4.0, 4.0, True) for name in ("a", "UCLA", "#x", "NumNets", "NetDegree")])
+    nodes = node_table([(name, NodeKind.MACRO, 4.0, 4.0, True) for name in NETS_EDGE_NODES])
     path = tmp_path / "e.nets"
     path.write_text(text)
     got = []
@@ -818,28 +829,143 @@ def _oracle_canvas(pl, netlist):
     return (InvalidDimension, None, None) if extent is None or min(extent) <= 0 else extent
 
 
-@pytest.mark.parametrize("text", [
+NODES_EDGE_TEXTS = [
     "", "\n\n", "UCLA nodes 1.0\n", "NumNodes : 0\nNumTerminals : 0", "a 1 1\x85b 2 2", "a\xa01\u30001",
     "#x 1 1\na 1 1", "UCLA 1 1.0\nUCLA 1 1", "ucla 2 2 terminal", "a 1 1\x1fterminal", "a 1 1 terminal\x1c",
     "a 1e308 1e-308", "a 1 1 TERMINAL_NI x", "NumNodes 1 1", "a 1 1\nNumNodes : 2\nb 1 1", "a 1 1\r\nb 0 0 terminal",
     "a 1 1\nterminal 2 2", "a 1 1 x\nterminal 2 2",
-])
+    "a 1 1\r\nb 1\xa0x", "a 1 1\rb\u3000-1 1\u2028", "a 1 1\u2029b\x1f1\x85c 0 1", "b 2 2\na\x00 1 1", "a 1 2\x00",
+    f"{'b' * 70} 1 1\na 1.{'0' * 70} 1",
+]
+
+
+@pytest.mark.parametrize("text", NODES_EDGE_TEXTS)
 def test_parse_nodes_edge_cases_match_the_loop_reference(tmp_path, text):
     path = tmp_path / "e.nodes"
     path.write_text(text)
     assert _read_nodes(bookshelf.parse_nodes, path, 1.0) == _read_nodes(oracles.parse_nodes, path, 1.0)
 
 
-@pytest.mark.parametrize("text", [
+PL_EDGE_TEXTS = [
     "", "\n\n", "UCLA pl 1.0\n", "a 1 1\x85b 2 2", "a 1 1:N", "a 1 1 :N/FIXED", "a 1 1/FIXED_NI", "a +1e1 -.5 : FS",
     "a 1 1 : N /FIXED junk", "a 1 1 : \u00c9", "a 1 1 : N\x1f/FIXED", "#a 1 1\na 2 2", "UCLA 1 1.0\na 1 1",
     "b 1 1 : E\nb 2 2", "a 1 1 : N : S", "a 1 1 /FIXED : N", "a 1 1 1", "pad -1 99 : FW /FIXED",
-])
+    "a 1 1\r\nb\xa0x 1", "a 1 1\rb 1\u20001 :\u3000N\u2028b 1 1 : Q", "a 1 1\u2029b 1 4-0\x85", "b 1 1\na\x00 2 2",
+    f"{'b' * 70} 1 1\na 1.{'0' * 70} 1",
+]
+
+
+@pytest.mark.parametrize("text", PL_EDGE_TEXTS)
 def test_read_placement_edge_cases_match_the_loop_reference(tmp_path, caplog, text):
     path = tmp_path / "e.pl"
     path.write_text(text)
     got = _read_pl(path, _pl_netlist(), read_placement, caplog)
     assert got == _read_pl(path, _pl_netlist(), oracles.read_placement, caplog)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Sets the Bookshelf readers' blocks to a few lines; returns the first
+    line of each block read."""
+    seen = []
+    blocks = bookshelf._Text.blocks
+
+    def counted(self, width):
+        for block in blocks(self, width):
+            seen.append(block[0])
+            yield block
+
+    def set_lines(lines):
+        monkeypatch.setattr(bookshelf, "_BLOCK_LINES", lines)
+        monkeypatch.setattr(bookshelf._Text, "blocks", counted)
+        return seen
+    return set_lines
+
+
+@pytest.mark.parametrize("lines", [1, 2])
+@pytest.mark.parametrize("check", [
+    lambda tmp, log: [test_parse_nets_matches_the_loop_reference(tmp, log, seed) for seed in range(0, 60, 5)],
+    lambda tmp, log: [test_parse_nets_errors_match_the_loop_reference(tmp, log, seed) for seed in range(2)],
+    lambda tmp, log: [test_parse_nets_edge_cases_match_the_loop_reference(tmp, text) for text in NETS_EDGE_TEXTS],
+    lambda tmp, log: [test_parse_nodes_matches_the_loop_reference(tmp, seed) for seed in range(0, 60, 5)],
+    lambda tmp, log: [test_parse_nodes_errors_match_the_loop_reference(tmp, seed) for seed in range(2)],
+    lambda tmp, log: [test_parse_nodes_edge_cases_match_the_loop_reference(tmp, text) for text in NODES_EDGE_TEXTS],
+    lambda tmp, log: [test_read_placement_matches_the_loop_reference(tmp, log, seed) for seed in range(0, 60, 5)],
+    lambda tmp, log: [test_read_placement_errors_match_the_loop_reference(tmp, log, seed) for seed in range(2)],
+    lambda tmp, log: [test_read_placement_edge_cases_match_the_loop_reference(tmp, log, text) for text in PL_EDGE_TEXTS],
+], ids=["nets", "nets errors", "nets edge cases", "nodes", "nodes errors", "nodes edge cases",
+        "pl", "pl errors", "pl edge cases"])
+def test_readers_match_the_loop_reference_in_small_blocks(tmp_path, caplog, small_blocks, check, lines):
+    seen = small_blocks(lines)
+    check(tmp_path, caplog)
+    assert max(seen) > 0
+
+
+# Files in which, with blocks of one to four lines, a NetDegree section, an
+# odd spelling, a header or comment, and the first error cross block edges.
+NETS_BLOCK_EDGES = [
+    "UCLA nets 1.0\nNumNets : 2\nNumPins : 5\nNetDegree:3 n0\n  a O : 1 1\n# c\n  b I:-2 0.5\npad\tI\n"
+    "NetDegree : 2\n a I\n\n UCLA nets 1.0\n  blk B",
+    "NetDegree : 4 n0\n a I\n b I\n pad O\nNetDegree : 1 n1\n blk I\n",
+    "NetDegree : 1 n0\n a I\n b I : 1 1\nNumPins : x\n",
+    "NetDegree : 2 n0\n a I : 1e 1\n b I\n\nUCLA nets 1.0\n ghost I\n",
+    "NetDegree : 2 n0\n a I\n# c\n b I\nNetDegree : 2 n0\n a O\n b I\n",
+    "NetDegree : 2\n a I\n b O\nNetDegree : 2 net0\n a I\n b I\nNumNets : 3\n",
+]
+NODES_BLOCK_EDGES = [
+    "UCLA nodes 1.0\nNumNodes : 3\n# c\n a 1 1\nNumTerminals : 1\n b 1_0 2\n pad 0 0 terminal\n",
+    " a 1 1\n b 2 2\n\n# c\n c 3 -3\n d x 1\n",
+    " a 1 1\n b 2 2\n c 3 3\nNumNodes : 4\n",
+]
+PL_BLOCK_EDGES = [
+    "UCLA pl 1.0\n# c\na 1 1 : N\nb 1 2:FS\npad 3 4 : N /FIXED\nb 5 6 : XX\nb 7 8\n",
+    "a 1 1\nb 2 2\n\nUCLA pl 1.0\nblk 3 3 : N\nb x 1 : N\n",
+    "a 1 1\nb 2 2 : Q\nblk 3 3\n",
+]
+
+
+@pytest.mark.parametrize("lines", [1, 2, 3, 4, 4096])
+def test_readers_match_the_loop_reference_across_block_edges(tmp_path, caplog, small_blocks, lines):
+    seen, netlist = small_blocks(lines), _pl_netlist()
+    path = tmp_path / "b.txt"
+    for text in NETS_BLOCK_EDGES:
+        path.write_text(text)
+        assert _read_nets(bookshelf.parse_nets, path, caplog) == _read_nets(oracles.parse_nets, path, caplog), text
+    for text in NODES_BLOCK_EDGES:
+        path.write_text(text)
+        assert _read_nodes(bookshelf.parse_nodes, path, 1.5) == _read_nodes(oracles.parse_nodes, path, 1.5), text
+    for text in PL_BLOCK_EDGES:
+        path.write_text(text)
+        assert _read_pl(path, netlist, read_placement, caplog) == _read_pl(path, netlist, oracles.read_placement,
+                                                                           caplog), text
+    assert (max(seen) > 0) == (lines < 4096)
+
+
+def _traced_peak(read) -> int:
+    tracemalloc.start()
+    try:
+        read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_nets_traced_peak_stays_within_ten_times_the_file(tmp_path, caplog):
+    # The seed-7 benchmark designs, and the sections of fanout's .nets five
+    # times over (21 MB): read memory follows a block, not the token count.
+    spec = importlib.util.spec_from_file_location("designs", Path(__file__).parents[1] / "benchmark" / "designs.py")
+    designs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(designs)
+    for kind in designs.DESIGNS:
+        designs.write_design(kind, tmp_path, 7)
+    body = (tmp_path / "fanout.nets").read_text().split("NumPins", 1)[1].split("\n", 1)[1]
+    (tmp_path / "big.nets").write_text("".join(re.sub(r"^(NetDegree : \d+ \S+)$", rf"\1_{k}", body, flags=re.M)
+                                              for k in range(5)))
+    nodes = bookshelf.parse_nodes(tmp_path / "fanout.nodes", None)
+    for name in ("ibm01.nets", "fanout.nets", "big.nets"):
+        path = tmp_path / name
+        assert name != "big.nets" or path.stat().st_size >= 16 << 20
+        assert _traced_peak(lambda: bookshelf.parse_nets(path, nodes)) <= 10 * path.stat().st_size, name
 
 
 def test_unsupported_orientation_of_an_unknown_or_overwritten_line_is_no_error(tmp_path):
