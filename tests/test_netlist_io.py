@@ -950,9 +950,9 @@ def _traced_peak(read) -> int:
         tracemalloc.stop()
 
 
-def test_parse_nets_traced_peak_stays_within_ten_times_the_file(tmp_path, caplog):
+def test_parse_nets_traced_peak_stays_within_ten_times_the_file(tmp_path):
     # The seed-7 benchmark designs, and the sections of fanout's .nets five
-    # times over (21 MB): read memory follows a block, not the token count.
+    # times over (20.5 MiB): read memory follows a block, not the token count.
     spec = importlib.util.spec_from_file_location("designs", Path(__file__).parents[1] / "benchmark" / "designs.py")
     designs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(designs)
