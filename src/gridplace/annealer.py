@@ -15,7 +15,6 @@ the best macro placement and re-scores it.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import multiprocessing
@@ -266,13 +265,12 @@ class _Annealer:
         if action == "swap":
             if n < 2:
                 return None
-            a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
-            ia, ib = int(st.movable_idx[a]), int(st.movable_idx[b])
-            moves = [(ia, p.x[ib], p.y[ib]), (ib, p.x[ia], p.y[ia])]
+            ids = st.movable_idx[rng.choice(n, size=2, replace=False)]
+            xs, ys = p.x[ids[::-1]], p.y[ids[::-1]]
         elif action in ("shift", "move"):
-            pick = int(st.movable_idx[rng.integers(n)])
+            ids = st.movable_idx[[rng.integers(n)]]
             if action == "shift":
-                col, row = self.grid.cell_of_point(p.x[pick], p.y[pick])
+                col, row = self.grid.cell_of_point(p.x[ids[0]], p.y[ids[0]])
                 dc, dr = ((1, 0), (-1, 0), (0, 1), (0, -1))[rng.integers(4)]
                 col, row = col + dc, row + dr
                 if not (0 <= col < self.grid.n_cols and 0 <= row < self.grid.n_rows):
@@ -280,18 +278,14 @@ class _Annealer:
             else:
                 col = int(rng.integers(self.grid.n_cols))
                 row = int(rng.integers(self.grid.n_rows))
-            moves = [(pick, *self.grid.cell_center(col, row))]
+            xs, ys = ([v] for v in self.grid.cell_center(col, row))
         elif action == "shuffle":
-            k = min(SHUFFLE_SIZE, n)
-            chosen = [int(v) for v in rng.choice(n, size=k, replace=False)]
-            perm = rng.permutation(k)
-            idxs = [int(st.movable_idx[c]) for c in chosen]
-            spots = [(p.x[i], p.y[i]) for i in idxs]
-            moves = [(i, *spots[int(perm[t])]) for t, i in enumerate(idxs)]
+            ids = st.movable_idx[rng.choice(n, size=min(SHUFFLE_SIZE, n), replace=False)]
+            take = ids[rng.permutation(len(ids))]
+            xs, ys = p.x[take], p.y[take]
         else:
             raise ValueError(f"unknown action {action!r}")
-        olds = st.try_moves(moves)
-        return None if olds is None else functools.partial(st.revert, olds)
+        return st.try_moves(ids, xs, ys)
 
     def _propose(self):
         """Pick an action and try to apply it legally, up to 10 times.

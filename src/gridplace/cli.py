@@ -15,7 +15,6 @@ import argparse
 import csv
 import datetime
 import logging
-import re
 import sys
 import time
 from dataclasses import asdict, replace
@@ -103,7 +102,7 @@ def _anneal_flags(p, workers: int, steps: int):
     p.add_argument("--workers", type=int, default=workers)
     p.add_argument("--steps", type=int, default=steps, help="max steps per worker")
     p.add_argument("--budget-seconds", dest="budget", type=float, default=None,
-                   help="wall-clock seconds for the whole run")
+                   help="wall-clock seconds for each seed group's workers (sa has one group)")
     p.add_argument("--init", choices=["spiral", "greedy"], default="spiral")
     p.add_argument("--t-init", default="auto", help="initial temperature or 'auto'")
     p.add_argument("--fd-iters", type=int, default=100)
@@ -186,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path, known: dict) -> dict:
-    """key = value lines; '#' starts a comment; values are coerced to
-    int/float/bool when they look like one. `known` maps each accepted key to
-    its argparse destination; any other key is an error."""
+    """key = value lines; '#' starts a comment. `known` maps each accepted
+    key to its argparse destination; any other key is an error. Returns the
+    value text and the file:line of each destination."""
     p = Path(path)
     if not p.exists():
         raise MissingFile(str(p))
@@ -203,16 +202,24 @@ def _read_config_file(path, known: dict) -> dict:
         key = key.replace("-", "_")
         if key not in known:
             raise GridPlaceError(f"{path}:{lineno}: unknown config key {key!r}")
-        key = known[key]
-        if re.fullmatch(r"[-+]?\d+", val):
-            out[key] = int(val)
-        elif re.fullmatch(r"[-+]?(\d+\.\d*|\.\d+|\d+)([eE][-+]?\d+)?", val):
-            out[key] = float(val)
-        elif val.lower() in ("true", "false"):
-            out[key] = val.lower() == "true"
-        else:
-            out[key] = val
+        out[known[key]] = val, f"{path}:{lineno}"
     return out
+
+
+def _config_value(action, text: str, where: str):
+    """A config value through its flag's type and choices, true or false for
+    a flag that takes no value; a bad one as the error `main` raises."""
+    try:
+        if action.nargs == 0:
+            if text.lower() not in ("true", "false"):
+                raise ValueError("expected true or false")
+            return text.lower() == "true"
+        value = text if action.type is None else action.type(text)
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"expected one of {', '.join(action.choices)}")
+        return value
+    except ValueError as exc:
+        return GridPlaceError(f"{where}: bad {action.option_strings[-1]} {text!r} ({exc})")
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +617,8 @@ def _config_keys(parsers) -> dict:
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv) -> None:
     """Load --config FILE (or --config=FILE) as defaults that explicit flags
-    override, each on the top-level parser or, if it is no shared flag, on
-    the subcommand parsers that declare it."""
+    override, each read by its flag on the top-level parser or, if it is no
+    shared flag, on the subcommand parsers that declare it."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
@@ -622,8 +629,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv) -> None:
     defaults = _read_config_file(path, _config_keys(parsers))
     shared = {action.dest for action in parser._actions}
     for p in parsers:
-        dests = {action.dest for action in p._actions} - (set() if p is parser else shared)
-        p.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
+        p.set_defaults(**{a.dest: _config_value(a, *defaults[a.dest]) for a in p._actions
+                          if a.dest in defaults and (p is parser or a.dest not in shared)})
 
 
 def main(argv=None) -> int:
@@ -633,6 +640,9 @@ def main(argv=None) -> int:
         # Config file defaults lose to explicit flags: load them before parsing.
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        for value in vars(args).values():
+            if isinstance(value, GridPlaceError):   # a bad config value of this command's flags
+                raise value
         logging.basicConfig(
             level=logging.DEBUG if args.verbose else logging.INFO,
             format="%(levelname)s %(name)s: %(message)s",

@@ -10,7 +10,7 @@ but not positively overlap, other macros' boxes. Comparisons use a relative
 epsilon of 1e-9 of the canvas extent so that cell-aligned placements are not
 rejected over last-ulp noise. `MacroState` is the one implementation of this
 predicate; the initializers, the annealer and `placement_is_legal` all use
-it.
+it. A move is an index array checked by one `legal_centers` call.
 """
 
 from __future__ import annotations
@@ -129,50 +129,41 @@ class MacroState:
         if require_fixed:
             placement.require(a.is_macro & ~a.movable, "fixed macro")
 
-    def legal_centers(self, i: int, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        """For each candidate center (cx[k], cy[k]) of macro node i, whether
-        it is in-canvas and overlap-free against the other macros where they
-        are."""
+    def legal_centers(self, i, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        """For each candidate center (cx[k], cy[k]) of macro node i, or of
+        node i[k] when i is an array, whether it is in-canvas and
+        overlap-free against the other macros where they are."""
         p = self.placement
+        i = np.asarray(i).reshape(-1, 1)
         hw, hh = p.arrays.half_w[i], p.arrays.half_h[i]
+        cx, cy = cx[:, None], cy[:, None]
         t = self.tol
         ok = ((cx - hw >= -t) & (cx + hw <= self.canvas.width + t)
               & (cy - hh >= -t) & (cy + hh <= self.canvas.height + t))
-        ox = (self.hw + hw) - np.abs(p.x[self.macros] - cx[:, None])
-        oy = (self.hh + hh) - np.abs(p.y[self.macros] - cy[:, None])
-        hit = (ox > t) & (oy > t)
-        hit[:, self.macros == i] = False
-        return ok & ~hit.any(axis=1)
+        ox = (self.hw + hw) - np.abs(p.x[self.macros] - cx)
+        oy = (self.hh + hh) - np.abs(p.y[self.macros] - cy)
+        hit = (ox > t) & (oy > t) & (self.macros != i)
+        return ok[:, 0] & ~hit.any(axis=1)
 
-    def legal_at(self, i: int) -> bool:
-        """Current coordinates of macro node i are in-canvas and overlap-free."""
+    def try_moves(self, ids: np.ndarray, xs, ys):
+        """Move macro nodes `ids` to centers (xs, ys), checked in one
+        `legal_centers` call. Returns the function that restores their
+        coordinates, or None, with the state unchanged, if one is illegal."""
         p = self.placement
-        return bool(self.legal_centers(i, p.x[i:i + 1], p.y[i:i + 1])[0])
+        old_x, old_y = p.x[ids], p.y[ids]
 
-    def try_moves(self, moves):
-        """Apply [(i, x, y)] to the state. Returns the [(i, old x, old y)]
-        that `revert` takes to undo them, or None, with the state unchanged,
-        when a moved macro ends up illegal."""
-        p = self.placement
-        olds = [(i, p.x[i], p.y[i]) for i, _, _ in moves]
-        for i, nx, ny in moves:
-            p.x[i] = nx
-            p.y[i] = ny
-        for i, _, _ in moves:
-            if not self.legal_at(i):
-                self.revert(olds)
-                return None
-        return olds
-
-    def revert(self, olds) -> None:
-        p = self.placement
-        for i, ox, oy in olds:
-            p.x[i] = ox
-            p.y[i] = oy
+        def undo():
+            p.x[ids], p.y[ids] = old_x, old_y
+        p.x[ids], p.y[ids] = xs, ys
+        if self.legal_centers(ids, p.x[ids], p.y[ids]).all():
+            return undo
+        undo()
+        return None
 
 
 def placement_is_legal(netlist: Netlist, placement: Placement, grid: Grid) -> bool:
     """Every movable macro is placed, in-canvas and overlap-free against all
     other placed macros."""
     st = MacroState(netlist, grid, PlacementState.of(netlist.arrays, placement), require_fixed=False)
-    return all(st.legal_at(i) for i in st.movable_idx)
+    ids = st.movable_idx
+    return bool(st.legal_centers(ids, st.placement.x[ids], st.placement.y[ids]).all())

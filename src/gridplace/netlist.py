@@ -384,13 +384,14 @@ def clamp_offsets(t: NetTable, nodes: NodeTable, where: str | Path, extents: str
     """`t` with pin offsets pulled back within their owners' half-extents;
     logs how many pins moved. Offsets inside or on the boundary stay bit for
     bit."""
-    half = np.stack([nodes.width[t.pin_owner], nodes.height[t.pin_owner]]) / 2.0
-    d = np.stack([t.pin_dx, t.pin_dy])
-    c = np.where(d < -half, -half, np.where(d > half, half, d))
-    clamped = int(np.count_nonzero((c != d).any(axis=0)))
+    def clamp(d, extent):    # one axis at a time, to keep the temporaries small
+        half = extent[t.pin_owner] / 2.0
+        return np.where(d < -half, -half, np.where(d > half, half, d))
+    dx, dy = clamp(t.pin_dx, nodes.width), clamp(t.pin_dy, nodes.height)
+    clamped = int(np.count_nonzero((dx != t.pin_dx) | (dy != t.pin_dy)))
     if clamped:
         log.warning("%s: clamped %d pin offset(s) to %s", where, clamped, extents)
-    return replace(t, pin_dx=c[0], pin_dy=c[1])
+    return replace(t, pin_dx=dx, pin_dy=dy)
 
 
 def drop_short_nets(t: NetTable, keep: np.ndarray | None = None) -> tuple[NetTable, np.ndarray]:

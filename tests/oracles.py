@@ -73,10 +73,10 @@ def rect_overlap(a, b):
     return 0.0
 
 
-def placement_is_legal(netlist, placement, grid):
-    """Every movable macro is placed, inside the canvas and overlaps no other
-    placed macro; extents and overlaps are compared against grid.tol, an
-    overlap being the min/max interval intersection on both axes."""
+def macro_is_legal(netlist, placement, grid, name):
+    """Macro `name` is placed, inside the canvas and overlaps no other placed
+    macro; extents and overlaps are compared against grid.tol, an overlap
+    being the min/max interval intersection on both axes."""
     tol = grid.tol
     cv = netlist.canvas
     boxes = {}
@@ -85,19 +85,22 @@ def placement_is_legal(netlist, placement, grid):
             pose = placement[node.name]
             boxes[node.name] = (pose.x - node.width / 2.0, pose.y - node.height / 2.0,
                                 pose.x + node.width / 2.0, pose.y + node.height / 2.0)
-    for node in netlist.nodes:
-        if node.kind is not NodeKind.MACRO or not node.movable:
-            continue
-        if node.name not in boxes:
+    if name not in boxes:
+        return False
+    x1, y1, x2, y2 = boxes[name]
+    if x1 < -tol or y1 < -tol or x2 > cv.width + tol or y2 > cv.height + tol:
+        return False
+    for other, b in boxes.items():
+        if (other != name and min(x2, b[2]) - max(x1, b[0]) > tol
+                and min(y2, b[3]) - max(y1, b[1]) > tol):
             return False
-        x1, y1, x2, y2 = boxes[node.name]
-        if x1 < -tol or y1 < -tol or x2 > cv.width + tol or y2 > cv.height + tol:
-            return False
-        for other, b in boxes.items():
-            if (other != node.name and min(x2, b[2]) - max(x1, b[0]) > tol
-                    and min(y2, b[3]) - max(y1, b[1]) > tol):
-                return False
     return True
+
+
+def placement_is_legal(netlist, placement, grid):
+    """Every movable macro passes `macro_is_legal`."""
+    return all(macro_is_legal(netlist, placement, grid, node.name) for node in netlist.nodes
+               if node.kind is NodeKind.MACRO and node.movable)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Annealing loop, initializers, parallel workers, macro shuffling."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -520,3 +521,29 @@ def test_shuffle_keeps_legality():
     assert placement_is_legal(netlist, placement, grid)
     for seed in range(5):
         assert placement_is_legal(netlist, shuffle_same_size(netlist, placement, seed), grid)
+
+
+def _h(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+# A 300-step seed-7 anneal of the synthetic ibm01-scale design with an FD pass
+# every 256 macro actions: its best total, and the leading 16 hex digits of the
+# sha256 of its trace rows as `write_trace_csv` writes them and of each array
+# of its best placement. A change to the draw order or to the legality
+# arithmetic changes them.
+ANNEAL_DIGEST = {"best_total": "1.9551826091777813", "trace": "fa6115adbc009724", "x": "479cf223d77a6333",
+                 "y": "9416b2d4136cd48a", "sx": "4fba26baa46ca971", "sy": "80ed0dca19c5f7e8"}
+
+
+def test_golden_digest_of_a_short_seed7_anneal(synth_aux):
+    netlist = parse_bookshelf(synth_aux)
+    initial = read_placement(parse_aux(synth_aux)["pl"], netlist)
+    cnl = cluster_by_grid(netlist, initial, build_grid(netlist.canvas, 32, 32))
+    r = anneal(cnl, initial, SAConfig(seed=7, max_steps=300, fd_interval_multiplier=1, probe_count=10,
+                                      fd_params=FDParams(num_iters=10, seed=7)))
+    got = {"best_total": repr(r.best_cost.total),
+           "trace": _h("".join(f"{s},{c!r}\n" for s, c in r.cost_trace).encode())}
+    for f in ("x", "y", "sx", "sy"):
+        got[f] = _h(getattr(r.best_placement, f).tobytes())
+    assert got == ANNEAL_DIGEST

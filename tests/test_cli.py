@@ -233,6 +233,55 @@ def test_unknown_config_key_is_diagnosed(design, tmp_path, capsys):
         assert "grid_colz" in _one_line_error(capsys)
 
 
+# Command-line flags of the config cases, none of them a flag that a case sets.
+_CONFIG_RUNS = {"evaluate": [], "sa": ["--steps", "2", "--fd-iters", "2", "--t-init", "0.1"]}
+
+
+@pytest.mark.parametrize("line, commands, flag", [
+    ("grid_cols = 1.5", ("evaluate", "sa"), "--grid-cols"),
+    ("smooth_radius = 1.5", ("evaluate", "sa"), "--smooth-radius"),
+    ("workers = 1.5", ("sa",), "--workers"),
+    ("cluster = bogus", ("evaluate", "sa"), "--cluster"),
+    ("init = bogus", ("sa",), "--init"),
+    ("gamma = abc", ("evaluate", "sa"), "--gamma"),
+    ("fd = maybe", ("evaluate",), "--fd"),
+    ("sequential = 1", ("sa",), "--sequential"),
+    ("verbose = yes", ("evaluate", "sa"), "--verbose"),
+])
+def test_bad_config_values_fail_the_commands_that_have_the_flag(design, tmp_path, monkeypatch, capsys,
+                                                                line, commands, flag):
+    """A config value goes through its flag's type and choices, a flag that
+    takes no value reads true or false, and a bad value fails every command
+    that has the flag before the design loads. A command without the flag
+    runs."""
+    net, pl, tmp = design
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a bad value\n{line}\n")
+    for command, flags in _CONFIG_RUNS.items():
+        argv = [command, "--netlist", str(net), "--initial", str(pl), *flags,
+                "--config", str(cfg), "--out-dir", str(tmp)]
+        if command in commands:
+            with monkeypatch.context() as m:
+                m.setattr(gridplace.cli, "_load_design", _no_anneal)
+                assert main(argv) == 2
+            error = _one_line_error(capsys)
+            assert flag in error and f"{cfg}:2" in error and "Traceback" not in error
+        else:
+            assert main(argv) == 0
+            assert float(_kv(capsys)[0]["total"]) > 0.0
+
+
+def test_config_values_take_their_flags_types(design, tmp_path, capsys):
+    net, pl, tmp = design
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fd = TRUE\nfd_iters = 2\ngamma = 1\nverbose = false\n")
+    assert main(["evaluate", "--netlist", str(net), "--initial", str(pl),
+                 "--config", str(cfg), "--out-dir", str(tmp)]) == 0
+    manifest = _manifest(tmp / "evaluate.manifest")
+    assert (manifest["fd"], manifest["fd_iters"], manifest["gamma"]) == ("True", "2", "1.0")
+    assert _kv(capsys)[0]["gamma"] == "1.0"
+
+
 def test_bad_action_weights_are_diagnosed(design, capsys):
     net, pl, tmp = design
     for bad in ("bogus", "swap=x", "teleport=1", "swap=0", "swap=1,,move=1", "swap=inf",

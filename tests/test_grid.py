@@ -1,13 +1,15 @@
 """Grid geometry, orientation transforms, and legality predicates."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 import oracles
 from gen import legality_instance
 from gridplace.errors import InvalidDimension, OutOfRange
-from gridplace.geometry import bbox_inside_canvas, build_grid, node_bbox, placement_is_legal
+from gridplace.geometry import MacroState, bbox_inside_canvas, build_grid, node_bbox, placement_is_legal
 from gridplace.netlist import (
     Canvas,
     Net,
@@ -237,3 +239,47 @@ def test_placement_is_legal_matches_interval_oracle():
     # Both outcomes occur, and legal placements hold outlines that meet
     # exactly edge to edge.
     assert legal >= 100 and illegal >= 100 and touching >= 50, (legal, illegal, touching)
+
+
+def _move_targets(rng, st, grid, k):
+    """k centers: cell centers, points off the grid and other macros' spots."""
+    p = st.placement
+    spots = [(p.x[m], p.y[m]) for m in st.macros.tolist() if not math.isnan(p.x[m])]
+    out = []
+    for _ in range(k):
+        pick = rng.random()
+        if pick < 0.3 and spots:
+            out.append(rng.choice(spots))
+            continue
+        x, y = grid.cell_center(rng.randrange(grid.n_cols), rng.randrange(grid.n_rows))
+        out.append((x + rng.uniform(-5.0, 5.0), y + rng.uniform(-5.0, 5.0)) if pick > 0.8 else (x, y))
+    return out
+
+
+def test_try_moves_matches_interval_oracle():
+    """A move of any set of movable macros is taken exactly when each moved
+    macro passes the interval oracle where it lands. A rejected move leaves
+    x and y bit for bit as they were, and so does the undo of a taken one."""
+    rng = random.Random(0)
+    taken = rejected = 0
+    for seed in range(600):
+        nl, pl, grid = legality_instance(seed)
+        st = MacroState(nl, grid, PlacementState.of(nl.arrays, pl), require_fixed=False)
+        movable = st.movable_idx.tolist()
+        for _ in range(3 if movable else 0):
+            ids = np.array(rng.sample(movable, rng.randint(1, len(movable))))
+            xs, ys = (np.array(v) for v in zip(*_move_targets(rng, st, grid, ids.size)))
+            moved = dict(pl, **{nl.arrays.names[i]: Pose(x, y) for i, x, y in zip(ids, xs, ys)})
+            want = all(oracles.macro_is_legal(nl, moved, grid, nl.arrays.names[i]) for i in ids)
+            before = st.placement.x.tobytes(), st.placement.y.tobytes()
+            undo = st.try_moves(ids, xs, ys)
+            assert (undo is not None) == want, seed
+            if undo is None:
+                rejected += 1
+            else:
+                taken += 1
+                assert st.placement.x[ids].tobytes() == xs.tobytes(), seed
+                assert st.placement.y[ids].tobytes() == ys.tobytes(), seed
+                undo()
+            assert (st.placement.x.tobytes(), st.placement.y.tobytes()) == before, seed
+    assert taken >= 100 and rejected >= 100, (taken, rejected)
